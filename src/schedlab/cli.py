@@ -60,9 +60,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             for inst in instances:
                 new_inst, result = solve_and_annotate(inst, limits)
                 annotated.append(new_inst)
+                gap = (result.makespan - result.lower_bound) / result.makespan
                 print(
                     f"{path.name} {inst.id[:12]} makespan={result.makespan} "
-                    f"status={result.proof_status} nodes={result.nodes_expanded}"
+                    f"status={result.proof_status} nodes={result.nodes_expanded} "
+                    f"lb={result.lower_bound} gap={gap:.2%}"
                 )
                 if result.proof_status == "optimal":
                     n_optimal += 1

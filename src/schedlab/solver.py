@@ -17,13 +17,18 @@ instances keep the unrestricted branching.
 
 Children are explored in order of the dispatched task's completion time, so
 the first dive doubles as a greedy rollout that tightens the incumbent early.
-Identical partial schedules reached through different dispatch orders are
-pruned through a capped transposition set keyed by the exact placement
-history, which keeps the search sound.
+The search runs on an explicit stack, so its depth is not limited by Python's
+recursion limit. Identical partial schedules reached through different
+dispatch orders are pruned through a capped transposition set keyed by the
+exact placement history, which keeps the search sound.
+
+A node is pruned when ``lower_bound``, Jackson's preemptive one-machine bound
+(Carlier 1982; Brucker, Jurisch & Sievers 1994), reaches the incumbent.
 """
 
 from __future__ import annotations
 
+import heapq
 import time
 from dataclasses import dataclass
 
@@ -33,7 +38,6 @@ from .schedule import Schedule, Timeline
 
 _TRANSPOSITION_CAP = 1_000_000
 _TIME_CHECK_MASK = 1023
-_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -44,11 +48,17 @@ class SolveLimits:
 
 @dataclass
 class SolveResult:
+    """``lower_bound`` is the makespan once proved, else the root bound, so the
+    gap of an early stop is known; ``stop_reason`` is "proved", "node_limit"
+    or "time_limit"."""
+
     makespan: int
     schedule: Schedule
     proof_status: str
     nodes_expanded: int
     wall_time_ms: float
+    lower_bound: int
+    stop_reason: str
 
 
 def _spt_rollout(instance: Instance) -> tuple[Schedule, list[tuple[int, int, int]]]:
@@ -68,60 +78,149 @@ def _spt_rollout(instance: Instance) -> tuple[Schedule, list[tuple[int, int, int
     return schedule, history
 
 
-def lower_bound(schedule: Schedule) -> int:
-    """Admissible completion-time bound for a partial schedule.
+def _tables(instance: Instance) -> tuple[list, list, list, list]:
+    """Per-(job, op) times, eligible machines, tools; chain[j][k]: work from op k on."""
+    n_ops = instance.tasks_per_job
+    tasks = [[instance.task(j, k) for k in range(n_ops)] for j in range(instance.num_jobs)]
+    proc = [[t.processing_time for t in row] for row in tasks]
+    chain = [[sum(row[k:]) for k in range(n_ops + 1)] for row in proc]
+    elig = [[list(t.eligible_machines) for t in row] for row in tasks]
+    return proc, elig, [[t.tool for t in row] for row in tasks], chain
 
-    Maximum of: the current makespan; per job, ready time plus remaining
-    chain work; per machine and per tool, remaining pinned work added to
-    either the resource's total busy time or the earliest conceivable start
-    among its remaining tasks. All three stay below the true best completion
-    reachable from the node, gap insertion included.
+
+def _earliest_start(machine_tl: Timeline, tool_tl: Timeline | None, ready: int, p: int) -> int:
+    """Earliest t >= ready with [t, t+p) idle on the machine and, if any, the tool."""
+    t = machine_tl.earliest_fit(ready, p)
+    if tool_tl is None:
+        return t
+    while True:
+        t2 = tool_tl.earliest_fit(t, p)
+        if t2 == t:
+            return t
+        t = machine_tl.earliest_fit(t2, p)
+        if t == t2:
+            return t
+
+
+def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -> int:
+    """max(C_i + q_i) of Jackson's preemptive schedule in the timeline's idle time.
+
+    ``tasks`` holds (head r_i, processing time p_i, tail q_i). At every
+    moment the released task with the largest tail runs, pre-empted by a
+    release or by a busy interval already on the timeline. This schedule is
+    optimal for the preemptive one-machine problem with heads, tails and
+    unavailable periods (an exchange of unit slots never hurts), so its
+    value bounds every non-preemptive completion from below.
+    """
+    tasks.sort()
+    busy = timeline.intervals()
+    n, n_busy = len(tasks), len(busy)
+    ready: list[tuple[int, int]] = []  # (-q, remaining work)
+    i = b = 0
+    t = tasks[0][0]
+    value = 0
+    while i < n or ready:
+        if not ready and t < tasks[i][0]:
+            t = tasks[i][0]
+        while i < n and tasks[i][0] <= t:
+            _, p, q = tasks[i]
+            heapq.heappush(ready, (-q, p))
+            i += 1
+        while b < n_busy and busy[b][1] <= t:
+            b += 1
+        if b < n_busy and busy[b][0] <= t:
+            t = busy[b][1]
+            continue
+        neg_q, rem = ready[0]
+        stop = t + rem
+        if i < n and tasks[i][0] < stop:
+            stop = tasks[i][0]
+        if b < n_busy and busy[b][0] < stop:
+            stop = busy[b][0]
+        rem -= stop - t
+        t = stop
+        if rem:
+            heapq.heapreplace(ready, (neg_q, rem))
+        else:
+            heapq.heappop(ready)
+            if t - neg_q > value:
+                value = t - neg_q
+    return value
+
+
+def _bound(
+    tables: tuple[list, list, list, list],
+    heads: list[int],
+    next_op: list[int],
+    machine_tl: list[Timeline],
+    tool_tl: list[Timeline],
+    makespan: int,
+) -> int:
+    """The bound of ``lower_bound`` on the solver's flat state.
+
+    ``heads[j]`` is the earliest feasible start of job j's next op (the
+    minimum over its eligible machines); entries of finished jobs are unused.
+    """
+    proc, elig, tool_of, chain = tables
+    lb = makespan
+    machine_tasks: list[list[tuple[int, int, int]]] = [[] for _ in machine_tl]
+    tool_tasks: list[list[tuple[int, int, int]]] = [[] for _ in tool_tl]
+    for j, k0 in enumerate(next_op):
+        chain_j = chain[j]
+        n_ops = len(chain_j) - 1
+        if k0 >= n_ops:
+            continue
+        origin = heads[j] + chain_j[k0]  # head plus the job's remaining work
+        if origin > lb:
+            lb = origin
+        proc_j, elig_j, tool_j = proc[j], elig[j], tool_of[j]
+        for k in range(k0, n_ops):
+            task = (origin - chain_j[k], proc_j[k], chain_j[k + 1])
+            if len(elig_j[k]) == 1:
+                machine_tasks[elig_j[k][0]].append(task)
+            if tool_j[k] is not None:
+                tool_tasks[tool_j[k]].append(task)
+    for timelines, pinned in ((machine_tl, machine_tasks), (tool_tl, tool_tasks)):
+        for timeline, tasks in zip(timelines, pinned):
+            if tasks:
+                v = _jackson_preemptive(tasks, timeline)
+                if v > lb:
+                    lb = v
+    return lb
+
+
+def lower_bound(schedule: Schedule) -> int:
+    """Admissible makespan bound for every feasible completion of a partial schedule.
+
+    The maximum of three terms:
+
+    - the current makespan;
+    - per job, the head of its next op plus the job's remaining chain work.
+      The head is the earliest start at or after the job's ready time that
+      is idle on the op's machine and on its tool (for a flexible op, the
+      minimum over its eligible machines);
+    - per machine and per tool, the value of Jackson's preemptive schedule
+      of the remaining tasks pinned to that resource. A task's head is its
+      job's head plus the chain work before it, its tail the chain work
+      after it; the schedule runs only in the resource's idle time and
+      returns max(C_i + q_i).
+
+    Every term holds for any feasible completion, not only for earliest-gap
+    ones: placed intervals never move, so no remaining op can start before
+    its head, and the non-preemptive completion restricted to one resource is
+    a feasible preemptive schedule, whose best value JPS attains. Load terms
+    are implied by the JPS term and the makespan, so there are none.
     """
     instance = schedule.instance
     n_ops = instance.tasks_per_job
-    lb = schedule.makespan
-
-    machine_rem = [0] * instance.num_machines
-    machine_est = [_INF] * instance.num_machines
-    tool_rem = [0] * instance.num_tools
-    tool_est = [_INF] * instance.num_tools
-
-    for j in range(instance.num_jobs):
-        est = schedule.job_ready[j]
-        for k in range(schedule.next_op[j], n_ops):
-            task = instance.task(j, k)
-            p = task.processing_time
-            if len(task.eligible_machines) == 1:
-                m = task.eligible_machines[0]
-                machine_rem[m] += p
-                if est < machine_est[m]:
-                    machine_est[m] = est
-            tool = task.tool
-            if tool is not None:
-                tool_rem[tool] += p
-                if est < tool_est[tool]:
-                    tool_est[tool] = est
-            est += p
-        if est > lb:  # est is now ready + remaining chain work
-            lb = est
-
-    for m in range(instance.num_machines):
-        if machine_rem[m]:
-            cand = schedule.machine_timelines[m].busy_total() + machine_rem[m]
-            if cand > lb:
-                lb = cand
-            cand = machine_est[m] + machine_rem[m]
-            if cand > lb:
-                lb = int(cand)
-    for t in range(instance.num_tools):
-        if tool_rem[t]:
-            cand = schedule.tool_timelines[t].busy_total() + tool_rem[t]
-            if cand > lb:
-                lb = cand
-            cand = tool_est[t] + tool_rem[t]
-            if cand > lb:
-                lb = int(cand)
-    return lb
+    heads = [
+        schedule.best_machine(instance.task(j, k))[1] if k < n_ops else 0
+        for j, k in enumerate(schedule.next_op)
+    ]
+    return _bound(
+        _tables(instance), heads, schedule.next_op, schedule.machine_timelines,
+        schedule.tool_timelines, schedule.makespan,
+    )
 
 
 def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> SolveResult:
@@ -139,24 +238,15 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     incumbent, incumbent_history = _spt_rollout(instance)
 
     n_jobs, n_ops, n_machines = instance.num_jobs, instance.tasks_per_job, instance.num_machines
-    n_tools = instance.num_tools
-
-    # flat per-(job, op) tables for the hot loops
-    proc = [[instance.task(j, k).processing_time for k in range(n_ops)] for j in range(n_jobs)]
-    elig = [[list(instance.task(j, k).eligible_machines) for k in range(n_ops)] for j in range(n_jobs)]
-    tool_of = [[instance.task(j, k).tool for k in range(n_ops)] for j in range(n_jobs)]
-    # chain[j][k]: remaining work of job j from op k on; tail excludes the op itself
-    chain = [[0] * (n_ops + 1) for _ in range(n_jobs)]
-    for j in range(n_jobs):
-        for k in range(n_ops - 1, -1, -1):
-            chain[j][k] = chain[j][k + 1] + proc[j][k]
+    tables = _tables(instance)
+    proc, elig, tool_of, _ = tables
 
     uses_tools = any(t is not None for row in tool_of for t in row)
     flexible = any(len(ms) > 1 for row in elig for ms in row)
     restrict_to_conflict_set = not uses_tools and not flexible
 
     machine_tl = [Timeline() for _ in range(n_machines)]
-    tool_tl = [Timeline() for _ in range(n_tools)]
+    tool_tl = [Timeline() for _ in range(instance.num_tools)]
     job_ready = [0] * n_jobs
     next_op = [0] * n_jobs
 
@@ -167,146 +257,98 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
 
     best = incumbent.makespan
     best_history: list[tuple[int, int, int]] | None = None
-    history: list[tuple[int, int, int]] = []
-    state = {"nodes": 0, "limit_hit": False}
+    # one entry per dispatched task: (job, machine, start, end, tool, prior ready, prior code)
+    trail: list[tuple[int, int, int, int, int | None, int, int]] = []
     n_tasks = instance.num_tasks
+    nodes = 0
+    stop_reason = "proved"
 
-    def earliest_start(j: int, k: int, m: int) -> int:
-        t = machine_tl[m].earliest_fit(job_ready[j], proc[j][k])
-        tool = tool_of[j][k]
-        if tool is None:
-            return t
-        fit_m = machine_tl[m].earliest_fit
-        fit_t = tool_tl[tool].earliest_fit
-        p = proc[j][k]
-        while True:
-            t2 = fit_t(t, p)
-            if t2 == t:
-                return t
-            t = fit_m(t2, p)
-            if t == t2:
-                return t
-
-    def bound(ms_now: int) -> int:
-        lb = ms_now
-        machine_rem = [0] * n_machines
-        machine_est = [_INF] * n_machines
-        machine_tail = [_INF] * n_machines
-        tool_rem = [0] * n_tools
-        tool_est = [_INF] * n_tools
-        tool_tail = [_INF] * n_tools
-        for j in range(n_jobs):
-            k0 = next_op[j]
-            if k0 >= n_ops:
-                continue
-            est = job_ready[j]
-            chain_j = chain[j]
-            v = est + chain_j[k0]
-            if v > lb:
-                lb = v
-            proc_j, elig_j, tool_j = proc[j], elig[j], tool_of[j]
-            for k in range(k0, n_ops):
-                p = proc_j[k]
-                ms_list = elig_j[k]
-                if len(ms_list) == 1:
-                    m = ms_list[0]
-                    machine_rem[m] += p
-                    if est < machine_est[m]:
-                        machine_est[m] = est
-                    t_after = chain_j[k + 1]
-                    if t_after < machine_tail[m]:
-                        machine_tail[m] = t_after
-                tool = tool_j[k]
-                if tool is not None:
-                    tool_rem[tool] += p
-                    if est < tool_est[tool]:
-                        tool_est[tool] = est
-                    t_after = chain_j[k + 1]
-                    if t_after < tool_tail[tool]:
-                        tool_tail[tool] = t_after
-                est += p
-        for m in range(n_machines):
-            rem = machine_rem[m]
-            if rem:
-                v = machine_tl[m].busy_total() + rem
-                if v > lb:
-                    lb = v
-                v = machine_est[m] + rem + machine_tail[m]
-                if v > lb:
-                    lb = int(v)
-        for t in range(n_tools):
-            rem = tool_rem[t]
-            if rem:
-                v = tool_tl[t].busy_total() + rem
-                if v > lb:
-                    lb = v
-                v = tool_est[t] + rem + tool_tail[t]
-                if v > lb:
-                    lb = int(v)
-        return lb
-
-    def expand(ms_now: int, depth: int) -> None:
-        nonlocal best, best_history
-        state["nodes"] += 1
-        if state["nodes"] >= limits.node_limit:
-            state["limit_hit"] = True
-            return
-        if (state["nodes"] & _TIME_CHECK_MASK) == 0 and time.perf_counter() > deadline:
-            state["limit_hit"] = True
-            return
-
-        children = []
+    def candidates() -> tuple[list[tuple[int, int, int, int]], list[int]]:
+        """(completion, job, machine, start) of every possible dispatch, and job heads."""
+        cands = []
+        heads = [0] * n_jobs
         for j in range(n_jobs):
             k = next_op[j]
             if k >= n_ops:
                 continue
             p = proc[j][k]
-            for m in elig[j][k]:
-                s = earliest_start(j, k, m)
-                children.append((s + p, j, m, s))
-        if restrict_to_conflict_set:
-            c_star, _, m_star, _ = min(children)
-            children = [c for c in children if c[2] == m_star and c[3] < c_star]
-        children.sort()
-
-        for completion, j, m, s in children:
-            if state["limit_hit"]:
-                return
-            k = next_op[j]
-            end = completion
-            machine_tl[m].insert(s, end)
             tool = tool_of[j][k]
-            if tool is not None:
-                tool_tl[tool].insert(s, end)
-            prev_ready = job_ready[j]
-            job_ready[j] = end
-            next_op[j] = k + 1
-            prev_code = job_code[j]
-            job_code[j] = prev_code * encode_base + (m * horizon + s + 1)
-            history.append((j, m, s))
+            ttl = tool_tl[tool] if tool is not None else None
+            head = None
+            for m in elig[j][k]:
+                s = _earliest_start(machine_tl[m], ttl, job_ready[j], p)
+                cands.append((s + p, j, m, s))
+                if head is None or s < head:
+                    head = s
+            heads[j] = head
+        return cands, heads
 
-            key = tuple(job_code)
-            fresh = key not in seen
-            if fresh:
-                if len(seen) < _TRANSPOSITION_CAP:
-                    seen.add(key)
-                ms_child = end if end > ms_now else ms_now
-                if depth + 1 == n_tasks:
-                    if ms_child < best:
-                        best = ms_child
-                        best_history = list(history)
-                elif bound(ms_child) < best:
-                    expand(ms_child, depth + 1)
+    def open_node(cands: list[tuple[int, int, int, int]], ms_now: int) -> bool:
+        """Count a node and push its children; False once a limit is hit."""
+        nonlocal nodes, stop_reason
+        nodes += 1
+        if nodes >= limits.node_limit:
+            stop_reason = "node_limit"
+            return False
+        if (nodes & _TIME_CHECK_MASK) == 0 and time.perf_counter() > deadline:
+            stop_reason = "time_limit"
+            return False
+        if restrict_to_conflict_set:
+            c_star, _, m_star, _ = min(cands)
+            cands = [c for c in cands if c[2] == m_star and c[3] < c_star]
+        cands.sort()
+        stack.append([cands, 0, ms_now])
+        return True
 
-            history.pop()
-            job_code[j] = prev_code
-            next_op[j] = k
-            job_ready[j] = prev_ready
-            machine_tl[m].remove(s, end)
-            if tool is not None:
-                tool_tl[tool].remove(s, end)
+    def undo() -> None:
+        j, m, s, end, tool, prev_ready, prev_code = trail.pop()
+        job_code[j] = prev_code
+        next_op[j] -= 1
+        job_ready[j] = prev_ready
+        machine_tl[m].remove(s, end)
+        if tool is not None:
+            tool_tl[tool].remove(s, end)
 
-    expand(0, 0)
+    # each frame: [sorted children, index of the next child, makespan of the node]
+    stack: list[list] = []
+    root_cands, root_heads = candidates()
+    root_bound = _bound(tables, root_heads, next_op, machine_tl, tool_tl, 0)
+    running = open_node(root_cands, 0)
+    while running and stack:
+        frame = stack[-1]
+        children, i, ms_now = frame
+        if i == len(children):
+            stack.pop()
+            if stack:
+                undo()
+            continue
+        frame[1] = i + 1
+        end, j, m, s = children[i]
+        k = next_op[j]
+        tool = tool_of[j][k]
+        machine_tl[m].insert(s, end)
+        if tool is not None:
+            tool_tl[tool].insert(s, end)
+        trail.append((j, m, s, end, tool, job_ready[j], job_code[j]))
+        job_ready[j] = end
+        next_op[j] = k + 1
+        job_code[j] = job_code[j] * encode_base + (m * horizon + s + 1)
+
+        key = tuple(job_code)
+        if key not in seen:
+            if len(seen) < _TRANSPOSITION_CAP:
+                seen.add(key)
+            ms_child = end if end > ms_now else ms_now
+            if len(trail) == n_tasks:
+                if ms_child < best:
+                    best = ms_child
+                    best_history = [entry[:3] for entry in trail]
+            else:
+                cands, heads = candidates()
+                if _bound(tables, heads, next_op, machine_tl, tool_tl, ms_child) < best:
+                    running = open_node(cands, ms_child)
+                    continue
+        undo()
 
     chosen = best_history if best_history is not None else incumbent_history
     schedule = _replay(instance, chosen)
@@ -315,12 +357,15 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
             f"solver bookkeeping mismatch: replayed makespan {schedule.makespan} != best {best}"
         )
     wall_ms = (time.perf_counter() - t_start) * 1000.0
+    proved = stop_reason == "proved"
     return SolveResult(
         makespan=best,
         schedule=schedule,
-        proof_status=PROOF_FEASIBLE if state["limit_hit"] else PROOF_OPTIMAL,
-        nodes_expanded=state["nodes"],
+        proof_status=PROOF_OPTIMAL if proved else PROOF_FEASIBLE,
+        nodes_expanded=nodes,
         wall_time_ms=wall_ms,
+        lower_bound=best if proved else root_bound,
+        stop_reason=stop_reason,
     )
 
 

@@ -119,6 +119,8 @@ def test_cli_generate_solve_train_test_plot(tmp_path, capsys):
     assert main(["solve", "--instances", str(tmp_path / "data")]) == 0
     out = capsys.readouterr().out
     assert "optimal" in out
+    solved = [line for line in out.splitlines() if "status=optimal" in line]
+    assert len(solved) == 7 and all("gap=0.00%" in line for line in solved)
     assert all(i.proof_status == "optimal" for i in read_instances(test_file))
 
     assert main(["train", "--config", str(cfg_path)]) == 0
@@ -221,6 +223,8 @@ def test_cli_solve_node_limit_one_all_feasible(tmp_path, capsys):
     assert main(["solve", "--instances", str(tmp_path / "data"), "--node-limit", "1"]) == 0
     out = capsys.readouterr().out
     assert "7 feasible" in out and "0 optimal" in out
+    stopped = [line for line in out.splitlines() if "status=feasible" in line]
+    assert len(stopped) == 7 and all(" lb=" in line and " gap=" in line for line in stopped)
 
 
 def test_cli_solve_reports_bad_file(tmp_path, capsys):

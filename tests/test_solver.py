@@ -5,7 +5,7 @@ from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
 from schedlab.errors import OracleSizeError
 from schedlab.evaluate import run_episode
-from schedlab.instances import generate_instance
+from schedlab.instances import GeneratorConfig, ProblemType, generate_batch, generate_instance
 from schedlab.schedule import Schedule, validate_schedule
 from schedlab.solver import (
     SolveLimits,
@@ -30,6 +30,8 @@ def test_single_job_chain():
     result = solve_optimal(inst)
     assert result.makespan == 5
     assert result.proof_status == "optimal"
+    assert result.stop_reason == "proved"
+    assert result.lower_bound == 5
     assert validate_schedule(result.schedule) == []
 
 
@@ -52,10 +54,34 @@ def test_node_limit_one_returns_spt_incumbent():
                                          seed=10), 0)
     limited = solve_optimal(inst, SolveLimits(node_limit=1))
     assert limited.proof_status == "feasible"
+    assert limited.stop_reason == "node_limit"
     assert limited.nodes_expanded == 1
+    assert limited.lower_bound == lower_bound(Schedule(inst)) <= limited.makespan
     spt_ms, _, _ = run_episode(rule_policy(DispatchRule.SPT), inst,
                                RewardMode.DENSE_MAKESPAN_DELTA)
     assert limited.makespan == spt_ms
+
+
+def test_time_limit_reports_stop_reason_and_root_bound():
+    inst = generate_instance(jssp_config(num_jobs=15, tasks_per_job=15, num_machines=15,
+                                         seed=7), 0)
+    # the clock is read every 1024 nodes, so a zero limit stops at node 1024
+    result = solve_optimal(inst, SolveLimits(time_limit_s=0.0))
+    assert result.proof_status == "feasible"
+    assert result.stop_reason == "time_limit"
+    assert result.nodes_expanded == 1024
+    assert result.lower_bound == lower_bound(Schedule(inst)) <= result.makespan
+    assert validate_schedule(result.schedule) == []
+
+
+def test_deep_search_does_not_recurse():
+    # 1,000 tasks: the first dive alone is deeper than Python's recursion limit
+    inst = generate_batch(GeneratorConfig(ProblemType.JSSP, 50, 20, 20, 1, 99, 1, 7))[0]
+    result = solve_optimal(inst, SolveLimits(node_limit=1100))
+    assert result.proof_status == "feasible"
+    assert result.stop_reason == "node_limit"
+    assert validate_schedule(result.schedule) == []
+    assert result.lower_bound <= result.makespan == result.schedule.makespan
 
 
 def test_anytime_incumbent_non_increasing():
@@ -106,7 +132,44 @@ def test_lower_bound_tool_load():
     assert lower_bound(Schedule(inst)) >= 7
 
 
-@pytest.mark.parametrize("seed", range(12))
+def test_lower_bound_jackson_preemptive_beats_head_load_tail():
+    # machine 0 holds (head, work, tail) = (0, 4, 2), (2, 2, 6), (2, 2, 6).
+    # Min head + load + min tail is 0 + 8 + 2 = 10 and no job chain exceeds
+    # 10. Jackson's preemptive schedule runs job 0 on [0, 2), job 1 on
+    # [2, 4), job 2 on [4, 6) and job 0 again on [6, 8): 6 + 6 = 12.
+    inst = build_instance(
+        [
+            [(0, 4, None), (1, 1, None), (2, 1, None)],
+            [(1, 2, None), (0, 2, None), (2, 6, None)],
+            [(2, 2, None), (0, 2, None), (1, 6, None)],
+        ],
+        num_machines=3,
+    )
+    assert lower_bound(Schedule(inst)) == 12
+    assert solve_optimal(inst, SolveLimits(node_limit=1)).lower_bound == 12
+    assert solve_optimal(inst).makespan == 13
+
+
+def test_lower_bound_preempts_around_placed_intervals():
+    # job 0 is placed, with its op on machine 0 at [2, 4). Jobs 1 and 2 each
+    # have (head, work, tail) = (0, 2, 3) there: one runs on [0, 2), the
+    # other has to wait for [4, 6), so the bound is 6 + 3 = 9. Ignoring the
+    # placed interval would give 7, and machine 1 alone gives 2 + 6 = 8.
+    inst = build_instance(
+        [
+            [(1, 1, None), (0, 2, None)],
+            [(0, 2, None), (1, 3, None)],
+            [(0, 2, None), (1, 3, None)],
+        ],
+        num_machines=2,
+    )
+    schedule = Schedule(inst)
+    schedule.place_task(inst.task(0, 0), 1, 0)
+    schedule.place_task(inst.task(0, 1), 0, 2)
+    assert lower_bound(schedule) == 9
+
+
+@pytest.mark.parametrize("seed", range(36))
 def test_lower_bound_admissible_along_random_paths(seed):
     """At every node of a random dispatch path, bound <= best completion."""
     rng = np.random.Generator(np.random.Philox(key=seed))
