@@ -50,6 +50,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     directory = Path(args.instances)
+    if not directory.is_dir():
+        print(f"error: {directory} is not a directory of instance files", file=sys.stderr)
+        return EXIT_RUNTIME
     limits = SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
     files = sorted(directory.glob("*.jsonl"))
     n_optimal = n_feasible = n_failed = 0

@@ -149,6 +149,8 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigurationError("eval.seeds: must be non-empty")
     if any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
         raise ConfigurationError("eval.seeds: must be integers")
+    if any(s < 0 for s in seeds):
+        raise ConfigurationError(f"eval.seeds: must be >= 0, got {min(seeds)}")
 
     paths = _build(PathsConfig, dict(data.get("paths", {})), "paths")
 

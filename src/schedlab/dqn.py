@@ -18,7 +18,7 @@ from .env import SchedulingEnv
 from .errors import TrainingDivergedError
 from .instances import Instance
 from .metrics import MetricsEvent
-from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_forward, mlp_gradient
+from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
 
 EnvFactory = Callable[[Instance], SchedulingEnv]
 
@@ -56,6 +56,8 @@ class DqnConfig:
             )
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
             raise ConfigurationError("eps schedule: need 0 <= eps_end <= eps_start <= 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 
 
 class ReplayBuffer:
@@ -174,7 +176,8 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
     next_best = np.where(dones, 0.0, np.max(next_q, axis=1, initial=-np.inf))
     targets = rewards + gamma * next_best
 
-    q = mlp_forward(q_params, obs)
+    q_acts = mlp_activations(q_params, obs)
+    q = q_acts[-1]
     q_sa = q[np.arange(len(batch)), actions]
     td_error = q_sa - targets
     loss = float(np.mean(td_error**2))
@@ -185,6 +188,6 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
         )
     upstream = np.zeros_like(q)
     upstream[np.arange(len(batch)), actions] = 2.0 * td_error / len(batch)
-    grad_w, grad_b = mlp_gradient(q_params, obs, upstream)
+    grad_w, grad_b = mlp_gradient(q_params, obs, upstream, q_acts)
     optimizer.step(grad_w, grad_b)
     return loss

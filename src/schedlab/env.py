@@ -12,6 +12,11 @@ makespan: the dense strategy pays the per-step makespan increase,
 final step only, where UB is the instance's total processing time. Both
 strategies yield the same undiscounted episode return for the same action
 sequence.
+
+``reset`` computes the observation in full; each ``step`` updates only the
+entries its placement can change (see ``observe``), so a step costs a few
+earliest-start queries instead of one per unfinished job. Both hand out a
+fresh array, which the caller may keep or mutate.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .errors import InvalidActionError
 from .instances import Instance
-from .schedule import Schedule
+from .schedule import Placement, Schedule
 
 
 class RewardMode(str, Enum):
@@ -39,6 +44,7 @@ class EnvState:
     steps_taken: int
     ub: int  # sum of all processing times; normalization constant
     p_max: int
+    obs: np.ndarray | None = None  # last observation, updated in place by step
 
     @property
     def instance(self) -> Instance:
@@ -62,30 +68,55 @@ def observation_length(num_jobs: int) -> int:
     return 4 * num_jobs + 1
 
 
-def observe(state: EnvState) -> np.ndarray:
+def _write_job_features(state: EnvState, obs: np.ndarray, j: int) -> None:
+    schedule = state.schedule
+    n_ops = state.instance.tasks_per_job
+    k = schedule.next_op[j]
+    base = 4 * j
+    obs[base] = k / n_ops
+    obs[base + 2] = schedule.job_ready[j] / state.ub
+    if k < n_ops:
+        task = state.instance.task(j, k)
+        obs[base + 1] = task.processing_time / state.p_max
+        obs[base + 3] = schedule.best_machine(task)[1] / state.ub
+    else:
+        obs[base + 1] = obs[base + 3] = 0.0
+
+
+def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
     """Fixed-length feature vector, all entries in [0, 1].
 
     Per job j, at offset 4j: fraction of its ops scheduled; next-task
     processing time / p_max (0 once the job is done); job ready time / UB;
     earliest feasible start of the next task across eligible machines / UB
     (0 once done). The final entry is the current makespan / UB.
+
+    Without ``placement`` this is a full recompute and leaves ``state``
+    untouched. With the placement that ``step`` just made, it updates the
+    observation kept in ``state.obs`` and returns a copy. A placement of job
+    a on machine m with tool t can only change the four entries of job a,
+    entry 4j+3 of a job whose next task is eligible on m or uses t, and the
+    makespan: any other earliest start depends on timelines and a ready time
+    that the placement left as they were.
     """
     schedule = state.schedule
     instance = state.instance
-    n_ops = instance.tasks_per_job
-    obs = np.zeros(observation_length(instance.num_jobs), dtype=np.float64)
-    for j in range(instance.num_jobs):
-        k = schedule.next_op[j]
-        base = 4 * j
-        obs[base] = k / n_ops
-        obs[base + 2] = schedule.job_ready[j] / state.ub
-        if k < n_ops:
-            task = instance.task(j, k)
-            obs[base + 1] = task.processing_time / state.p_max
-            _, start = schedule.best_machine(task)
-            obs[base + 3] = start / state.ub
+    if placement is None:
+        obs = np.zeros(observation_length(instance.num_jobs), dtype=np.float64)
+        for j in range(instance.num_jobs):
+            _write_job_features(state, obs, j)
+    else:
+        obs = state.obs
+        a, machine, tool = placement.job_id, placement.machine, placement.tool
+        _write_job_features(state, obs, a)
+        tasks, n_ops = instance.tasks, instance.tasks_per_job
+        for j, k in enumerate(schedule.next_op):
+            if j != a and k < n_ops:
+                task = tasks[j * n_ops + k]
+                if machine in task.eligible_machines or (tool is not None and task.tool == tool):
+                    obs[4 * j + 3] = schedule.best_machine(task)[1] / state.ub
     obs[-1] = schedule.makespan / state.ub
-    return obs
+    return obs if placement is None else obs.copy()
 
 
 def action_mask(state: EnvState) -> np.ndarray:
@@ -102,14 +133,17 @@ def reset(instance: Instance, mode: RewardMode) -> tuple[np.ndarray, np.ndarray,
         ub=instance.total_processing_time,
         p_max=instance.max_processing_time,
     )
-    return observe(state), action_mask(state), state
+    state.obs = observe(state)
+    return state.obs.copy(), action_mask(state), state
 
 
 def step(state: EnvState, action: int) -> StepResult:
     """Place the next unscheduled task of job ``action`` at its earliest start.
 
     Invalid or masked actions raise InvalidActionError; there is no
-    penalty-reward fallback.
+    penalty-reward fallback. The returned observation equals a full
+    ``observe(state)`` bit for bit; it is updated from the previous one at
+    the entries the placement can change, and it is a fresh array.
     """
     instance = state.instance
     if not (0 <= action < instance.num_jobs):
@@ -134,7 +168,7 @@ def step(state: EnvState, action: int) -> StepResult:
         reward = -c_after / state.ub if done else 0.0
 
     return StepResult(
-        observation=observe(state),
+        observation=observe(state, placement),
         reward=reward,
         done=done,
         mask=action_mask(state),

@@ -290,6 +290,11 @@ def instance_digest(instance: Instance) -> str:
 
 def validate_instance(instance: Instance) -> None:
     """Check structural invariants; raise MalformedRecordError on the first failure."""
+    for name in ("num_jobs", "tasks_per_job", "num_machines"):
+        if getattr(instance, name) < 1:
+            raise MalformedRecordError(
+                f"instance {instance.id[:12]}: {name} must be >= 1, got {getattr(instance, name)}"
+            )
     n_expected = instance.num_jobs * instance.tasks_per_job
     if len(instance.tasks) != n_expected:
         raise MalformedRecordError(

@@ -65,39 +65,40 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """tanh hidden layers, identity output. Accepts a vector or a batch."""
-    x = _check_input(params, x)
-    h = x
-    last = params.num_layers() - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
-        if i != last:
-            h = np.tanh(h)
-    return h
+def mlp_activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
+    """Forward pass keeping every layer's output: [x, h_1, ..., output].
 
-
-def _forward_cached(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    # caches the post-activation of every layer (inputs to the next affine map)
-    activations = [x]
-    h = x
+    The last entry is ``mlp_forward(params, x)``; pass the list to
+    ``mlp_gradient`` to skip running the same forward pass again.
+    """
+    h = _check_input(params, x)
+    activations = [h]
     last = params.num_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = h @ w + b
         if i != last:
             h = np.tanh(h)
         activations.append(h)
-    return h, activations
+    return activations
+
+
+def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
+    """tanh hidden layers, identity output. Accepts a vector or a batch."""
+    return mlp_activations(params, x)[-1]
 
 
 def mlp_gradient(
-    params: MlpParams, x: np.ndarray, upstream: np.ndarray
+    params: MlpParams,
+    x: np.ndarray,
+    upstream: np.ndarray,
+    activations: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Parameter gradients by reverse accumulation.
 
     ``upstream`` is dLoss/dOutput with the same shape as the forward output
-    (any batch scaling belongs to the caller). Returns (weight grads, bias
-    grads) shaped like the parameters.
+    (any batch scaling belongs to the caller). ``activations``, if given, is
+    ``mlp_activations(params, x)`` for the same x; otherwise the forward pass
+    runs here. Returns (weight grads, bias grads) shaped like the parameters.
     """
     x = _check_input(params, x)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -105,9 +106,12 @@ def mlp_gradient(
     if squeeze:
         x = x[None, :]
         upstream = upstream[None, :]
-    out, acts = _forward_cached(params, x)
-    if upstream.shape != out.shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match output {out.shape}")
+    if activations is None:
+        acts = mlp_activations(params, x)
+    else:
+        acts = [a[None, :] for a in activations] if squeeze else activations
+    if upstream.shape != acts[-1].shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match output {acts[-1].shape}")
 
     n_layers = params.num_layers()
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
@@ -156,7 +160,8 @@ def greedy_action(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> int:
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     cum = np.cumsum(probs)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right").clip(0, len(probs) - 1))
+    # searchsorted never returns a negative index, so only the top needs a cap
+    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
 
 
 class Adam:

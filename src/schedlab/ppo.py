@@ -24,6 +24,7 @@ from .nn import (
     MlpParams,
     init_mlp,
     masked_log_probs,
+    mlp_activations,
     mlp_forward,
     mlp_gradient,
     sample_action,
@@ -114,6 +115,8 @@ class PpoConfig:
             raise ConfigurationError(f"gae_lambda: must be in (0, 1], got {self.gae_lambda}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -309,12 +312,13 @@ def _ppo_update(
             targets = value_targets[idx]
             b = len(idx)
 
-            logits = mlp_forward(policy, obs)
+            policy_acts = mlp_activations(policy, obs)
             policy_loss, entropy_mean, clip_fraction, upstream = clipped_objective_upstream(
-                logits, masks, actions, adv, old_logp, clip, config.entropy_coef
+                policy_acts[-1], masks, actions, adv, old_logp, clip, config.entropy_coef
             )
 
-            vals = mlp_forward(value, obs)[:, 0]
+            value_acts = mlp_activations(value, obs)
+            vals = value_acts[-1][:, 0]
             verr = vals - targets
             value_loss = float(np.mean(verr**2))
 
@@ -325,11 +329,11 @@ def _ppo_update(
                     f"value {value_loss}, entropy {entropy_mean}"
                 )
 
-            gw, gb = mlp_gradient(policy, obs, upstream)
+            gw, gb = mlp_gradient(policy, obs, upstream, policy_acts)
             policy_opt.step(gw, gb)
 
             v_up = (2.0 * config.value_coef / b) * verr[:, None]
-            gw, gb = mlp_gradient(value, obs, v_up)
+            gw, gb = mlp_gradient(value, obs, v_up, value_acts)
             value_opt.step(gw, gb)
 
             policy_losses.append(policy_loss)

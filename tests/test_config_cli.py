@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -9,7 +10,14 @@ from schedlab.config import config_digest, load_experiment_config, run_id
 from schedlab.dqn import DqnConfig
 from schedlab.env import RewardMode
 from schedlab.errors import ConfigurationError
-from schedlab.instances import read_instances
+from schedlab.instances import (
+    Instance,
+    InstanceMeta,
+    ProblemType,
+    instance_digest,
+    read_instances,
+    write_instances,
+)
 from schedlab.ppo import PpoConfig
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -214,6 +222,40 @@ def test_cli_solve_empty_dir(tmp_path, capsys):
     empty.mkdir()
     assert main(["solve", "--instances", str(empty)]) == 0
     assert "0 optimal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["missing", "file"])
+def test_cli_solve_rejects_missing_or_file_path(tmp_path, capsys, target):
+    path = tmp_path / "instances.jsonl"
+    if target == "file":
+        path.write_text("")
+    assert main(["solve", "--instances", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert str(path) in err and "solved:" not in out
+
+
+def test_cli_solve_reports_zero_job_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    inst = Instance(id="", problem_type=ProblemType.JSSP, with_tools=False, num_jobs=0,
+                    tasks_per_job=3, num_machines=2, num_tools=0, tasks=(),
+                    meta=InstanceMeta(seed=0))
+    write_instances([dataclasses.replace(inst, id=instance_digest(inst))], data / "empty.jsonl")
+    assert main(["solve", "--instances", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert "empty.jsonl" in err and "num_jobs" in err
+
+
+@pytest.mark.parametrize("field, command, overrides", [
+    ("eval.seeds", "test", {"eval": {"methods": ["spt", "random"], "seeds": [0, -1]}}),
+    ("ppo.seed", "train", {"algo": "ppo", "ppo": {"total_steps": 32, "seed": -1}}),
+    ("dqn.seed", "train", {"dqn": {"total_steps": 32, "seed": -1}}),
+])
+def test_cli_negative_seed_exit_2(tmp_path, capsys, field, command, overrides):
+    # instances exist, so without the check the seed reaches Philox and raises
+    assert main(["generate", "--config", str(tiny_config(tmp_path))]) == 0
+    cfg_path = tiny_config(tmp_path, **overrides)
+    assert main([command, "--config", str(cfg_path)]) == 2
+    assert field in capsys.readouterr().err
 
 
 def test_cli_solve_node_limit_one_all_feasible(tmp_path, capsys):

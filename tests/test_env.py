@@ -200,3 +200,39 @@ def test_observe_and_mask_are_pure():
     a1, m1 = observe(state), action_mask(state)
     a2, m2 = observe(state), action_mask(state)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
+
+
+INCREMENTAL_CONFIGS = {
+    "jssp": lambda seed: jssp_config(num_jobs=6, tasks_per_job=5, num_machines=4, seed=seed),
+    "fjssp": lambda seed: fjssp_config(num_jobs=5, tasks_per_job=4, num_machines=3, seed=seed),
+    "tools": lambda seed: jssp_config(num_jobs=5, tasks_per_job=4, num_machines=4,
+                                      with_tools=True, num_tools=2, seed=seed),
+    "fjssp-tools": lambda seed: fjssp_config(num_jobs=5, tasks_per_job=4, num_machines=3,
+                                             with_tools=True, num_tools=2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
+def test_step_observation_equals_full_observe(kind):
+    # step updates only the entries its placement can change; after every
+    # step of random episodes the result must equal a full recompute bit for bit
+    for seed in range(12):
+        inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        obs, mask, state = reset(inst, SPARSE)
+        assert obs.tobytes() == observe(state).tobytes()
+        while mask.any():
+            result = step(state, int(rng.choice(np.flatnonzero(mask))))
+            assert result.observation.tobytes() == observe(state).tobytes()
+            mask = result.mask
+
+
+def test_mutating_returned_observation_does_not_leak():
+    inst = generate_instance(INCREMENTAL_CONFIGS["fjssp-tools"](3), 0)
+    obs, mask, state = reset(inst, DENSE)
+    obs[:] = 7.0
+    while mask.any():
+        result = step(state, int(np.flatnonzero(mask)[-1]))
+        assert result.observation.tobytes() == observe(state).tobytes()
+        result.observation[:] = 7.0
+        mask = result.mask

@@ -10,6 +10,7 @@ from schedlab.nn import (
     load_model,
     masked_log_probs,
     masked_policy,
+    mlp_activations,
     mlp_forward,
     mlp_gradient,
     sample_action,
@@ -67,6 +68,21 @@ def finite_difference_grads(params, x, upstream, h=1e-5):
                 it.iternext()
             grads.append(g)
     return fd_w, fd_b
+
+
+@pytest.mark.parametrize("batch", [None, 1, 7])
+def test_gradient_with_precomputed_activations_is_bitwise_equal(batch):
+    rng = rng_(batch or 0)
+    params = init_mlp([9, 16, 16, 4], rng)
+    shape = (9,) if batch is None else (batch, 9)
+    x = rng.standard_normal(shape)
+    upstream = rng.standard_normal(shape[:-1] + (4,))
+    acts = mlp_activations(params, x)
+    assert acts[-1].tobytes() == mlp_forward(params, x).tobytes()
+    recomputed = mlp_gradient(params, x, upstream)
+    reused = mlp_gradient(params, x, upstream, acts)
+    for a, b in zip(recomputed[0] + recomputed[1], reused[0] + reused[1]):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("trial", range(10))

@@ -3,9 +3,16 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
-from schedlab.errors import OracleSizeError
+from schedlab.errors import MalformedRecordError, OracleSizeError
 from schedlab.evaluate import run_episode
-from schedlab.instances import GeneratorConfig, ProblemType, generate_batch, generate_instance
+from schedlab.instances import (
+    GeneratorConfig,
+    Instance,
+    InstanceMeta,
+    ProblemType,
+    generate_batch,
+    generate_instance,
+)
 from schedlab.schedule import Schedule, validate_schedule
 from schedlab.solver import (
     SolveLimits,
@@ -265,3 +272,13 @@ def test_oracles_agree_fjssp(seed):
     cfg = fjssp_config(num_jobs=3, tasks_per_job=2, num_machines=2, seed=seed + 800)
     inst = generate_instance(cfg, 0)
     assert timing_oracle(inst) == permutation_oracle(inst) == solve_optimal(inst).makespan
+
+
+@pytest.mark.parametrize("field", ["num_jobs", "tasks_per_job", "num_machines"])
+@pytest.mark.parametrize("problem_type", [ProblemType.JSSP, ProblemType.FJSSP])
+def test_solve_rejects_empty_dimensions(field, problem_type):
+    dims = {"num_jobs": 2, "tasks_per_job": 2, "num_machines": 2, field: 0}
+    inst = Instance(id="0" * 64, problem_type=problem_type, with_tools=False, num_tools=0,
+                    tasks=(), meta=InstanceMeta(seed=0), **dims)
+    with pytest.raises(MalformedRecordError, match=field):
+        solve_optimal(inst)
