@@ -1,6 +1,6 @@
 """schedlab: an experimentation toolkit for RL-based production scheduling."""
 
-from .baselines import DispatchRule, rule_policy, select_action
+from .baselines import DispatchRule, rule_policy
 from .env import EnvState, RewardMode, SchedulingEnv, StepResult, action_mask, observe, reset, step
 from .evaluate import (
     ComparisonTable,
@@ -95,7 +95,6 @@ __all__ = [
     "rule_policy",
     "run_episode",
     "save_model",
-    "select_action",
     "solve_optimal",
     "step",
     "summarize",

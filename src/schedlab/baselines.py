@@ -8,11 +8,6 @@ not only the non-delay conflict set (the jobs whose next task can start
 earliest). Under earliest-gap placement this makes SPT worse than the
 uniform-random mean, the reverse of the conventional ordering; acceptance
 criterion 4a pins both orderings.
-
-``select_action`` works on the exact integer state; ``rule_policy`` exposes
-the same rules through the (observation, mask) policy interface used by the
-evaluation harness. The two are equivalent because the observation features
-preserve the comparisons the rules need.
 """
 
 from __future__ import annotations
@@ -22,7 +17,6 @@ from typing import Callable
 
 import numpy as np
 
-from .env import EnvState
 from .errors import NoValidActionError
 
 
@@ -38,30 +32,6 @@ def _valid_jobs(mask: np.ndarray) -> list[int]:
     if not valid:
         raise NoValidActionError("action mask admits no valid job")
     return valid
-
-
-def select_action(
-    rule: DispatchRule,
-    state: EnvState,
-    mask: np.ndarray,
-    rng: np.random.Generator | None = None,
-) -> int:
-    valid = _valid_jobs(mask)
-    if rule is DispatchRule.RANDOM:
-        if rng is None:
-            raise ValueError("RANDOM rule needs an rng")
-        return valid[int(rng.integers(len(valid)))]
-
-    instance = state.instance
-    next_op = state.schedule.next_op
-    if rule is DispatchRule.SPT:
-        return min(valid, key=lambda j: (instance.task(j, next_op[j]).processing_time, j))
-    if rule is DispatchRule.LPT:
-        return min(valid, key=lambda j: (-instance.task(j, next_op[j]).processing_time, j))
-    if rule is DispatchRule.MTR:
-        # most tasks remaining = fewest ops already scheduled
-        return min(valid, key=lambda j: (next_op[j], j))
-    raise ValueError(f"unhandled rule {rule}")
 
 
 Policy = Callable[[np.ndarray, np.ndarray], int]

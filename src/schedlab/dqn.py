@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .env import SchedulingEnv
+from .env import EnvFactory
 from .errors import TrainingDivergedError
 from .instances import Instance
 from .metrics import MetricsEvent
 from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
-
-EnvFactory = Callable[[Instance], SchedulingEnv]
 
 
 @dataclass(frozen=True)

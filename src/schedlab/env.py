@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -203,3 +203,6 @@ class SchedulingEnv:
         if self.state is None:
             raise InvalidActionError("no active episode")
         return self.state.schedule
+
+
+EnvFactory = Callable[[Instance], SchedulingEnv]

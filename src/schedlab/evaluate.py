@@ -24,7 +24,6 @@ from .baselines import DispatchRule, Policy, rule_policy
 from .env import RewardMode, SchedulingEnv
 from .errors import InternalError, InvalidActionError, UnknownMethodError
 from .instances import Instance, PROOF_OPTIMAL
-from .metrics import MetricsEvent, read_metrics, write_metrics  # noqa: F401  (harness surface)
 from .nn import MlpParams, greedy_action
 from .schedule import Schedule, validate_schedule
 from .solver import SolveLimits, solve_optimal

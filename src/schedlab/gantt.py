@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .errors import InvalidScheduleError
-from .schedule import Schedule, ScheduleRecord, schedule_to_record, validate_record
+from .schedule import Schedule, ScheduleRecord, schedule_to_record, validate_schedule
 
 _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
@@ -48,15 +48,15 @@ def _tick_step(makespan: int) -> int:
 
 def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None = None) -> str:
     """Render a (possibly partial) schedule. Refuses invalid input."""
-    record = schedule_to_record(schedule) if isinstance(schedule, Schedule) else schedule
-    if options is None:
-        options = GanttOptions()
-    violations = validate_record(record)
+    violations = validate_schedule(schedule)
     if violations:
         first = violations[0]
         raise InvalidScheduleError(
             f"cannot render invalid schedule: {first.kind}: {first.detail}", violations
         )
+    record = schedule_to_record(schedule) if isinstance(schedule, Schedule) else schedule
+    if options is None:
+        options = GanttOptions()
 
     n_machines = record.num_machines
     span = max(record.makespan, 1)

@@ -77,10 +77,6 @@ class Instance:
     def task(self, job_id: int, op_index: int) -> Task:
         return self.tasks[job_id * self.tasks_per_job + op_index]
 
-    def job_tasks(self, job_id: int) -> tuple[Task, ...]:
-        lo = job_id * self.tasks_per_job
-        return self.tasks[lo : lo + self.tasks_per_job]
-
     @property
     def num_tasks(self) -> int:
         return self.num_jobs * self.tasks_per_job
@@ -197,7 +193,8 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
         )
         for i in range(n_tasks)
     )
-    payload = _content_payload(
+    inst = Instance(
+        id="",
         problem_type=config.problem_type,
         with_tools=config.with_tools,
         num_jobs=n_jobs,
@@ -207,17 +204,7 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
         tasks=tasks,
         meta=InstanceMeta(seed=config.seed),
     )
-    return Instance(
-        id=_digest_of_payload(payload),
-        problem_type=config.problem_type,
-        with_tools=config.with_tools,
-        num_jobs=n_jobs,
-        tasks_per_job=n_ops,
-        num_machines=n_machines,
-        num_tools=config.num_tools,
-        tasks=tasks,
-        meta=InstanceMeta(seed=config.seed),
-    )
+    return dataclasses.replace(inst, id=instance_digest(inst))
 
 
 def generate_batch(config: GeneratorConfig) -> list[Instance]:
@@ -246,27 +233,18 @@ def _task_record(task: Task) -> dict:
     return rec
 
 
-def _content_payload(*, problem_type, with_tools, num_jobs, tasks_per_job, num_machines,
-                     num_tools, tasks, meta) -> dict:
+def _content_payload(instance: Instance) -> dict:
     # Everything the digest covers: content fields only, no id, no annotation.
     return {
-        "problem_type": problem_type.value,
-        "with_tools": with_tools,
-        "num_jobs": num_jobs,
-        "tasks_per_job": tasks_per_job,
-        "num_machines": num_machines,
-        "num_tools": num_tools,
-        "tasks": [_task_record(t) for t in tasks],
-        "meta": {"seed": meta.seed, "generator_version": meta.generator_version},
+        "problem_type": instance.problem_type.value,
+        "with_tools": instance.with_tools,
+        "num_jobs": instance.num_jobs,
+        "tasks_per_job": instance.tasks_per_job,
+        "num_machines": instance.num_machines,
+        "num_tools": instance.num_tools,
+        "tasks": [_task_record(t) for t in instance.tasks],
+        "meta": {"seed": instance.meta.seed, "generator_version": instance.meta.generator_version},
     }
-
-
-def _canonical_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def _digest_of_payload(payload: dict) -> str:
-    return hashlib.sha256(_canonical_bytes(payload)).hexdigest()
 
 
 def instance_digest(instance: Instance) -> str:
@@ -275,17 +253,8 @@ def instance_digest(instance: Instance) -> str:
     Excludes the stored id and any optimal-makespan annotation, so two
     structurally equal instances share a digest regardless of annotation.
     """
-    payload = _content_payload(
-        problem_type=instance.problem_type,
-        with_tools=instance.with_tools,
-        num_jobs=instance.num_jobs,
-        tasks_per_job=instance.tasks_per_job,
-        num_machines=instance.num_machines,
-        num_tools=instance.num_tools,
-        tasks=instance.tasks,
-        meta=instance.meta,
-    )
-    return _digest_of_payload(payload)
+    payload = json.dumps(_content_payload(instance), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def validate_instance(instance: Instance) -> None:
@@ -345,16 +314,7 @@ def validate_instance(instance: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 def instance_to_record(instance: Instance) -> dict:
-    record = _content_payload(
-        problem_type=instance.problem_type,
-        with_tools=instance.with_tools,
-        num_jobs=instance.num_jobs,
-        tasks_per_job=instance.tasks_per_job,
-        num_machines=instance.num_machines,
-        num_tools=instance.num_tools,
-        tasks=instance.tasks,
-        meta=instance.meta,
-    )
+    record = _content_payload(instance)
     record["id"] = instance.id
     if instance.optimal_makespan is not None:
         record["optimal_makespan"] = instance.optimal_makespan

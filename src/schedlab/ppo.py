@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .env import SchedulingEnv
+from .env import EnvFactory, SchedulingEnv
 from .errors import TrainingDivergedError
 from .instances import Instance
 from .metrics import MetricsEvent
@@ -29,8 +29,6 @@ from .nn import (
     mlp_gradient,
     sample_action,
 )
-
-EnvFactory = Callable[[Instance], SchedulingEnv]
 
 
 def logp_all_safe(logp_all: np.ndarray) -> np.ndarray:

@@ -5,11 +5,13 @@ ending at t never conflicts with one starting at t. Placement never moves an
 existing interval; the earliest feasible start may fall into an idle gap
 between existing intervals (gap insertion).
 
-A Schedule is a single-owner mutable value. The environment, the dispatching
-rules and the solver all build schedules exclusively through
-``place_task``, which preserves every invariant by construction;
+A Schedule is a single-owner mutable value. The environment and the
+dispatching rules build schedules exclusively through ``place_task``, which
+preserves every invariant by construction. The solver searches on its own
+timelines and only replays its result through ``place_task``.
 ``validate_schedule`` re-derives the invariants from the placements alone and
-is the independent check used by tests and the evaluation harness.
+is the independent check used by tests, the evaluation harness and the Gantt
+renderer.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class Timeline:
 
     def intervals(self) -> list[tuple[int, int]]:
         return list(zip(self._starts, self._ends))
-
-    def busy_total(self) -> int:
-        return sum(e - s for s, e in zip(self._starts, self._ends))
 
     def earliest_fit(self, t: int, duration: int) -> int:
         """Smallest t' >= t such that [t', t'+duration) is idle."""
@@ -134,10 +133,6 @@ class Schedule:
     @property
     def makespan(self) -> int:
         return self._makespan
-
-    @property
-    def num_placed(self) -> int:
-        return len(self.placements)
 
     @property
     def complete(self) -> bool:
@@ -269,54 +264,69 @@ class Schedule:
         dup._makespan = self._makespan
         return dup
 
-    def to_record(self) -> dict:
-        return schedule_to_record(self)
-
 
 def makespan(schedule: Schedule) -> int:
     return schedule.makespan
 
 
-def validate_schedule(schedule: Schedule) -> list[Violation]:
+def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
     """Recompute every schedule invariant from the placements alone.
 
     Ignores the incremental timelines on purpose: it is the independent check
-    that the bookkeeping kept by place_task is faithful. Violations are
-    reported exhaustively, not fail-fast.
+    that the bookkeeping kept by place_task is faithful. A Schedule brings its
+    instance, which adds the eligibility, exact-duration and
+    unplaced-predecessor checks; a bare ScheduleRecord only needs each
+    interval to be non-empty. Violations are reported exhaustively, not
+    fail-fast.
     """
-    instance = schedule.instance
+    if isinstance(schedule, Schedule):
+        instance, by_key = schedule.instance, schedule.placements
+        placements = by_key.values()
+    else:
+        instance, placements = None, schedule.placements
+        by_key = {(p.job_id, p.op_index): p for p in placements}
     violations: list[Violation] = []
     per_machine: dict[int, list[Placement]] = {}
     per_tool: dict[int, list[Placement]] = {}
 
-    for (job, op), pl in schedule.placements.items():
-        task = instance.task(job, op)
+    for pl in placements:
+        job, op = pl.job_id, pl.op_index
         if pl.start < 0:
             violations.append(
                 Violation(VIOLATION_NEGATIVE_TIME, ((job, op),), f"start {pl.start} < 0")
             )
-        if pl.machine not in task.eligible_machines:
-            violations.append(
-                Violation(
-                    VIOLATION_ELIGIBILITY,
-                    ((job, op),),
-                    f"machine {pl.machine} not in eligible set {task.eligible_machines}",
-                )
-            )
-        if pl.end - pl.start != task.processing_time:
-            violations.append(
-                Violation(
-                    VIOLATION_NEGATIVE_TIME,
-                    ((job, op),),
-                    f"duration {pl.end - pl.start} != processing_time {task.processing_time}",
-                )
-            )
-        if op > 0:
-            prev = schedule.placements.get((job, op - 1))
-            if prev is None:
+        if instance is None:
+            if pl.end <= pl.start:
                 violations.append(
-                    Violation(VIOLATION_PRECEDENCE, ((job, op),), f"op {op - 1} of job {job} unplaced")
+                    Violation(
+                        VIOLATION_NEGATIVE_TIME, ((job, op),), f"empty interval [{pl.start},{pl.end})"
+                    )
                 )
+        else:
+            task = instance.task(job, op)
+            if pl.machine not in task.eligible_machines:
+                violations.append(
+                    Violation(
+                        VIOLATION_ELIGIBILITY,
+                        ((job, op),),
+                        f"machine {pl.machine} not in eligible set {task.eligible_machines}",
+                    )
+                )
+            if pl.end - pl.start != task.processing_time:
+                violations.append(
+                    Violation(
+                        VIOLATION_NEGATIVE_TIME,
+                        ((job, op),),
+                        f"duration {pl.end - pl.start} != processing_time {task.processing_time}",
+                    )
+                )
+        if op > 0:
+            prev = by_key.get((job, op - 1))
+            if prev is None:
+                if instance is not None:
+                    violations.append(
+                        Violation(VIOLATION_PRECEDENCE, ((job, op),), f"op {op - 1} of job {job} unplaced")
+                    )
             elif pl.start < prev.end:
                 violations.append(
                     Violation(
@@ -329,22 +339,21 @@ def validate_schedule(schedule: Schedule) -> list[Violation]:
         if pl.tool is not None:
             per_tool.setdefault(pl.tool, []).append(pl)
 
-    def overlap_pairs(kind: str, resource_name: str, group: list[Placement]):
-        group = sorted(group, key=lambda p: (p.start, p.end))
-        for a, b in zip(group, group[1:]):
-            if b.start < a.end:
-                violations.append(
-                    Violation(
-                        kind,
-                        ((a.job_id, a.op_index), (b.job_id, b.op_index)),
-                        f"{resource_name}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
+    for kind, resource, groups in (
+        (VIOLATION_MACHINE_OVERLAP, "machine", per_machine),
+        (VIOLATION_TOOL_OVERLAP, "tool", per_tool),
+    ):
+        for r, group in sorted(groups.items()):
+            group = sorted(group, key=lambda p: (p.start, p.end))
+            for a, b in zip(group, group[1:]):
+                if b.start < a.end:
+                    violations.append(
+                        Violation(
+                            kind,
+                            ((a.job_id, a.op_index), (b.job_id, b.op_index)),
+                            f"{resource} {r}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
+                        )
                     )
-                )
-
-    for m, group in sorted(per_machine.items()):
-        overlap_pairs(VIOLATION_MACHINE_OVERLAP, f"machine {m}", group)
-    for t, group in sorted(per_tool.items()):
-        overlap_pairs(VIOLATION_TOOL_OVERLAP, f"tool {t}", group)
     return violations
 
 
@@ -372,62 +381,6 @@ def schedule_to_record(schedule: Schedule) -> ScheduleRecord:
         makespan=schedule.makespan,
         placements=tuple(ordered),
     )
-
-
-def validate_record(record: ScheduleRecord) -> list[Violation]:
-    """Validate what a bare record allows: precedence, overlaps, negative times.
-
-    Eligibility needs the instance and is checked by validate_schedule.
-    """
-    violations: list[Violation] = []
-    per_machine: dict[int, list[Placement]] = {}
-    per_tool: dict[int, list[Placement]] = {}
-    by_key = {(p.job_id, p.op_index): p for p in record.placements}
-    for pl in record.placements:
-        if pl.start < 0 or pl.end <= pl.start:
-            violations.append(
-                Violation(
-                    VIOLATION_NEGATIVE_TIME,
-                    ((pl.job_id, pl.op_index),),
-                    f"bad interval [{pl.start},{pl.end})",
-                )
-            )
-        if pl.op_index > 0:
-            prev = by_key.get((pl.job_id, pl.op_index - 1))
-            if prev is not None and pl.start < prev.end:
-                violations.append(
-                    Violation(
-                        VIOLATION_PRECEDENCE,
-                        ((pl.job_id, pl.op_index - 1), (pl.job_id, pl.op_index)),
-                        f"op {pl.op_index} starts at {pl.start} before previous op ends at {prev.end}",
-                    )
-                )
-        per_machine.setdefault(pl.machine, []).append(pl)
-        if pl.tool is not None:
-            per_tool.setdefault(pl.tool, []).append(pl)
-    for m, group in sorted(per_machine.items()):
-        group = sorted(group, key=lambda p: (p.start, p.end))
-        for a, b in zip(group, group[1:]):
-            if b.start < a.end:
-                violations.append(
-                    Violation(
-                        VIOLATION_MACHINE_OVERLAP,
-                        ((a.job_id, a.op_index), (b.job_id, b.op_index)),
-                        f"machine {m}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
-                    )
-                )
-    for t, group in sorted(per_tool.items()):
-        group = sorted(group, key=lambda p: (p.start, p.end))
-        for a, b in zip(group, group[1:]):
-            if b.start < a.end:
-                violations.append(
-                    Violation(
-                        VIOLATION_TOOL_OVERLAP,
-                        ((a.job_id, a.op_index), (b.job_id, b.op_index)),
-                        f"tool {t}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
-                    )
-                )
-    return violations
 
 
 def record_to_dict(record: ScheduleRecord) -> dict:
@@ -463,7 +416,7 @@ def record_from_dict(data: dict) -> ScheduleRecord:
             )
             for p in data["placements"]
         )
-        return ScheduleRecord(
+        record = ScheduleRecord(
             instance_id=str(data["instance_id"]),
             num_jobs=int(data["num_jobs"]),
             num_machines=int(data["num_machines"]),
@@ -472,6 +425,23 @@ def record_from_dict(data: dict) -> ScheduleRecord:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecordError(f"bad schedule record: {exc!r}") from exc
+    # the header must agree with the placements, or a chart drawn from it is wrong
+    seen: set[tuple[int, int]] = set()
+    for p in record.placements:
+        key = (p.job_id, p.op_index)
+        if not 0 <= p.machine < record.num_machines:
+            raise MalformedRecordError(
+                f"placement {key}: machine {p.machine} outside num_machines {record.num_machines}"
+            )
+        if not 0 <= p.job_id < record.num_jobs:
+            raise MalformedRecordError(f"placement {key}: job {p.job_id} outside num_jobs {record.num_jobs}")
+        if key in seen:
+            raise MalformedRecordError(f"placement {key}: (job, op) placed twice")
+        seen.add(key)
+    last_end = max((p.end for p in record.placements), default=0)
+    if record.makespan < last_end:
+        raise MalformedRecordError(f"makespan {record.makespan} below the last end {last_end}")
+    return record
 
 
 def write_schedule(record: ScheduleRecord | Schedule, path: str | Path) -> None:

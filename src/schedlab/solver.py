@@ -61,23 +61,6 @@ class SolveResult:
     stop_reason: str
 
 
-def _spt_rollout(instance: Instance) -> tuple[Schedule, list[tuple[int, int, int]]]:
-    """Greedy shortest-processing-time rollout; the solver's initial incumbent."""
-    schedule = Schedule(instance)
-    n_jobs, n_ops = instance.num_jobs, instance.tasks_per_job
-    history: list[tuple[int, int, int]] = []
-    while not schedule.complete:
-        j = min(
-            (j for j in range(n_jobs) if schedule.next_op[j] < n_ops),
-            key=lambda j: (instance.task(j, schedule.next_op[j]).processing_time, j),
-        )
-        task = instance.task(j, schedule.next_op[j])
-        machine, start = schedule.best_machine(task)
-        schedule.place_task(task, machine, start)
-        history.append((j, machine, start))
-    return schedule, history
-
-
 def _tables(instance: Instance) -> tuple[list, list, list, list]:
     """Per-(job, op) times, eligible machines, tools; chain[j][k]: work from op k on."""
     n_ops = instance.tasks_per_job
@@ -235,7 +218,15 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     t_start = time.perf_counter()
     deadline = t_start + limits.time_limit_s
 
-    incumbent, incumbent_history = _spt_rollout(instance)
+    # The initial incumbent is the SPT rule's episode. evaluate imports this
+    # module, so the imports for it wait until here.
+    from .baselines import DispatchRule, rule_policy
+    from .env import RewardMode
+    from .evaluate import run_episode
+
+    _, _, incumbent = run_episode(
+        rule_policy(DispatchRule.SPT), instance, RewardMode.DENSE_MAKESPAN_DELTA
+    )
 
     n_jobs, n_ops, n_machines = instance.num_jobs, instance.tasks_per_job, instance.num_machines
     tables = _tables(instance)
@@ -350,8 +341,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                     continue
         undo()
 
-    chosen = best_history if best_history is not None else incumbent_history
-    schedule = _replay(instance, chosen)
+    schedule = incumbent if best_history is None else _replay(instance, best_history)
     if schedule.makespan != best:
         raise InternalError(
             f"solver bookkeeping mismatch: replayed makespan {schedule.makespan} != best {best}"

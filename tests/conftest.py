@@ -8,6 +8,7 @@ from schedlab.instances import (
     InstanceMeta,
     ProblemType,
     Task,
+    generate_instance,
     instance_digest,
 )
 
@@ -66,6 +67,18 @@ def jssp_config(num_jobs=6, tasks_per_job=6, num_machines=6, runtime_lo=1, runti
 def fjssp_config(**kwargs):
     cfg = jssp_config(**kwargs)
     return dataclasses.replace(cfg, problem_type=ProblemType.FJSSP)
+
+
+def four_problem_kinds(num_jobs, tasks_per_job, num_machines, seed):
+    """One instance each of JSSP, FJSSP, JSSP with tools and FJSSP with tools."""
+    shape = dict(num_jobs=num_jobs, tasks_per_job=tasks_per_job, num_machines=num_machines,
+                 seed=seed)
+    tools = dict(with_tools=True, num_tools=2)
+    return [
+        generate_instance(cfg, 0)
+        for cfg in (jssp_config(**shape), fjssp_config(**shape),
+                    jssp_config(**shape, **tools), fjssp_config(**shape, **tools))
+    ]
 
 
 @pytest.fixture

@@ -1,28 +1,28 @@
 import numpy as np
 import pytest
 
-from schedlab.baselines import DispatchRule, rule_policy, select_action
+from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode, reset, step
 from schedlab.errors import NoValidActionError
 from schedlab.instances import generate_instance
 from schedlab.schedule import validate_schedule
 
-from conftest import build_instance, jssp_config
+from conftest import build_instance, four_problem_kinds, jssp_config
 
 
-def three_job_state():
+def three_job_obs():
     # next-task processing times (7, 2, 5)
     inst = build_instance(
         [[(0, 7, None)], [(1, 2, None)], [(2, 5, None)]], num_machines=3
     )
-    _, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
-    return state, mask
+    obs, mask, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    return obs, mask
 
 
 def test_spt_and_lpt_argmin_argmax():
-    state, mask = three_job_state()
-    assert select_action(DispatchRule.SPT, state, mask) == 1
-    assert select_action(DispatchRule.LPT, state, mask) == 0
+    obs, mask = three_job_obs()
+    assert rule_policy(DispatchRule.SPT)(obs, mask) == 1
+    assert rule_policy(DispatchRule.LPT)(obs, mask) == 0
 
 
 def test_mtr_tie_breaks_to_lowest_index():
@@ -35,67 +35,75 @@ def test_mtr_tie_breaks_to_lowest_index():
         ],
         num_machines=3,
     )
-    _, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    _, _, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
     step(state, 2)
-    step(state, 2)
+    obs = step(state, 2).observation
     mask = np.array([True, True, True])
-    assert select_action(DispatchRule.MTR, state, mask) == 0
+    assert rule_policy(DispatchRule.MTR)(obs, mask) == 0
 
 
 def test_random_frequencies():
-    state, _ = three_job_state()
+    obs, _ = three_job_obs()
     mask = np.array([True, False, True])
-    rng = np.random.Generator(np.random.Philox(key=42))
-    draws = [select_action(DispatchRule.RANDOM, state, mask, rng) for _ in range(10_000)]
+    with pytest.raises(ValueError):
+        rule_policy(DispatchRule.RANDOM)
+    policy = rule_policy(DispatchRule.RANDOM, np.random.Generator(np.random.Philox(key=42)))
+    draws = [policy(obs, mask) for _ in range(10_000)]
     assert set(draws) == {0, 2}
     freq0 = draws.count(0) / len(draws)
     assert 0.47 <= freq0 <= 0.53
 
 
 def test_single_valid_job_every_rule():
-    state, _ = three_job_state()
+    obs, _ = three_job_obs()
     mask = np.array([False, True, False])
     rng = np.random.Generator(np.random.Philox(key=1))
     for rule in DispatchRule:
-        assert select_action(rule, state, mask, rng) == 1
+        assert rule_policy(rule, rng)(obs, mask) == 1
 
 
 def test_all_false_mask_raises():
-    state, _ = three_job_state()
+    obs, _ = three_job_obs()
     mask = np.zeros(3, dtype=bool)
     with pytest.raises(NoValidActionError):
-        select_action(DispatchRule.SPT, state, mask)
+        rule_policy(DispatchRule.SPT)(obs, mask)
 
 
 def test_deterministic_rules_are_functions_of_state():
     inst = generate_instance(jssp_config(num_jobs=4, tasks_per_job=3, num_machines=3,
                                          seed=9), 0)
     for rule in (DispatchRule.SPT, DispatchRule.LPT, DispatchRule.MTR):
-        _, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
-        first = select_action(rule, state, mask)
-        _, mask2, state2 = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
-        assert select_action(rule, state2, mask2) == first
+        obs, mask, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        first = rule_policy(rule)(obs, mask)
+        obs2, mask2, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        assert rule_policy(rule)(obs2, mask2) == first
 
 
 @pytest.mark.parametrize("rule", list(DispatchRule))
 def test_full_rollout_valid_and_policy_equivalent(rule):
-    """State-based select_action and obs-based rule_policy pick identical actions."""
-    inst = generate_instance(
-        jssp_config(num_jobs=4, tasks_per_job=4, num_machines=4, with_tools=True,
-                    num_tools=2, seed=31),
-        0,
-    )
-    rng_a = np.random.Generator(np.random.Philox(key=5))
-    rng_b = np.random.Generator(np.random.Philox(key=5))
-    policy = rule_policy(rule, rng_b)
-    obs, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
-    while mask.any():
-        a = select_action(rule, state, mask, rng_a)
-        b = policy(obs, mask)
-        assert a == b
-        result = step(state, a)
-        obs, mask = result.observation, result.mask
-    assert validate_schedule(state.schedule) == []
+    """At every step the obs-based rule picks the argmin over the exact integer state."""
+    for inst in four_problem_kinds(4, 4, 4, seed=31):
+        rng_a = np.random.Generator(np.random.Philox(key=5))
+        rng_b = np.random.Generator(np.random.Philox(key=5))
+        policy = rule_policy(rule, rng_b)
+        obs, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        while mask.any():
+            valid = [j for j in range(inst.num_jobs) if mask[j]]
+            next_op = state.schedule.next_op
+            p = {j: inst.task(j, next_op[j]).processing_time for j in valid}
+            if rule is DispatchRule.SPT:
+                expected = min(valid, key=lambda j: (p[j], j))
+            elif rule is DispatchRule.LPT:
+                expected = min(valid, key=lambda j: (-p[j], j))
+            elif rule is DispatchRule.MTR:
+                expected = min(valid, key=lambda j: (next_op[j], j))
+            else:
+                expected = valid[int(rng_a.integers(len(valid)))]
+            a = policy(obs, mask)
+            assert a == expected
+            result = step(state, a)
+            obs, mask = result.observation, result.mask
+        assert validate_schedule(state.schedule) == []
 
 
 def test_rules_dominated_by_solver():

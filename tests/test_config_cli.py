@@ -294,3 +294,15 @@ def test_cli_plot_rejects_invalid_schedule(tmp_path, capsys):
     }))
     assert main(["plot", "--schedule", str(bad), "--out", str(tmp_path / "x.svg")]) == 1
     assert "cannot render" in capsys.readouterr().err
+
+
+def test_cli_plot_rejects_makespan_below_placements(tmp_path, capsys):
+    bad = tmp_path / "short.json"
+    bad.write_text(json.dumps({
+        "instance_id": "x", "num_jobs": 1, "num_machines": 1, "makespan": 2,
+        "placements": [{"job": 0, "op": 0, "machine": 0, "start": 0, "end": 3}],
+    }))
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--schedule", str(bad), "--out", str(svg)]) == 1
+    assert "makespan 2 below the last end 3" in capsys.readouterr().err
+    assert not svg.exists()

@@ -27,7 +27,7 @@ def test_6x6_jssp_each_job_visits_each_machine_once():
     inst = generate_instance(cfg, 0)
     assert inst.num_tasks == 36
     for j in range(6):
-        machines = sorted(t.eligible_machines[0] for t in inst.job_tasks(j))
+        machines = sorted(inst.task(j, k).eligible_machines[0] for k in range(6))
         assert machines == list(range(6))
 
 

@@ -1,9 +1,10 @@
+import json
 from bisect import bisect_right
 
 import numpy as np
 import pytest
 
-from schedlab.errors import ConstraintViolationError
+from schedlab.errors import ConstraintViolationError, MalformedRecordError
 from schedlab.instances import ProblemType, generate_instance
 from schedlab.schedule import (
     Placement,
@@ -11,8 +12,8 @@ from schedlab.schedule import (
     Timeline,
     makespan,
     read_schedule,
+    record_from_dict,
     schedule_to_record,
-    validate_record,
     validate_schedule,
     write_schedule,
 )
@@ -168,13 +169,19 @@ def test_validate_constructed_schedule_is_clean():
     assert validate_schedule(sched) == []
 
 
+def both_forms(sched):
+    """A schedule and its bare record: the validator must flag both."""
+    return [("schedule", sched), ("record", schedule_to_record(sched))]
+
+
 def test_validate_detects_precedence_violation():
     inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
     sched = Schedule(inst)
     sched.placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
     sched.placements[(0, 1)] = Placement(0, 1, 1, 1, 3)  # starts before op 0 ends
-    kinds = [v.kind for v in validate_schedule(sched)]
-    assert kinds == ["precedence"]
+    for form, value in both_forms(sched):
+        kinds = [v.kind for v in validate_schedule(value)]
+        assert kinds == ["precedence"], form
 
 
 def test_validate_detects_tool_overlap():
@@ -184,9 +191,10 @@ def test_validate_detects_tool_overlap():
     sched = Schedule(inst)
     sched.placements[(0, 0)] = Placement(0, 0, 0, 2, 4, tool=0)
     sched.placements[(1, 0)] = Placement(1, 0, 1, 3, 5, tool=0)
-    violations = validate_schedule(sched)
-    assert [v.kind for v in violations] == ["tool-overlap"]
-    assert violations[0].tasks == ((0, 0), (1, 0))
+    for form, value in both_forms(sched):
+        violations = validate_schedule(value)
+        assert [v.kind for v in violations] == ["tool-overlap"], form
+        assert violations[0].tasks == ((0, 0), (1, 0)), form
 
 
 def test_validate_detects_machine_overlap_and_eligibility():
@@ -194,8 +202,11 @@ def test_validate_detects_machine_overlap_and_eligibility():
     sched = Schedule(inst)
     sched.placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
     sched.placements[(1, 0)] = Placement(1, 0, 0, 1, 4)  # wrong machine + overlap
-    kinds = sorted(v.kind for v in validate_schedule(sched))
-    assert kinds == ["eligibility", "machine-overlap"]
+    # eligibility needs the instance, so only the schedule form can see it
+    expected = {"schedule": ["eligibility", "machine-overlap"], "record": ["machine-overlap"]}
+    for form, value in both_forms(sched):
+        kinds = sorted(v.kind for v in validate_schedule(value))
+        assert kinds == expected[form], form
 
 
 def test_makespan_empty_and_parallel():
@@ -303,7 +314,7 @@ def test_timeline_operations():
     assert tl.earliest_fit(0, 2) == 3
     assert tl.earliest_fit(0, 3) == 9
     assert tl.earliest_fit(9, 1) == 9
-    assert tl.busy_total() == 7
+    assert sum(e - s for s, e in tl.intervals()) == 7
     assert not tl.is_free(2, 4)
     assert tl.is_free(3, 5)
     with pytest.raises(ConstraintViolationError):
@@ -324,10 +335,39 @@ def test_schedule_record_roundtrip(tmp_path):
         m, s = sched.best_machine(task)
         sched.place_task(task, m, s)
     record = schedule_to_record(sched)
-    assert validate_record(record) == []
+    assert validate_schedule(record) == []
     path = tmp_path / "schedule.json"
     write_schedule(record, path)
     assert read_schedule(path) == record
+
+
+def two_job_record_dict():
+    # machine 0: (0,0) [0,3); machine 1: (1,0) [0,2), (0,1) [3,5)
+    return {
+        "instance_id": "x", "num_jobs": 2, "num_machines": 2, "makespan": 5,
+        "placements": [
+            {"job": 0, "op": 0, "machine": 0, "start": 0, "end": 3},
+            {"job": 0, "op": 1, "machine": 1, "start": 3, "end": 5},
+            {"job": 1, "op": 0, "machine": 1, "start": 0, "end": 2},
+        ],
+    }
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(makespan=4), "makespan 4 below the last end 5"),
+    (lambda d: d["placements"][2].update(machine=2), "machine 2 outside num_machines 2"),
+    (lambda d: d["placements"][2].update(job=2), "job 2 outside num_jobs 2"),
+    (lambda d: d["placements"].append(dict(d["placements"][1], machine=0)),
+     r"\(job, op\) placed twice"),
+], ids=["makespan-below-last-end", "machine-out-of-range", "job-out-of-range", "repeated-job-op"])
+def test_read_schedule_rejects_header_contradicting_placements(tmp_path, edit, message):
+    data = two_job_record_dict()
+    assert validate_schedule(record_from_dict(data)) == []
+    edit(data)
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(MalformedRecordError, match=message):
+        read_schedule(path)
 
 
 def test_mutation_off_by_one_overlap_is_caught(monkeypatch):

@@ -22,7 +22,7 @@ from schedlab.solver import (
     timing_oracle,
 )
 
-from conftest import build_instance, fjssp_config, jssp_config
+from conftest import build_instance, fjssp_config, four_problem_kinds, jssp_config
 
 
 def interleave_instance():
@@ -56,17 +56,31 @@ def test_solver_matches_oracle_2x3(seed):
     assert solve_optimal(inst).makespan == permutation_oracle(inst)
 
 
+def integer_spt_placements(inst):
+    """SPT rollout on the exact integer processing times, ties to the lowest job."""
+    sched = Schedule(inst)
+    while not sched.complete:
+        j = min(
+            (j for j in range(inst.num_jobs) if sched.next_op[j] < inst.tasks_per_job),
+            key=lambda j: (inst.task(j, sched.next_op[j]).processing_time, j),
+        )
+        task = inst.task(j, sched.next_op[j])
+        sched.place_task(task, *sched.best_machine(task))
+    return sched.placements
+
+
 def test_node_limit_one_returns_spt_incumbent():
-    inst = generate_instance(jssp_config(num_jobs=3, tasks_per_job=3, num_machines=3,
-                                         seed=10), 0)
-    limited = solve_optimal(inst, SolveLimits(node_limit=1))
-    assert limited.proof_status == "feasible"
-    assert limited.stop_reason == "node_limit"
-    assert limited.nodes_expanded == 1
-    assert limited.lower_bound == lower_bound(Schedule(inst)) <= limited.makespan
-    spt_ms, _, _ = run_episode(rule_policy(DispatchRule.SPT), inst,
-                               RewardMode.DENSE_MAKESPAN_DELTA)
-    assert limited.makespan == spt_ms
+    for inst in four_problem_kinds(3, 3, 3, seed=10):
+        limited = solve_optimal(inst, SolveLimits(node_limit=1))
+        assert limited.proof_status == "feasible"
+        assert limited.stop_reason == "node_limit"
+        assert limited.nodes_expanded == 1
+        assert limited.lower_bound == lower_bound(Schedule(inst)) <= limited.makespan
+        spt_ms, _, spt = run_episode(rule_policy(DispatchRule.SPT), inst,
+                                     RewardMode.DENSE_MAKESPAN_DELTA)
+        assert limited.makespan == spt_ms
+        assert limited.schedule.placements == spt.placements
+        assert limited.schedule.placements == integer_spt_placements(inst)
 
 
 def test_time_limit_reports_stop_reason_and_root_bound():
