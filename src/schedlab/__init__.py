@@ -23,7 +23,7 @@ from .instances import (
     write_instances,
 )
 from .metrics import MetricsEvent, read_metrics, write_metrics
-from .nn import MlpParams, load_model, masked_policy, mlp_forward, mlp_gradient, save_model
+from .nn import MlpParams, load_model, mlp_forward, mlp_gradient, save_model
 from .dqn import DqnConfig, train_dqn
 from .ppo import PpoConfig, Trajectory, compute_gae, train_ppo
 from .schedule import (
@@ -32,7 +32,6 @@ from .schedule import (
     ScheduleRecord,
     Timeline,
     Violation,
-    makespan,
     read_schedule,
     validate_schedule,
     write_schedule,
@@ -81,8 +80,6 @@ __all__ = [
     "instance_digest",
     "load_model",
     "lower_bound",
-    "makespan",
-    "masked_policy",
     "mlp_forward",
     "mlp_gradient",
     "observe",

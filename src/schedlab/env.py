@@ -50,10 +50,6 @@ class EnvState:
     def instance(self) -> Instance:
         return self.schedule.instance
 
-    @property
-    def done(self) -> bool:
-        return self.steps_taken == self.instance.num_tasks
-
 
 @dataclass
 class StepResult:

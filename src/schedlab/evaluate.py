@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -147,78 +147,59 @@ def evaluate(
         raise ValueError("seeds must be non-empty")
 
     clock = timer if timer is not None else (lambda: 0.0)
+
+    def run(name: str, instance: Instance, seed: int | None) -> tuple[int, float]:
+        """(makespan, return) of one run of a method on an instance."""
+        if name == "solver":
+            result = solve_optimal(instance, solve_limits)
+            violations = validate_schedule(result.schedule)
+            if violations:
+                raise InternalError(f"solver produced an invalid schedule: {violations[0]}")
+            return result.makespan, -result.makespan / instance.total_processing_time
+        if name == "model":
+            policy: Policy = lambda obs, mask: greedy_action(model_params, obs, mask)
+        elif name == "random":
+            policy = rule_policy(DispatchRule.RANDOM, _episode_rng(instance, seed))
+        else:
+            policy = rule_policy(DispatchRule(name))
+        ms, ret, _ = run_episode(policy, instance, mode)
+        return ms, ret
+
+    def score(name: str, instance: Instance, seed: int | None = None) -> EvalRecord:
+        t0 = clock()
+        ms, ret = run(name, instance, seed)
+        elapsed = (clock() - t0) * 1000.0
+        return EvalRecord(
+            method=name, instance_id=instance.id, makespan=ms, episode_return=ret,
+            gap=_gap(ms, instance), wall_time_ms=elapsed, seed=seed,
+        )
+
     records: list[EvalRecord] = []
     for name in methods:
         for instance in instances:
-            if name == "random":
-                subs = []
-                for seed in seeds:
-                    rng = _episode_rng(instance, seed)
-                    t0 = clock()
-                    ms, ret, _ = run_episode(
-                        rule_policy(DispatchRule.RANDOM, rng), instance, mode
-                    )
-                    elapsed = (clock() - t0) * 1000.0
-                    subs.append(
-                        EvalRecord(
-                            method=name, instance_id=instance.id, makespan=ms,
-                            episode_return=ret, gap=_gap(ms, instance),
-                            wall_time_ms=elapsed, seed=seed,
-                        )
-                    )
-                mean_ms = sum(r.makespan for r in subs) / len(subs)
-                records.append(
-                    EvalRecord(
-                        method=name,
-                        instance_id=instance.id,
-                        makespan=mean_ms,
-                        episode_return=sum(r.episode_return for r in subs) / len(subs),
-                        gap=_gap(mean_ms, instance),
-                        wall_time_ms=sum(r.wall_time_ms for r in subs) / len(subs),
-                        per_seed=tuple(subs),
-                    )
+            if name != "random":
+                records.append(score(name, instance))
+                continue
+            subs = tuple(score(name, instance, seed) for seed in seeds)
+            mean_ms = sum(r.makespan for r in subs) / len(subs)
+            records.append(
+                EvalRecord(
+                    method=name,
+                    instance_id=instance.id,
+                    makespan=mean_ms,
+                    episode_return=sum(r.episode_return for r in subs) / len(subs),
+                    gap=_gap(mean_ms, instance),
+                    wall_time_ms=sum(r.wall_time_ms for r in subs) / len(subs),
+                    per_seed=subs,
                 )
-            elif name == "solver":
-                t0 = clock()
-                result = solve_optimal(instance, solve_limits)
-                elapsed = (clock() - t0) * 1000.0
-                violations = validate_schedule(result.schedule)
-                if violations:
-                    raise InternalError(f"solver produced an invalid schedule: {violations[0]}")
-                ub = instance.total_processing_time
-                records.append(
-                    EvalRecord(
-                        method=name, instance_id=instance.id, makespan=result.makespan,
-                        episode_return=-result.makespan / ub,
-                        gap=_gap(result.makespan, instance), wall_time_ms=elapsed,
-                    )
-                )
-            else:
-                if name == "model":
-                    policy: Policy = lambda obs, mask: greedy_action(model_params, obs, mask)
-                else:
-                    policy = rule_policy(DispatchRule(name))
-                t0 = clock()
-                ms, ret, _ = run_episode(policy, instance, mode)
-                elapsed = (clock() - t0) * 1000.0
-                records.append(
-                    EvalRecord(
-                        method=name, instance_id=instance.id, makespan=ms,
-                        episode_return=ret, gap=_gap(ms, instance), wall_time_ms=elapsed,
-                    )
-                )
+            )
     return records
 
 
-def _aggregate_mean_makespan(records: Sequence[EvalRecord]) -> float:
-    # per-seed sub-records, when present, carry the per-run makespans
-    values: list[float] = []
+def _runs(records: Sequence[EvalRecord]) -> Iterator[EvalRecord]:
+    """The per-seed sub-records of each aggregate record, or the record itself."""
     for rec in records:
-        if rec.per_seed:
-            values.extend(r.makespan for r in rec.per_seed)
-        else:
-            values.append(rec.makespan)
-    return sum(values) / len(values)
+        yield from rec.per_seed or (rec,)
 
 
 def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
@@ -232,17 +213,13 @@ def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
         by_method.setdefault(rec.method, []).append(rec)
     rows = []
     for method, group in sorted(by_method.items()):
-        flat = [
-            sub
-            for rec in group
-            for sub in (rec.per_seed if rec.per_seed else (rec,))
-        ]
+        flat = list(_runs(group))
         gaps = [r.gap for r in flat if r.gap is not None]
         rows.append(
             MethodSummary(
                 method=method,
                 count=len(group),
-                mean_makespan=_aggregate_mean_makespan(group),
+                mean_makespan=sum(r.makespan for r in flat) / len(flat),
                 min_makespan=min(r.makespan for r in flat),
                 max_makespan=max(r.makespan for r in flat),
                 mean_return=sum(r.episode_return for r in flat) / len(flat),
@@ -273,10 +250,6 @@ def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
             repr(rec.wall_time_ms),
         ]
 
-    for rec in records:
-        if rec.per_seed:
-            for sub in rec.per_seed:
-                writer.writerow(row_of(sub))
-        else:
-            writer.writerow(row_of(rec))
+    for rec in _runs(records):
+        writer.writerow(row_of(rec))
     path.write_text(buf.getvalue(), encoding="utf-8")

@@ -2,9 +2,9 @@
 
 Each event carries a flat scalar map and is written as one line per scalar:
 ``{"run_id": ..., "step": ..., "episode": ..., "key": ..., "value": ...,
-"timestamp": ...}``. Timestamps default to 0.0 so that identical runs produce
-byte-identical files; pass a real clock to trainers for wall-clock stamps
-when feeding an external tracker.
+"timestamp": ...}``. ``train_ppo`` and ``train_dqn`` take no clock yet and
+stamp every event 0.0, so identical runs produce byte-identical files;
+trainer timers are an open item in ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -125,22 +125,6 @@ def mlp_gradient(
     return grad_w, grad_b
 
 
-def masked_logits(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    logits = mlp_forward(params, obs)
-    return np.where(np.asarray(mask, dtype=bool), logits, -np.inf)
-
-
-def masked_policy(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Action probabilities: softmax over valid entries, exact zeros elsewhere."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise NoValidActionError("mask admits no valid action")
-    logits = masked_logits(params, obs, mask)
-    z = logits - logits.max(axis=-1, keepdims=True)
-    expz = np.where(mask, np.exp(z), 0.0)
-    return expz / expz.sum(axis=-1, keepdims=True)
-
-
 def masked_log_probs(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Log softmax over valid entries of (possibly batched) raw logits."""
     masks = np.asarray(masks, dtype=bool)
@@ -155,7 +139,7 @@ def greedy_action(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> int:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise NoValidActionError("mask admits no valid action")
-    return int(np.argmax(masked_logits(params, obs, mask)))
+    return int(np.argmax(np.where(mask, mlp_forward(params, obs), -np.inf)))
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:

@@ -31,11 +31,6 @@ from .nn import (
 )
 
 
-def logp_all_safe(logp_all: np.ndarray) -> np.ndarray:
-    """Replace -inf (masked) log-probs with 0; their probability factor is exactly 0."""
-    return np.where(np.isfinite(logp_all), logp_all, 0.0)
-
-
 def clipped_objective_upstream(
     logits: np.ndarray,
     masks: np.ndarray,
@@ -63,7 +58,7 @@ def clipped_objective_upstream(
     take_unclipped = unclipped <= clipped
     policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
 
-    logp_safe = logp_all_safe(logp_all)
+    logp_safe = np.where(np.isfinite(logp_all), logp_all, 0.0)  # masked: probability 0
     entropy = -(probs * logp_safe).sum(axis=1)
     entropy_mean = float(entropy.mean())
 
@@ -167,7 +162,6 @@ class _RolloutCollector:
         self.env: SchedulingEnv | None = None
         self.obs: np.ndarray | None = None
         self.mask: np.ndarray | None = None
-        self.episodes_done = 0
         self.finished_returns: list[float] = []
         self.finished_makespans: list[int] = []
         self._ep_return = 0.0
@@ -205,7 +199,6 @@ class _RolloutCollector:
             if result.done:
                 self.finished_returns.append(self._ep_return)
                 self.finished_makespans.append(result.info["makespan"])
-                self.episodes_done += 1
                 self.env = None
             else:
                 self.obs, self.mask = result.observation, result.mask
@@ -271,7 +264,7 @@ def train_ppo(
             MetricsEvent(
                 run_id=run_id,
                 step=steps_done,
-                episode=collector.episodes_done,
+                episode=len(collector.finished_returns),
                 scalars={
                     "return": float(np.mean(window_returns)) if window_returns else 0.0,
                     "makespan": float(np.mean(window_makespans)) if window_makespans else 0.0,

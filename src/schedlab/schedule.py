@@ -8,7 +8,8 @@ between existing intervals (gap insertion).
 A Schedule is a single-owner mutable value. The environment and the
 dispatching rules build schedules exclusively through ``place_task``, which
 preserves every invariant by construction. The solver searches on its own
-timelines and only replays its result through ``place_task``.
+timelines through the shared ``earliest_start`` and only replays its result
+through ``place_task``.
 ``validate_schedule`` re-derives the invariants from the placements alone and
 is the independent check used by tests, the evaluation harness and the Gantt
 renderer.
@@ -28,6 +29,7 @@ VIOLATION_MACHINE_OVERLAP = "machine-overlap"
 VIOLATION_TOOL_OVERLAP = "tool-overlap"
 VIOLATION_ELIGIBILITY = "eligibility"
 VIOLATION_NEGATIVE_TIME = "negative-time"
+VIOLATION_HEADER = "header"
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,6 @@ class Timeline:
             i += 1
         return t
 
-    def is_free(self, start: int, end: int) -> bool:
-        return self.first_conflict(start, end) is None
-
     def first_conflict(self, start: int, end: int) -> tuple[int, int] | None:
         """Return the earliest busy interval overlapping [start, end), if any."""
         starts, ends = self._starts, self._ends
@@ -111,11 +110,23 @@ class Timeline:
         del self._starts[i]
         del self._ends[i]
 
-    def copy(self) -> "Timeline":
-        dup = Timeline()
-        dup._starts = list(self._starts)
-        dup._ends = list(self._ends)
-        return dup
+
+def earliest_start(machine_tl: Timeline, tool_tl: Timeline | None, ready: int, p: int) -> int:
+    """Earliest t >= ready with [t, t+p) idle on the machine and, if any, the tool.
+
+    Alternates between the two timelines until a start fits both; each pass
+    only pushes t later, so this terminates.
+    """
+    t = machine_tl.earliest_fit(ready, p)
+    if tool_tl is None:
+        return t
+    while True:
+        t2 = tool_tl.earliest_fit(t, p)
+        if t2 == t:
+            return t
+        t = machine_tl.earliest_fit(t2, p)
+        if t == t2:
+            return t
 
 
 class Schedule:
@@ -146,33 +157,15 @@ class Schedule:
                 f"of job {task.job_id} (expected op {expected})"
             )
 
-    def earliest_feasible_start(self, task: Task, machine: int) -> int:
-        """Earliest t >= job_ready with [t, t+p) idle on machine and tool.
-
-        Alternates between the machine and tool timelines until a start
-        satisfies both; each pass only pushes t later, so this terminates.
-        """
-        self._check_next_op(task)
-        if machine not in task.eligible_machines:
-            raise ValueError(f"machine {machine} not eligible for task ({task.job_id},{task.op_index})")
-        p = task.processing_time
-        machine_tl = self.machine_timelines[machine]
-        tool_tl = self.tool_timelines[task.tool] if task.tool is not None else None
-        t = self.job_ready[task.job_id]
-        while True:
-            t2 = machine_tl.earliest_fit(t, p)
-            if tool_tl is None:
-                return t2
-            t3 = tool_tl.earliest_fit(t2, p)
-            if t3 == t2:
-                return t2
-            t = t3
-
     def best_machine(self, task: Task) -> tuple[int, int]:
         """(machine, start) minimizing the earliest feasible start; ties to the lowest id."""
+        self._check_next_op(task)
+        p = task.processing_time
+        tool_tl = self.tool_timelines[task.tool] if task.tool is not None else None
+        ready = self.job_ready[task.job_id]
         best: tuple[int, int] | None = None
         for m in task.eligible_machines:
-            start = self.earliest_feasible_start(task, m)
+            start = earliest_start(self.machine_timelines[m], tool_tl, ready, p)
             if best is None or start < best[1]:
                 best = (m, start)
         assert best is not None  # eligible_machines is non-empty
@@ -199,21 +192,14 @@ class Schedule:
                 resource=f"job {task.job_id}",
             )
         end = start + task.processing_time
-        conflict = self.machine_timelines[machine].first_conflict(start, end)
-        if conflict is not None:
-            raise ConstraintViolationError(
-                f"machine {machine} busy on [{conflict[0]},{conflict[1]}) conflicts with "
-                f"[{start},{end})",
-                resource=f"machine {machine}",
-                interval=conflict,
-            )
-        if task.tool is not None:
-            conflict = self.tool_timelines[task.tool].first_conflict(start, end)
+        machine_tl = self.machine_timelines[machine]
+        tool_tl = self.tool_timelines[task.tool] if task.tool is not None else None
+        for kind, r, timeline in (("machine", machine, machine_tl), ("tool", task.tool, tool_tl)):
+            conflict = timeline.first_conflict(start, end) if timeline is not None else None
             if conflict is not None:
                 raise ConstraintViolationError(
-                    f"tool {task.tool} busy on [{conflict[0]},{conflict[1]}) conflicts with "
-                    f"[{start},{end})",
-                    resource=f"tool {task.tool}",
+                    f"{kind} {r} busy on [{conflict[0]},{conflict[1]}) conflicts with [{start},{end})",
+                    resource=f"{kind} {r}",
                     interval=conflict,
                 )
         placement = Placement(
@@ -224,9 +210,9 @@ class Schedule:
             end=end,
             tool=task.tool,
         )
-        self.machine_timelines[machine].insert(start, end)
-        if task.tool is not None:
-            self.tool_timelines[task.tool].insert(start, end)
+        machine_tl.insert(start, end)
+        if tool_tl is not None:
+            tool_tl.insert(start, end)
         self.placements[(task.job_id, task.op_index)] = placement
         self.job_ready[task.job_id] = end
         self.next_op[task.job_id] += 1
@@ -253,21 +239,6 @@ class Schedule:
             self._makespan = max((p.end for p in self.placements.values()), default=0)
         return placement
 
-    def copy(self) -> "Schedule":
-        dup = Schedule.__new__(Schedule)
-        dup.instance = self.instance
-        dup.placements = dict(self.placements)
-        dup.machine_timelines = [tl.copy() for tl in self.machine_timelines]
-        dup.tool_timelines = [tl.copy() for tl in self.tool_timelines]
-        dup.job_ready = list(self.job_ready)
-        dup.next_op = list(self.next_op)
-        dup._makespan = self._makespan
-        return dup
-
-
-def makespan(schedule: Schedule) -> int:
-    return schedule.makespan
-
 
 def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
     """Recompute every schedule invariant from the placements alone.
@@ -275,9 +246,10 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
     Ignores the incremental timelines on purpose: it is the independent check
     that the bookkeeping kept by place_task is faithful. A Schedule brings its
     instance, which adds the eligibility, exact-duration and
-    unplaced-predecessor checks; a bare ScheduleRecord only needs each
-    interval to be non-empty. Violations are reported exhaustively, not
-    fail-fast.
+    unplaced-predecessor checks; a bare ScheduleRecord needs each interval to
+    be non-empty and its header to agree with its placements: machines and
+    jobs in range, no (job, op) twice, and a makespan no earlier than the
+    last end. Violations are reported exhaustively, not fail-fast.
     """
     if isinstance(schedule, Schedule):
         instance, by_key = schedule.instance, schedule.placements
@@ -288,6 +260,10 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
     violations: list[Violation] = []
     per_machine: dict[int, list[Placement]] = {}
     per_tool: dict[int, list[Placement]] = {}
+    seen: set[tuple[int, int]] = set()
+
+    def header(key: tuple[int, int], detail: str) -> None:
+        violations.append(Violation(VIOLATION_HEADER, (key,), f"placement {key}: {detail}"))
 
     for pl in placements:
         job, op = pl.job_id, pl.op_index
@@ -296,6 +272,13 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
                 Violation(VIOLATION_NEGATIVE_TIME, ((job, op),), f"start {pl.start} < 0")
             )
         if instance is None:
+            if not 0 <= pl.machine < schedule.num_machines:
+                header((job, op), f"machine {pl.machine} outside num_machines {schedule.num_machines}")
+            if not 0 <= job < schedule.num_jobs:
+                header((job, op), f"job {job} outside num_jobs {schedule.num_jobs}")
+            if (job, op) in seen:
+                header((job, op), "(job, op) placed twice")
+            seen.add((job, op))
             if pl.end <= pl.start:
                 violations.append(
                     Violation(
@@ -354,6 +337,12 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
                             f"{resource} {r}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
                         )
                     )
+    if instance is None:
+        last_end = max((p.end for p in placements), default=0)
+        if schedule.makespan < last_end:
+            violations.append(
+                Violation(VIOLATION_HEADER, (), f"makespan {schedule.makespan} below the last end {last_end}")
+            )
     return violations
 
 
@@ -373,12 +362,15 @@ class ScheduleRecord:
 
 
 def schedule_to_record(schedule: Schedule) -> ScheduleRecord:
+    """The record of a schedule; its makespan is the last end of the placements
+    it carries, which is ``schedule.makespan`` for any schedule built by
+    ``place_task``."""
     ordered = sorted(schedule.placements.values(), key=lambda p: (p.job_id, p.op_index))
     return ScheduleRecord(
         instance_id=schedule.instance.id,
         num_jobs=schedule.instance.num_jobs,
         num_machines=schedule.instance.num_machines,
-        makespan=schedule.makespan,
+        makespan=max((p.end for p in ordered), default=0),
         placements=tuple(ordered),
     )
 
@@ -426,21 +418,9 @@ def record_from_dict(data: dict) -> ScheduleRecord:
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecordError(f"bad schedule record: {exc!r}") from exc
     # the header must agree with the placements, or a chart drawn from it is wrong
-    seen: set[tuple[int, int]] = set()
-    for p in record.placements:
-        key = (p.job_id, p.op_index)
-        if not 0 <= p.machine < record.num_machines:
-            raise MalformedRecordError(
-                f"placement {key}: machine {p.machine} outside num_machines {record.num_machines}"
-            )
-        if not 0 <= p.job_id < record.num_jobs:
-            raise MalformedRecordError(f"placement {key}: job {p.job_id} outside num_jobs {record.num_jobs}")
-        if key in seen:
-            raise MalformedRecordError(f"placement {key}: (job, op) placed twice")
-        seen.add(key)
-    last_end = max((p.end for p in record.placements), default=0)
-    if record.makespan < last_end:
-        raise MalformedRecordError(f"makespan {record.makespan} below the last end {last_end}")
+    header = [v for v in validate_schedule(record) if v.kind == VIOLATION_HEADER]
+    if header:
+        raise MalformedRecordError(header[0].detail)
     return record
 
 

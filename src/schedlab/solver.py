@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import InternalError, OracleSizeError
 from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL, validate_instance
-from .schedule import Schedule, Timeline
+from .schedule import Schedule, Timeline, earliest_start
 
 _TRANSPOSITION_CAP = 1_000_000
 _TIME_CHECK_MASK = 1023
@@ -69,20 +69,6 @@ def _tables(instance: Instance) -> tuple[list, list, list, list]:
     chain = [[sum(row[k:]) for k in range(n_ops + 1)] for row in proc]
     elig = [[list(t.eligible_machines) for t in row] for row in tasks]
     return proc, elig, [[t.tool for t in row] for row in tasks], chain
-
-
-def _earliest_start(machine_tl: Timeline, tool_tl: Timeline | None, ready: int, p: int) -> int:
-    """Earliest t >= ready with [t, t+p) idle on the machine and, if any, the tool."""
-    t = machine_tl.earliest_fit(ready, p)
-    if tool_tl is None:
-        return t
-    while True:
-        t2 = tool_tl.earliest_fit(t, p)
-        if t2 == t:
-            return t
-        t = machine_tl.earliest_fit(t2, p)
-        if t == t2:
-            return t
 
 
 def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -> int:
@@ -267,7 +253,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
             ttl = tool_tl[tool] if tool is not None else None
             head = None
             for m in elig[j][k]:
-                s = _earliest_start(machine_tl[m], ttl, job_ready[j], p)
+                s = earliest_start(machine_tl[m], ttl, job_ready[j], p)
                 cands.append((s + p, j, m, s))
                 if head is None or s < head:
                     head = s
@@ -405,8 +391,10 @@ def permutation_oracle(instance: Instance) -> int:
             if k >= n_ops:
                 continue
             task = instance.task(j, k)
+            p = task.processing_time
+            tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
             for m in task.eligible_machines:
-                s = schedule.earliest_feasible_start(task, m)
+                s = earliest_start(schedule.machine_timelines[m], tool_tl, schedule.job_ready[j], p)
                 schedule.place_task(task, m, s)
                 rec(placed + 1)
                 schedule.remove_last_placement(j)

@@ -117,6 +117,23 @@ def test_invalid_schedule_refused():
     assert exc.value.violations
 
 
+def test_refuses_record_whose_header_contradicts_placements():
+    # one job on two machines, yet both bars sit on machine 5, (0, 0) is
+    # placed twice and the second bar ends after the makespan
+    record = ScheduleRecord(
+        "x", 1, 2, 3, (Placement(0, 0, 5, 0, 3), Placement(0, 0, 5, 3, 6))
+    )
+    with pytest.raises(InvalidScheduleError) as exc:
+        render_svg(record)
+    assert [v.detail for v in exc.value.violations] == [
+        "placement (0, 0): machine 5 outside num_machines 2",
+        "placement (0, 0): machine 5 outside num_machines 2",
+        "placement (0, 0): (job, op) placed twice",
+        "makespan 3 below the last end 6",
+    ]
+    assert {v.kind for v in exc.value.violations} == {"header"}
+
+
 def test_renders_up_to_8x8():
     schedule = complete_schedule(cfg_seed=11, num_jobs=8, tasks_per_job=8, num_machines=8)
     svg = render_svg(schedule)

@@ -9,7 +9,6 @@ from schedlab.nn import (
     init_mlp,
     load_model,
     masked_log_probs,
-    masked_policy,
     mlp_activations,
     mlp_forward,
     mlp_gradient,
@@ -102,27 +101,32 @@ def test_gradient_matches_central_differences(trial):
     assert worst < 1e-4
 
 
-def test_masked_policy_uniform_logits():
+def policy_probs(params, obs, mask):
+    """Action probabilities as PPO samples them."""
+    return np.exp(masked_log_probs(mlp_forward(params, obs), mask))
+
+
+def test_policy_probs_uniform_logits():
     params = MlpParams(weights=[np.zeros((2, 6))], biases=[np.zeros(6)])
     mask = np.array([True, False, True, False, True, False])
-    probs = masked_policy(params, np.zeros(2), mask)
+    probs = policy_probs(params, np.zeros(2), mask)
     assert probs[~mask].tolist() == [0.0, 0.0, 0.0]
     assert np.allclose(probs[mask], 1 / 3)
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_masked_policy_single_valid():
+def test_policy_probs_single_valid():
     params = init_mlp([3, 4, 5], rng_(7))
     mask = np.array([False, False, True, False, False])
-    probs = masked_policy(params, rng_(8).standard_normal(3), mask)
+    probs = policy_probs(params, rng_(8).standard_normal(3), mask)
     assert probs[2] == pytest.approx(1.0)
     assert probs.sum() == pytest.approx(1.0)
 
 
-def test_masked_policy_all_false_raises():
+def test_greedy_action_all_false_raises():
     params = init_mlp([3, 4, 2], rng_())
     with pytest.raises(NoValidActionError):
-        masked_policy(params, np.zeros(3), np.array([False, False]))
+        greedy_action(params, np.zeros(3), np.array([False, False]))
 
 
 def test_sampling_never_violates_mask():
@@ -130,7 +134,7 @@ def test_sampling_never_violates_mask():
     params = init_mlp([4, 8, 6], rng)
     obs = rng.standard_normal(4)
     mask = np.array([True, False, True, True, False, False])
-    probs = masked_policy(params, obs, mask)
+    probs = policy_probs(params, obs, mask)
     draws = {sample_action(probs, rng) for _ in range(10_000)}
     assert draws <= {0, 2, 3}
 

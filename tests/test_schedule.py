@@ -10,7 +10,7 @@ from schedlab.schedule import (
     Placement,
     Schedule,
     Timeline,
-    makespan,
+    earliest_start,
     read_schedule,
     record_from_dict,
     schedule_to_record,
@@ -34,7 +34,7 @@ def brute_force_earliest(busy_lists, ready, p, limit=10_000):
 def test_earliest_start_empty_schedule():
     inst = build_instance([[(0, 3, None)]], num_machines=1)
     sched = Schedule(inst)
-    assert sched.earliest_feasible_start(inst.task(0, 0), 0) == 0
+    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[0], 3) == 0
 
 
 def test_earliest_start_gap_insertion():
@@ -45,10 +45,9 @@ def test_earliest_start_gap_insertion():
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)  # [0,3)
     sched.place_task(inst.task(1, 0), 0, 5)  # [5,9)
-    task = inst.task(2, 0)
     expected = brute_force_earliest([sched.machine_timelines[0].intervals()], 0, 2)
     assert expected == 3
-    assert sched.earliest_feasible_start(task, 0) == 3
+    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[2], 2) == 3
 
 
 def test_earliest_start_tool_blocks_gap():
@@ -67,12 +66,10 @@ def test_earliest_start_tool_blocks_gap():
     sched.place_task(inst.task(0, 0), 0, 0)  # machine0 [0,3)
     sched.place_task(inst.task(1, 0), 0, 5)  # machine0 [5,9)
     sched.place_task(inst.task(2, 0), 1, 3)  # tool0 [3,6) on machine1
-    task = inst.task(3, 0)
-    expected = brute_force_earliest(
-        [sched.machine_timelines[0].intervals(), sched.tool_timelines[0].intervals()], 0, 2
-    )
+    machine_tl, tool_tl = sched.machine_timelines[0], sched.tool_timelines[0]
+    expected = brute_force_earliest([machine_tl.intervals(), tool_tl.intervals()], 0, 2)
     assert expected == 9
-    assert sched.earliest_feasible_start(task, 0) == 9
+    assert earliest_start(machine_tl, tool_tl, sched.job_ready[3], 2) == 9
 
 
 def test_earliest_start_precedence_dominates():
@@ -80,7 +77,32 @@ def test_earliest_start_precedence_dominates():
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)
     assert sched.job_ready[0] == 7
-    assert sched.earliest_feasible_start(inst.task(0, 1), 0) == 7
+    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[0], 2) == 7
+
+
+def random_timeline(rng, horizon=40):
+    """Busy intervals of length 1-4 up to the horizon, some touching, some apart."""
+    tl = Timeline()
+    t = int(rng.integers(0, 3))
+    while t < horizon:
+        length = int(rng.integers(1, 5))
+        tl.insert(t, t + length)
+        t += length + int(rng.integers(0, 4))
+    return tl
+
+
+@pytest.mark.parametrize("with_tool", [False, True], ids=["machine", "machine-and-tool"])
+@pytest.mark.parametrize("seed", range(8))
+def test_earliest_start_matches_brute_force(seed, with_tool):
+    # the env, the solver and permutation_oracle all call earliest_start, so
+    # only this sweep checks it against an independent scan
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    machine_tl = random_timeline(rng)
+    tool_tl = random_timeline(rng) if with_tool else None
+    busy = [tl.intervals() for tl in (machine_tl, tool_tl) if tl is not None]
+    for ready in range(0, 45, 3):
+        for p in (1, 2, 3, 5, 8):
+            assert earliest_start(machine_tl, tool_tl, ready, p) == brute_force_earliest(busy, ready, p)
 
 
 def test_best_machine_tie_breaks_to_lowest_id():
@@ -116,7 +138,7 @@ def test_place_single_task_makespan():
     inst = build_instance([[(0, 5, None)]], num_machines=1)
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)
-    assert makespan(sched) == 5
+    assert sched.makespan == 5
 
 
 def test_two_tasks_same_machine_serial():
@@ -212,11 +234,11 @@ def test_validate_detects_machine_overlap_and_eligibility():
 def test_makespan_empty_and_parallel():
     inst = build_instance([[(0, 5, None)], [(1, 7, None)]], num_machines=2)
     sched = Schedule(inst)
-    assert makespan(sched) == 0
+    assert sched.makespan == 0
     sched.place_task(inst.task(0, 0), 0, 0)
-    assert makespan(sched) == 5
+    assert sched.makespan == 5
     sched.place_task(inst.task(1, 0), 1, 0)
-    assert makespan(sched) == 7
+    assert sched.makespan == 7
 
 
 def _random_rollout(inst, rng):
@@ -315,8 +337,8 @@ def test_timeline_operations():
     assert tl.earliest_fit(0, 3) == 9
     assert tl.earliest_fit(9, 1) == 9
     assert sum(e - s for s, e in tl.intervals()) == 7
-    assert not tl.is_free(2, 4)
-    assert tl.is_free(3, 5)
+    assert tl.first_conflict(2, 4) == (0, 3)
+    assert tl.first_conflict(3, 5) is None
     with pytest.raises(ConstraintViolationError):
         tl.insert(2, 4)
     tl.remove(0, 3)

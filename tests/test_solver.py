@@ -13,7 +13,7 @@ from schedlab.instances import (
     generate_batch,
     generate_instance,
 )
-from schedlab.schedule import Schedule, validate_schedule
+from schedlab.schedule import Schedule, earliest_start, validate_schedule
 from schedlab.solver import (
     SolveLimits,
     lower_bound,
@@ -218,8 +218,12 @@ def test_lower_bound_admissible_along_random_paths(seed):
                 if k >= inst.tasks_per_job:
                     continue
                 task = inst.task(j, k)
+                tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
                 for m in task.eligible_machines:
-                    s = schedule.earliest_feasible_start(task, m)
+                    s = earliest_start(
+                        schedule.machine_timelines[m], tool_tl, schedule.job_ready[j],
+                        task.processing_time,
+                    )
                     schedule.place_task(task, m, s)
                     rec()
                     schedule.remove_last_placement(j)
