@@ -11,14 +11,17 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
+import typing
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 from .dqn import DqnConfig
 from .env import RewardMode
 from .errors import ConfigurationError
 from .evaluate import VALID_METHODS
-from .instances import GeneratorConfig, ProblemType
+from .instances import GeneratorConfig
 from .ppo import PpoConfig
 
 
@@ -27,11 +30,27 @@ class SplitConfig:
     train_count: int
     test_count: int
 
+    def validate(self) -> None:
+        for name in ("train_count", "test_count"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name}: must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class EvalSettings:
-    methods: tuple[str, ...]
-    seeds: tuple[int, ...]
+    methods: tuple[str, ...] = ("model", "spt", "lpt", "mtr", "random", "solver")
+    seeds: tuple[int, ...] = (0,)
+
+    def validate(self) -> None:
+        for name in self.methods:
+            if name not in VALID_METHODS:
+                raise ConfigurationError(
+                    f"methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
+                )
+        if not self.seeds:
+            raise ConfigurationError("seeds: must be non-empty")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigurationError(f"seeds: must be >= 0, got {min(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -45,123 +64,100 @@ class PathsConfig:
 class ExperimentConfig:
     problem: GeneratorConfig
     split: SplitConfig
-    algo: str  # "ppo" | "dqn"
     algo_config: PpoConfig | DqnConfig
     reward_mode: RewardMode
     eval: EvalSettings
     paths: PathsConfig
 
     @property
+    def algo(self) -> str:
+        return "ppo" if isinstance(self.algo_config, PpoConfig) else "dqn"
+
+    @property
     def seed(self) -> int:
         return self.algo_config.seed
 
 
-def _require(data: dict, key: str, path: str):
-    if key not in data:
-        raise ConfigurationError(f"{path}.{key}: missing required field")
-    return data[key]
+# the JSON values each scalar annotation accepts; a bool is never a number
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _int_field(data: dict, key: str, path: str, default=None) -> int:
-    if key not in data:
-        if default is None:
-            raise ConfigurationError(f"{path}.{key}: missing required field")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+def _value(hint, value, path: str):
+    """Check ``value`` against the annotation ``hint``; lists become tuples."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path}: expected a list, got {value!r}")
+        return tuple(_value(args[0], item, f"{path}[{i}]") for i, item in enumerate(value))
+    if type(None) in args:  # X | None
+        return None if value is None else _value(args[0], value, path)
+    if issubclass(hint, Enum):
+        values = [member.value for member in hint]
+        if value not in values:
+            raise ConfigurationError(f"{path}: expected one of {values}, got {value!r}")
+        return hint(value)
+    if (not isinstance(value, _SCALARS[hint]) or (isinstance(value, bool) and hint is not bool)
+            or (isinstance(value, float) and not math.isfinite(value))):
+        raise ConfigurationError(f"{path}: expected {hint.__name__}, got {value!r}")
+    return value  # an integer stays one in a float field, so digests do not move
 
 
-def _build(cls, data: dict, path: str):
-    """Construct a config dataclass from a dict, rejecting unknown keys."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+def _check_object(data, path: str, known, required) -> None:
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path}: expected a JSON object, got {data!r}")
+    unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ConfigurationError(f"{path}.{sorted(unknown)[0]}: unknown field")
-    kwargs = dict(data)
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(kwargs["hidden"])
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from exc
+        raise ConfigurationError(f"{path}.{unknown[0]}: unknown field")
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ConfigurationError(f"{path}.{missing[0]}: missing required field")
+
+
+def _build(cls, data, path: str, **defaults):
+    """Build config dataclass ``cls`` from the JSON object ``data``.
+
+    The annotations are the schema: each value must have its field's type,
+    where an integer is a valid float and a list a valid tuple. Then
+    ``cls.validate()``, if defined, checks the ranges. Every error names the
+    dotted path of the offending value.
+    """
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields
+                if f.default is dataclasses.MISSING and f.name not in defaults]
+    _check_object(data, path, [f.name for f in fields], required)
+    hints = typing.get_type_hints(cls)
+    config = cls(**{name: _value(hints[name], value, f"{path}.{name}")
+                    for name, value in {**defaults, **data}.items()})
+    if hasattr(config, "validate"):
+        try:
+            config.validate()
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{path}.{exc}") from exc
+    return config
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigurationError("config root must be a JSON object")
-
-    problem_data = dict(_require(data, "problem", "<root>"))
-    split_data = dict(_require(data, "split", "<root>"))
-    split = SplitConfig(
-        train_count=_int_field(split_data, "train_count", "split"),
-        test_count=_int_field(split_data, "test_count", "split"),
-    )
-    if split.train_count < 1:
-        raise ConfigurationError(f"split.train_count: must be >= 1, got {split.train_count}")
-    if split.test_count < 1:
-        raise ConfigurationError(f"split.test_count: must be >= 1, got {split.test_count}")
-
-    try:
-        problem_data["problem_type"] = ProblemType(_require(problem_data, "problem_type", "problem"))
-    except ValueError as exc:
-        raise ConfigurationError(f"problem.problem_type: {exc}") from exc
+    _check_object(data, "<root>",
+                  ("problem", "split", "algo", "ppo", "dqn", "reward_mode", "eval", "paths"),
+                  ("problem", "split", "algo", "reward_mode", "eval"))
+    split = _build(SplitConfig, data["split"], "split")
     # batch size is the split total; disjoint stream indices cover both sets
-    problem_data.setdefault("count", split.train_count + split.test_count)
-    problem = _build(GeneratorConfig, problem_data, "problem")
-    try:
-        problem.validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"problem.{exc}") from exc
-    if problem.count != split.train_count + split.test_count:
+    total = split.train_count + split.test_count
+    problem = _build(GeneratorConfig, data["problem"], "problem", count=total)
+    if problem.count != total:
         raise ConfigurationError(
-            f"problem.count: must equal train_count + test_count "
-            f"({split.train_count + split.test_count}), got {problem.count}"
+            f"problem.count: must equal train_count + test_count ({total}), got {problem.count}"
         )
-
-    algo = _require(data, "algo", "<root>")
-    if algo == "ppo":
-        algo_config = _build(PpoConfig, dict(data.get("ppo", {})), "ppo")
-    elif algo == "dqn":
-        algo_config = _build(DqnConfig, dict(data.get("dqn", {})), "dqn")
-    else:
+    algo = data["algo"]
+    if algo not in ("ppo", "dqn"):
         raise ConfigurationError(f"algo: expected 'ppo' or 'dqn', got {algo!r}")
-    try:
-        algo_config.validate()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{algo}.{exc}") from exc
-
-    try:
-        reward_mode = RewardMode(_require(data, "reward_mode", "<root>"))
-    except ValueError as exc:
-        raise ConfigurationError(f"reward_mode: {exc}") from exc
-
-    eval_data = dict(_require(data, "eval", "<root>"))
-    methods = tuple(eval_data.get("methods", ("model", "spt", "lpt", "mtr", "random", "solver")))
-    for name in methods:
-        if name not in VALID_METHODS:
-            raise ConfigurationError(
-                f"eval.methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
-            )
-    seeds = tuple(eval_data.get("seeds", (0,)))
-    if not seeds:
-        raise ConfigurationError("eval.seeds: must be non-empty")
-    if any(isinstance(s, bool) or not isinstance(s, int) for s in seeds):
-        raise ConfigurationError("eval.seeds: must be integers")
-    if any(s < 0 for s in seeds):
-        raise ConfigurationError(f"eval.seeds: must be >= 0, got {min(seeds)}")
-
-    paths = _build(PathsConfig, dict(data.get("paths", {})), "paths")
-
     return ExperimentConfig(
         problem=problem,
         split=split,
-        algo=algo,
-        algo_config=algo_config,
-        reward_mode=reward_mode,
-        eval=EvalSettings(methods=methods, seeds=seeds),
-        paths=paths,
+        algo_config=_build(PpoConfig if algo == "ppo" else DqnConfig, data.get(algo, {}), algo),
+        reward_mode=_value(RewardMode, data["reward_mode"], "reward_mode"),
+        eval=_build(EvalSettings, data["eval"], "eval"),
+        paths=_build(PathsConfig, data.get("paths", {}), "paths"),
     )
 
 
@@ -177,18 +173,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
 
 def _config_payload(config: ExperimentConfig) -> dict:
-    problem = dataclasses.asdict(config.problem)
-    problem["problem_type"] = config.problem.problem_type.value
-    algo_config = dataclasses.asdict(config.algo_config)
-    algo_config["hidden"] = list(config.algo_config.hidden)
-    return {
-        "problem": problem,
-        "split": dataclasses.asdict(config.split),
-        "algo": config.algo,
-        "algo_config": algo_config,
-        "reward_mode": config.reward_mode.value,
-        "eval": {"methods": list(config.eval.methods), "seeds": list(config.eval.seeds)},
-    }
+    # json.dumps writes tuples as lists and str-valued enums as their values
+    payload = dataclasses.asdict(config)
+    del payload["paths"]  # where files go does not define the experiment
+    return {**payload, "algo": config.algo}
 
 
 def config_digest(config: ExperimentConfig) -> str:

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EnvFactory
-from .errors import TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError
 from .instances import Instance
 from .metrics import MetricsEvent
 from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
@@ -32,12 +32,10 @@ class DqnConfig:
     eps_start: float = 1.0
     eps_end: float = 0.05
     eps_decay_steps: int | None = None  # defaults to total_steps // 2
-    hidden: tuple[int, int] = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
 
     def validate(self) -> None:
-        from .errors import ConfigurationError
-
         if self.total_steps < 1:
             raise ConfigurationError(f"total_steps: must be >= 1, got {self.total_steps}")
         if self.replay_capacity < 1:
@@ -54,6 +52,12 @@ class DqnConfig:
             )
         if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
             raise ConfigurationError("eps schedule: need 0 <= eps_end <= eps_start <= 1")
+        if self.eps_decay_steps is not None and self.eps_decay_steps < 1:
+            raise ConfigurationError(
+                f"eps_decay_steps: must be >= 1 when set, got {self.eps_decay_steps}"
+            )
+        if any(width < 1 for width in self.hidden):
+            raise ConfigurationError(f"hidden: widths must be >= 1, got {list(self.hidden)}")
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 

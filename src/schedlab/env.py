@@ -175,9 +175,10 @@ def step(state: EnvState, action: int) -> StepResult:
 class SchedulingEnv:
     """Stateful convenience wrapper over the functional reset/step interface.
 
-    This is also the environment-variant hook: trainers and the evaluation
-    harness only require the reset()/step() surface below, so alternative
-    action semantics can be dropped in via a different factory.
+    This is also the environment-variant hook: the trainers take a factory
+    ``instance -> env`` and ``run_episode`` one ``(instance, mode) -> env``,
+    and they only use the reset()/step() surface below, so alternative action
+    semantics can be dropped in. ``evaluate`` always builds this class.
     """
 
     def __init__(self, instance: Instance, mode: RewardMode = RewardMode.DENSE_MAKESPAN_DELTA):

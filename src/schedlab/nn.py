@@ -148,16 +148,17 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
     """Standard Adam over an MlpParams pytree; updates in place."""
 
-    def __init__(self, params: MlpParams, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params: MlpParams, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m_w = [np.zeros_like(w) for w in params.weights]
         self.v_w = [np.zeros_like(w) for w in params.weights]
@@ -166,18 +167,18 @@ class Adam:
 
     def step(self, grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for i in range(self.params.num_layers()):
             for m, v, g, p in (
                 (self.m_w[i], self.v_w[i], grad_w[i], self.params.weights[i]),
                 (self.m_b[i], self.v_b[i], grad_b[i], self.params.biases[i]),
             ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * g * g
+                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------------------

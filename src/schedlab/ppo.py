@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EnvFactory, SchedulingEnv
-from .errors import TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError
 from .instances import Instance
 from .metrics import MetricsEvent
 from .nn import (
@@ -84,12 +84,10 @@ class PpoConfig:
     value_coef: float = 0.5
     entropy_coef: float = 0.01
     learning_rate: float = 3e-4
-    hidden: tuple[int, int] = (64, 64)
+    hidden: tuple[int, ...] = (64, 64)
     seed: int = 0
 
     def validate(self) -> None:
-        from .errors import ConfigurationError
-
         if self.total_steps < 1:
             raise ConfigurationError(f"total_steps: must be >= 1, got {self.total_steps}")
         if self.steps_per_update < 1:
@@ -108,6 +106,8 @@ class PpoConfig:
             raise ConfigurationError(f"gae_lambda: must be in (0, 1], got {self.gae_lambda}")
         if self.learning_rate <= 0:
             raise ConfigurationError(f"learning_rate: must be > 0, got {self.learning_rate}")
+        if any(width < 1 for width in self.hidden):
+            raise ConfigurationError(f"hidden: widths must be >= 1, got {list(self.hidden)}")
         if self.seed < 0:
             raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
 

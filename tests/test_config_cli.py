@@ -73,6 +73,88 @@ def test_shipped_configs_differ_only_in_problem_and_reward():
     assert sparse.problem.tasks_per_job == 4
 
 
+@pytest.mark.parametrize("name, expected", [
+    ("default_6x6", "0bfe0addb1a0-s0"),
+    ("tool_3x4_sparse", "8609cfab9fdc-s0"),
+])
+def test_shipped_run_ids_pinned(name, expected):
+    # the run id names every model, metrics and eval file of a shipped pipeline
+    assert run_id(load_experiment_config(REPO_CONFIGS / f"{name}.json")) == expected
+
+
+def config_with(tmp_path, dotted, value):
+    """tiny_config with the value at a dotted path replaced; the algo follows the section."""
+    path = tiny_config(tmp_path, algo="dqn" if dotted.startswith("dqn") else "ppo")
+    data = json.loads(path.read_text())
+    *parents, key = dotted.split(".")
+    node = data
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_integer_in_float_field_keeps_run_id(tmp_path):
+    config = load_experiment_config(config_with(tmp_path, "ppo.discount", 1))
+    assert config.algo_config.discount == 1
+    assert run_id(config) == "0723250d7113-s1"
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("ppo.total_steps", "10"),
+    ("ppo.learning_rate", "x"),
+    ("ppo.minibatch_size", None),
+    ("problem.num_jobs", "6"),
+    ("split", [1, 2]),
+    ("eval", [1]),
+    ("dqn.hidden", 5),
+    ("ppo.epochs", 1.5),
+    ("ppo.hidden", "ab"),
+    ("problem.num_jobs", 6.0),
+    ("ppo.seed", 1.5),
+    ("problem.runtime_hi", 10.5),
+    ("paths.models_dir", 5),
+    ("problem.with_tools", "yes"),
+    ("dqn.batch_size", True),
+    ("ppo", [1]),
+    ("eval.seeds", [0, "1"]),
+    ("reward_mode", ["dense"]),
+    ("ppo.learning_rate", float("nan")),
+])
+def test_cli_wrong_json_type_exit_2(tmp_path, capsys, dotted, value):
+    cfg_path = config_with(tmp_path, dotted, value)
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {dotted}") and "Traceback" not in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("ppo.hidden", [-1, 4]),
+    ("dqn.hidden", [64, 0]),
+    ("dqn.eps_decay_steps", -5),
+    ("dqn.eps_decay_steps", 0),
+])
+def test_cli_range_error_exit_2(tmp_path, capsys, dotted, value):
+    # instances exist, so without the check training would start
+    assert main(["generate", "--config", str(tiny_config(tmp_path))]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(config_with(tmp_path, dotted, value))]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {dotted}")
+
+
+def test_unknown_root_key_rejected(tmp_path):
+    with pytest.raises(ConfigurationError, match=r"<root>\.path: unknown field"):
+        load_experiment_config(tiny_config(tmp_path, path={"models_dir": "m"}))
+
+
+def test_hand_built_config_algo_follows_algo_config(tmp_path):
+    config = load_experiment_config(tiny_config(tmp_path, algo="ppo"))
+    assert config.algo == "ppo"
+    assert dataclasses.replace(config, algo_config=DqnConfig()).algo == "dqn"
+
+
 def test_missing_field_has_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"problem": {"problem_type": "jssp"}}))
