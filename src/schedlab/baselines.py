@@ -1,6 +1,8 @@
 """Priority dispatching rules and the random policy.
 
-SPT/LPT/MTR are deterministic (ties broken by the lowest job index); RANDOM
+SPT/LPT/MTR are deterministic: each is one ``np.argmin``/``np.argmax`` over
+its observation entries with the masked-out jobs set to +/-inf, and both
+return the first extremum, so ties go to the lowest job index. RANDOM
 samples uniformly over the valid jobs.
 
 The rules are job-level: they rank *all* unfinished jobs by their next task,
@@ -27,13 +29,6 @@ class DispatchRule(str, Enum):
     RANDOM = "random"
 
 
-def _valid_jobs(mask: np.ndarray) -> list[int]:
-    valid = [int(j) for j in np.flatnonzero(np.asarray(mask, dtype=bool))]
-    if not valid:
-        raise NoValidActionError("action mask admits no valid job")
-    return valid
-
-
 Policy = Callable[[np.ndarray, np.ndarray], int]
 
 
@@ -48,13 +43,17 @@ def rule_policy(rule: DispatchRule, rng: np.random.Generator | None = None) -> P
         raise ValueError("RANDOM rule needs an rng")
 
     def policy(obs: np.ndarray, mask: np.ndarray) -> int:
-        valid = _valid_jobs(mask)
+        mask = np.asarray(mask, dtype=bool)
+        if not mask.any():
+            raise NoValidActionError("action mask admits no valid job")
+        n = len(mask)  # obs has 4n + 1 entries; the last one is the makespan
         if rule is DispatchRule.RANDOM:
-            return valid[int(rng.integers(len(valid)))]
+            valid = np.flatnonzero(mask)
+            return int(valid[rng.integers(len(valid))])
         if rule is DispatchRule.SPT:
-            return min(valid, key=lambda j: (obs[4 * j + 1], j))
+            return int(np.argmin(np.where(mask, obs[1:4 * n:4], np.inf)))
         if rule is DispatchRule.LPT:
-            return min(valid, key=lambda j: (-obs[4 * j + 1], j))
-        return min(valid, key=lambda j: (obs[4 * j], j))
+            return int(np.argmax(np.where(mask, obs[1:4 * n:4], -np.inf)))
+        return int(np.argmin(np.where(mask, obs[0:4 * n:4], np.inf)))
 
     return policy

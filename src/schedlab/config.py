@@ -47,6 +47,10 @@ class EvalSettings:
                 raise ConfigurationError(
                     f"methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
                 )
+        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"{name}: repeated entries {repeated}")
         if not self.seeds:
             raise ConfigurationError("seeds: must be non-empty")
         if any(s < 0 for s in self.seeds):

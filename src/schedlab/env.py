@@ -13,10 +13,14 @@ final step only, where UB is the instance's total processing time. Both
 strategies yield the same undiscounted episode return for the same action
 sequence.
 
-``reset`` computes the observation in full; each ``step`` updates only the
-entries its placement can change (see ``observe``), so a step costs a few
-earliest-start queries instead of one per unfinished job. Both hand out a
-fresh array, which the caller may keep or mutate.
+``reset`` computes the observation and the action mask in full and keeps
+them in the state, with one watcher set per machine and per tool: the jobs
+whose next task is eligible on that machine or uses that tool. Each ``step``
+updates only what its placement can change: the observation entries of the
+watchers of the machine and tool it used (see ``observe``) and, when the
+placement was a job's last task, that job's mask entry. A step thus costs a
+few earliest-start queries and no pass over all jobs. Both hand out fresh
+arrays, which the caller may keep or mutate.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ class EnvState:
     ub: int  # sum of all processing times; normalization constant
     p_max: int
     obs: np.ndarray | None = None  # last observation, updated in place by step
+    mask: np.ndarray | None = None  # last action mask, updated in place by step
+    # per machine, then per tool: the jobs whose next task can use it
+    watchers: list[set[int]] = field(default_factory=list)
 
     @property
     def instance(self) -> Instance:
@@ -79,6 +86,16 @@ def _write_job_features(state: EnvState, obs: np.ndarray, j: int) -> None:
         obs[base + 1] = obs[base + 3] = 0.0
 
 
+def _watch(state: EnvState, j: int, k: int, add: bool) -> None:
+    """Add job j to, or drop it from, the watcher sets of its task k."""
+    task = state.instance.task(j, k)
+    update = set.add if add else set.discard
+    for m in task.eligible_machines:
+        update(state.watchers[m], j)
+    if task.tool is not None:
+        update(state.watchers[state.instance.num_machines + task.tool], j)
+
+
 def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
     """Fixed-length feature vector, all entries in [0, 1].
 
@@ -93,7 +110,9 @@ def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
     a on machine m with tool t can only change the four entries of job a,
     entry 4j+3 of a job whose next task is eligible on m or uses t, and the
     makespan: any other earliest start depends on timelines and a ready time
-    that the placement left as they were.
+    that the placement left as they were. Those jobs j are the watchers of m
+    and t, so only they are visited; job a first moves from the watcher sets
+    of the task it placed to those of its new next task.
     """
     schedule = state.schedule
     instance = state.instance
@@ -105,12 +124,17 @@ def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
         obs = state.obs
         a, machine, tool = placement.job_id, placement.machine, placement.tool
         _write_job_features(state, obs, a)
-        tasks, n_ops = instance.tasks, instance.tasks_per_job
-        for j, k in enumerate(schedule.next_op):
-            if j != a and k < n_ops:
-                task = tasks[j * n_ops + k]
-                if machine in task.eligible_machines or (tool is not None and task.tool == tool):
-                    obs[4 * j + 3] = schedule.best_machine(task)[1] / state.ub
+        _watch(state, a, placement.op_index, add=False)
+        k = schedule.next_op[a]
+        if k < instance.tasks_per_job:
+            _watch(state, a, k, add=True)
+        watchers = state.watchers[machine]
+        if tool is not None:
+            watchers = watchers | state.watchers[instance.num_machines + tool]
+        for j in watchers:
+            if j != a:
+                task = instance.task(j, schedule.next_op[j])
+                obs[4 * j + 3] = schedule.best_machine(task)[1] / state.ub
     obs[-1] = schedule.makespan / state.ub
     return obs if placement is None else obs.copy()
 
@@ -129,8 +153,12 @@ def reset(instance: Instance, mode: RewardMode) -> tuple[np.ndarray, np.ndarray,
         ub=instance.total_processing_time,
         p_max=instance.max_processing_time,
     )
+    state.watchers = [set() for _ in range(instance.num_machines + instance.num_tools)]
+    for j in range(instance.num_jobs):
+        _watch(state, j, 0, add=True)
     state.obs = observe(state)
-    return state.obs.copy(), action_mask(state), state
+    state.mask = action_mask(state)
+    return state.obs.copy(), state.mask.copy(), state
 
 
 def step(state: EnvState, action: int) -> StepResult:
@@ -138,8 +166,9 @@ def step(state: EnvState, action: int) -> StepResult:
 
     Invalid or masked actions raise InvalidActionError; there is no
     penalty-reward fallback. The returned observation equals a full
-    ``observe(state)`` bit for bit; it is updated from the previous one at
-    the entries the placement can change, and it is a fresh array.
+    ``observe(state)`` bit for bit and the mask equals ``action_mask(state)``;
+    both are updated from the previous ones at the entries the placement can
+    change, and both are fresh arrays.
     """
     instance = state.instance
     if not (0 <= action < instance.num_jobs):
@@ -156,6 +185,8 @@ def step(state: EnvState, action: int) -> StepResult:
     placement = schedule.place_task(task, machine, start)
     c_after = schedule.makespan
     state.steps_taken += 1
+    if placement.op_index == instance.tasks_per_job - 1:
+        state.mask[action] = False
 
     done = state.steps_taken == instance.num_tasks
     if state.mode is RewardMode.DENSE_MAKESPAN_DELTA:
@@ -167,7 +198,7 @@ def step(state: EnvState, action: int) -> StepResult:
         observation=observe(state, placement),
         reward=reward,
         done=done,
-        mask=action_mask(state),
+        mask=state.mask.copy(),
         info={"makespan": c_after, "last_placement": placement},
     )
 

@@ -145,6 +145,8 @@ def evaluate(
         raise ValueError("method 'model' requires model_params")
     if not seeds:
         raise ValueError("seeds must be non-empty")
+    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):
+        raise ValueError(f"methods and seeds must not repeat, got {list(methods)} and {list(seeds)}")
 
     clock = timer if timer is not None else (lambda: 0.0)
 

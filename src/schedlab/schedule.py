@@ -99,6 +99,10 @@ class Timeline:
                 f"interval [{start},{end}) overlaps busy [{conflict[0]},{conflict[1]})",
                 interval=conflict,
             )
+        self._add(start, end)
+
+    def _add(self, start: int, end: int) -> None:
+        """Insert [start, end) unchecked; the caller has found it idle."""
         i = bisect_right(self._starts, start)
         self._starts.insert(i, start)
         self._ends.insert(i, end)
@@ -210,9 +214,9 @@ class Schedule:
             end=end,
             tool=task.tool,
         )
-        machine_tl.insert(start, end)
+        machine_tl._add(start, end)
         if tool_tl is not None:
-            tool_tl.insert(start, end)
+            tool_tl._add(start, end)
         self.placements[(task.job_id, task.op_index)] = placement
         self.job_ready[task.job_id] = end
         self.next_op[task.job_id] += 1

@@ -120,3 +120,51 @@ def test_rules_dominated_by_solver():
     best = {inst.id: solve_optimal(inst).makespan for inst in instances}
     for rec in records:
         assert rec.makespan >= best[rec.instance_id] - 1e-9
+
+
+def key_reference(rule, obs, mask, rng):
+    """Each rule as a lowest-index-tie ``min`` over the valid jobs' entries."""
+    valid = [j for j in range(len(mask)) if mask[j]]
+    if rule is DispatchRule.SPT:
+        return min(valid, key=lambda j: (obs[4 * j + 1], j))
+    if rule is DispatchRule.LPT:
+        return min(valid, key=lambda j: (-obs[4 * j + 1], j))
+    if rule is DispatchRule.MTR:
+        return min(valid, key=lambda j: (obs[4 * j], j))
+    return valid[int(rng.integers(len(valid)))]
+
+
+def random_observation(rng, n):
+    """Entries on a coarse grid, so 4j and 4j+1 tie often; finished jobs read
+    1 at 4j and 0 elsewhere, and the makespan entry is the smallest value."""
+    obs = rng.integers(0, 4, size=4 * n + 1) / 4.0
+    finished = rng.random(n) < 0.3
+    for j in np.flatnonzero(finished):
+        obs[4 * j:4 * j + 4] = (1.0, 0.0, obs[4 * j + 2], 0.0)
+    obs[-1] = 0.0
+    return obs, ~finished
+
+
+@pytest.mark.parametrize("rule", list(DispatchRule))
+def test_rules_match_key_reference_on_random_observations(rule):
+    gen = np.random.Generator(np.random.Philox(key=77))
+    cases = 0
+    for n in [1, 1, 2, 3, 5, 8, 20] * 30:
+        obs, unfinished = random_observation(gen, n)
+        if not unfinished.any():
+            continue
+        starts = np.where(unfinished, obs[3:-1:4], np.inf)
+        one = np.zeros(n, dtype=bool)
+        one[gen.choice(np.flatnonzero(unfinished))] = True
+        # job-level, non-delay (criterion 4a's narrowing) and single-valid masks
+        for mask in (unfinished, starts == starts.min(), one):
+            for form in (mask, mask.tolist(), mask.astype(np.int64)):
+                seed = int(gen.integers(2**32))
+                ref_rng = np.random.Generator(np.random.Philox(key=seed))
+                rng = np.random.Generator(np.random.Philox(key=seed))
+                expected = key_reference(rule, obs, mask, ref_rng)
+                got = rule_policy(rule, rng)(obs, form)
+                assert type(got) is int
+                assert got == expected < n
+                cases += 1
+    assert cases > 1000

@@ -340,6 +340,20 @@ def test_cli_negative_seed_exit_2(tmp_path, capsys, field, command, overrides):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, methods, seeds", [
+    ("eval.methods", ("spt", "spt", "random"), (0, 1)),
+    ("eval.seeds", ("spt", "random"), (0, 0, 1)),
+])
+def test_cli_repeated_eval_entry_exit_2(tmp_path, capsys, field, methods, seeds):
+    # a repeat would write its records twice and weight a seed twice in the mean
+    assert main(["generate", "--config", str(tiny_config(tmp_path))]) == 0
+    cfg_path = tiny_config(tmp_path, methods=methods, seeds=seeds)
+    assert main(["test", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "repeated" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_cli_solve_node_limit_one_all_feasible(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["generate", "--config", str(cfg_path)]) == 0

@@ -215,15 +215,18 @@ INCREMENTAL_CONFIGS = {
 @pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
 def test_step_observation_equals_full_observe(kind):
     # step updates only the entries its placement can change; after every
-    # step of random episodes the result must equal a full recompute bit for bit
+    # step of random episodes the observation and the mask must equal a full
+    # recompute bit for bit
     for seed in range(12):
         inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
         rng = np.random.Generator(np.random.Philox(key=seed))
         obs, mask, state = reset(inst, SPARSE)
         assert obs.tobytes() == observe(state).tobytes()
+        assert np.array_equal(mask, action_mask(state))
         while mask.any():
             result = step(state, int(rng.choice(np.flatnonzero(mask))))
             assert result.observation.tobytes() == observe(state).tobytes()
+            assert np.array_equal(result.mask, action_mask(state))
             mask = result.mask
 
 

@@ -200,3 +200,13 @@ def test_concurrent_metrics_files_do_not_interleave(tmp_path):
         events = read_metrics(tmp_path / f"run{i}.jsonl")
         assert len(events) == 200
         assert all(e.run_id == f"run{i}" for e in events)
+
+
+@pytest.mark.parametrize("methods, seeds", [
+    (["spt", "spt", "random"], [0, 1]),
+    (["spt", "random"], [0, 0, 1]),
+])
+def test_evaluate_rejects_repeated_methods_and_seeds(methods, seeds):
+    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
+    with pytest.raises(ValueError, match="repeat"):
+        evaluate(methods, [inst], DENSE, seeds=seeds)

@@ -6,8 +6,11 @@ rows depend on the BLAS build). The SHA-256 digests of both instance files
 after ``solve``, the ``schedlab solve`` stdout and the evaluation CSV were
 recorded once and must not move: a refactor that changes any of these bytes
 is a behaviour change. Criterion 7 only compares two runs of the same tree,
-so it cannot see such a change. Changing the instance generator (its draws
-or its seed streams) changes these digests on purpose; update them with it.
+so it cannot see such a change. A second digest pins every rule's makespan and
+return on one generated 20x20 and one 50x20 instance, which a change to the
+rules, the environment or the placement cannot move unnoticed. Changing the
+instance generator (its draws or its seed streams) changes these digests on
+purpose; update them with it.
 """
 
 import contextlib
@@ -15,9 +18,16 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
+from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.cli import main
+from schedlab.env import RewardMode
+from schedlab.evaluate import run_episode
+from schedlab.instances import generate_instance
+
+from conftest import jssp_config
 
 PROBLEMS = {
     "jssp": {
@@ -85,3 +95,18 @@ def run_pipeline(base, problem: dict) -> dict[str, str]:
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_cli_outputs_match_golden_digests(tmp_path, name):
     assert run_pipeline(tmp_path, PROBLEMS[name]) == GOLDEN[name]
+
+
+ROLLOUTS_GOLDEN = "b46ea4d15caa42f489fa7ca56bd1558af26774541735c3ae952600466f70cc06"
+
+
+def test_rule_rollouts_match_golden_digest():
+    rows = []
+    for num_jobs in (20, 50):
+        cfg = jssp_config(num_jobs=num_jobs, tasks_per_job=20, num_machines=20, seed=7)
+        inst = generate_instance(cfg, 0)
+        for rule in DispatchRule:
+            rng = np.random.Generator(np.random.Philox(key=3)) if rule is DispatchRule.RANDOM else None
+            makespan, ret, _ = run_episode(rule_policy(rule, rng), inst, RewardMode.DENSE_MAKESPAN_DELTA)
+            rows.append((rule.value, makespan, ret))
+    assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == ROLLOUTS_GOLDEN

@@ -163,6 +163,20 @@ def test_overlapping_placement_names_machine():
     assert exc.value.interval == (0, 5)
 
 
+def test_tool_conflict_names_tool_and_inserts_nothing():
+    # the machine is idle, so only the tool check can stop the placement
+    inst = build_instance([[(0, 5, 0)], [(1, 5, 0)]], num_machines=2, num_tools=1)
+    sched = Schedule(inst)
+    sched.place_task(inst.task(0, 0), 0, 0)
+    with pytest.raises(ConstraintViolationError) as exc:
+        sched.place_task(inst.task(1, 0), 1, 3)
+    assert exc.value.resource == "tool 0"
+    assert exc.value.interval == (0, 5)
+    assert sched.machine_timelines[1].intervals() == []
+    assert sched.tool_timelines[0].intervals() == [(0, 5)]
+    assert list(sched.placements) == [(0, 0)] and sched.next_op == [1, 0]
+
+
 def test_place_rejects_start_before_job_ready():
     inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
     sched = Schedule(inst)
