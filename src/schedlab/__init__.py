@@ -1,7 +1,7 @@
 """schedlab: an experimentation toolkit for RL-based production scheduling."""
 
 from .baselines import DispatchRule, rule_policy
-from .env import EnvState, RewardMode, SchedulingEnv, StepResult, action_mask, observe, reset, step
+from .env import RewardMode, SchedulingEnv, StepResult, action_mask, observe, reset, step
 from .evaluate import (
     ComparisonTable,
     EvalRecord,
@@ -51,7 +51,6 @@ __all__ = [
     "ComparisonTable",
     "DispatchRule",
     "DqnConfig",
-    "EnvState",
     "EvalRecord",
     "GanttOptions",
     "GeneratorConfig",

@@ -12,7 +12,7 @@ from pathlib import Path
 from . import gantt
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
-from .env import SchedulingEnv
+from .env import SchedulingEnv, observation_length
 from .errors import ConfigurationError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
 from .instances import generate_batch, read_instances, write_instances
@@ -49,11 +49,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    limits = SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
+    limits.validate()  # before any file is read or rewritten
     directory = Path(args.instances)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory of instance files", file=sys.stderr)
         return EXIT_RUNTIME
-    limits = SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
     files = sorted(directory.glob("*.jsonl"))
     n_optimal = n_feasible = n_failed = 0
     for path in files:
@@ -129,6 +130,15 @@ def cmd_test(args: argparse.Namespace) -> int:
             )
             return EXIT_RUNTIME
         model_params = load_model(model_path)
+        dims = model_params.dims()
+        for n in sorted({inst.num_jobs for inst in instances}):
+            if (dims[0], dims[-1]) != (observation_length(n), n):
+                print(
+                    f"error: model {model_path} maps {dims[0]} inputs to {dims[-1]} actions, but "
+                    f"{n}-job test instances need {observation_length(n)} inputs and {n} actions",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
 
     records = evaluate(
         config.eval.methods,

@@ -13,14 +13,15 @@ final step only, where UB is the instance's total processing time. Both
 strategies yield the same undiscounted episode return for the same action
 sequence.
 
-``reset`` computes the observation and the action mask in full and keeps
-them in the state, with one watcher set per machine and per tool: the jobs
-whose next task is eligible on that machine or uses that tool. Each ``step``
-updates only what its placement can change: the observation entries of the
-watchers of the machine and tool it used (see ``observe``) and, when the
-placement was a job's last task, that job's mask entry. A step thus costs a
-few earliest-start queries and no pass over all jobs. Both hand out fresh
-arrays, which the caller may keep or mutate.
+A ``SchedulingEnv`` holds one episode; the functions ``reset``, ``step``,
+``observe`` and ``action_mask`` act on it. ``reset`` computes the observation
+and the action mask in full and keeps them, with one watcher set per machine
+and per tool: the jobs whose next task is eligible on it or uses it. Each
+``step`` updates only what its placement can change: the observation entries
+of the watchers of the machine and tool it used (see ``observe``) and, when
+the placement was a job's last task, that job's mask entry. A step thus
+costs a few earliest-start queries and no pass over all jobs. Both hand out
+fresh arrays, which the caller may keep or mutate.
 """
 
 from __future__ import annotations
@@ -42,23 +43,6 @@ class RewardMode(str, Enum):
 
 
 @dataclass
-class EnvState:
-    schedule: Schedule
-    mode: RewardMode
-    steps_taken: int
-    ub: int  # sum of all processing times; normalization constant
-    p_max: int
-    obs: np.ndarray | None = None  # last observation, updated in place by step
-    mask: np.ndarray | None = None  # last action mask, updated in place by step
-    # per machine, then per tool: the jobs whose next task can use it
-    watchers: list[set[int]] = field(default_factory=list)
-
-    @property
-    def instance(self) -> Instance:
-        return self.schedule.instance
-
-
-@dataclass
 class StepResult:
     observation: np.ndarray
     reward: float
@@ -71,32 +55,32 @@ def observation_length(num_jobs: int) -> int:
     return 4 * num_jobs + 1
 
 
-def _write_job_features(state: EnvState, obs: np.ndarray, j: int) -> None:
-    schedule = state.schedule
-    n_ops = state.instance.tasks_per_job
+def _write_job_features(env: SchedulingEnv, obs: np.ndarray, j: int) -> None:
+    schedule = env.schedule
+    n_ops = env.instance.tasks_per_job
     k = schedule.next_op[j]
     base = 4 * j
     obs[base] = k / n_ops
-    obs[base + 2] = schedule.job_ready[j] / state.ub
+    obs[base + 2] = schedule.job_ready[j] / env.ub
     if k < n_ops:
-        task = state.instance.task(j, k)
-        obs[base + 1] = task.processing_time / state.p_max
-        obs[base + 3] = schedule.best_machine(task)[1] / state.ub
+        task = env.instance.task(j, k)
+        obs[base + 1] = task.processing_time / env.p_max
+        obs[base + 3] = schedule.best_machine(task)[1] / env.ub
     else:
         obs[base + 1] = obs[base + 3] = 0.0
 
 
-def _watch(state: EnvState, j: int, k: int, add: bool) -> None:
+def _watch(env: SchedulingEnv, j: int, k: int, add: bool) -> None:
     """Add job j to, or drop it from, the watcher sets of its task k."""
-    task = state.instance.task(j, k)
+    task = env.instance.task(j, k)
     update = set.add if add else set.discard
     for m in task.eligible_machines:
-        update(state.watchers[m], j)
+        update(env.watchers[m], j)
     if task.tool is not None:
-        update(state.watchers[state.instance.num_machines + task.tool], j)
+        update(env.watchers[env.instance.num_machines + task.tool], j)
 
 
-def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
+def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarray:
     """Fixed-length feature vector, all entries in [0, 1].
 
     Per job j, at offset 4j: fraction of its ops scheduled; next-task
@@ -104,9 +88,9 @@ def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
     earliest feasible start of the next task across eligible machines / UB
     (0 once done). The final entry is the current makespan / UB.
 
-    Without ``placement`` this is a full recompute and leaves ``state``
+    Without ``placement`` this is a full recompute and leaves ``env``
     untouched. With the placement that ``step`` just made, it updates the
-    observation kept in ``state.obs`` and returns a copy. A placement of job
+    observation kept in ``env.obs`` and returns a copy. A placement of job
     a on machine m with tool t can only change the four entries of job a,
     entry 4j+3 of a job whose next task is eligible on m or uses t, and the
     makespan: any other earliest start depends on timelines and a ready time
@@ -114,68 +98,64 @@ def observe(state: EnvState, placement: Placement | None = None) -> np.ndarray:
     and t, so only they are visited; job a first moves from the watcher sets
     of the task it placed to those of its new next task.
     """
-    schedule = state.schedule
-    instance = state.instance
+    schedule = env.schedule
+    instance = env.instance
     if placement is None:
         obs = np.zeros(observation_length(instance.num_jobs), dtype=np.float64)
         for j in range(instance.num_jobs):
-            _write_job_features(state, obs, j)
+            _write_job_features(env, obs, j)
     else:
-        obs = state.obs
+        obs = env.obs
         a, machine, tool = placement.job_id, placement.machine, placement.tool
-        _write_job_features(state, obs, a)
-        _watch(state, a, placement.op_index, add=False)
+        _write_job_features(env, obs, a)
+        _watch(env, a, placement.op_index, add=False)
         k = schedule.next_op[a]
         if k < instance.tasks_per_job:
-            _watch(state, a, k, add=True)
-        watchers = state.watchers[machine]
+            _watch(env, a, k, add=True)
+        watchers = env.watchers[machine]
         if tool is not None:
-            watchers = watchers | state.watchers[instance.num_machines + tool]
+            watchers = watchers | env.watchers[instance.num_machines + tool]
         for j in watchers:
             if j != a:
                 task = instance.task(j, schedule.next_op[j])
-                obs[4 * j + 3] = schedule.best_machine(task)[1] / state.ub
-    obs[-1] = schedule.makespan / state.ub
+                obs[4 * j + 3] = schedule.best_machine(task)[1] / env.ub
+    obs[-1] = schedule.makespan / env.ub
     return obs if placement is None else obs.copy()
 
 
-def action_mask(state: EnvState) -> np.ndarray:
+def action_mask(env: SchedulingEnv) -> np.ndarray:
     """Boolean vector over jobs: True iff the job still has an unscheduled task."""
-    n_ops = state.instance.tasks_per_job
-    return np.array([k < n_ops for k in state.schedule.next_op], dtype=bool)
+    n_ops = env.instance.tasks_per_job
+    return np.array([k < n_ops for k in env.schedule.next_op], dtype=bool)
 
 
-def reset(instance: Instance, mode: RewardMode) -> tuple[np.ndarray, np.ndarray, EnvState]:
-    state = EnvState(
-        schedule=Schedule(instance),
-        mode=mode,
-        steps_taken=0,
-        ub=instance.total_processing_time,
-        p_max=instance.max_processing_time,
-    )
-    state.watchers = [set() for _ in range(instance.num_machines + instance.num_tools)]
+def reset(env: SchedulingEnv) -> tuple[np.ndarray, np.ndarray]:
+    """Start a new episode on ``env``, dropping any episode in progress."""
+    instance = env.instance
+    env.schedule = Schedule(instance)
+    env.watchers = [set() for _ in range(instance.num_machines + instance.num_tools)]
     for j in range(instance.num_jobs):
-        _watch(state, j, 0, add=True)
-    state.obs = observe(state)
-    state.mask = action_mask(state)
-    return state.obs.copy(), state.mask.copy(), state
+        _watch(env, j, 0, add=True)
+    env.obs = observe(env)
+    env.mask = action_mask(env)
+    return env.obs.copy(), env.mask.copy()
 
 
-def step(state: EnvState, action: int) -> StepResult:
+def step(env: SchedulingEnv, action: int) -> StepResult:
     """Place the next unscheduled task of job ``action`` at its earliest start.
 
-    Invalid or masked actions raise InvalidActionError; there is no
-    penalty-reward fallback. The returned observation equals a full
-    ``observe(state)`` bit for bit and the mask equals ``action_mask(state)``;
-    both are updated from the previous ones at the entries the placement can
-    change, and both are fresh arrays.
+    Invalid or masked actions, and a step before the first ``reset``, raise
+    InvalidActionError; there is no penalty-reward fallback. The returned
+    observation equals a full ``observe(env)`` bit for bit and the mask
+    equals ``action_mask(env)``; both are updated from the previous ones at
+    the entries the placement can change, and both are fresh arrays.
     """
-    instance = state.instance
+    schedule = env.schedule
+    if schedule is None:
+        raise InvalidActionError("step() before reset()")
+    instance = env.instance
     if not (0 <= action < instance.num_jobs):
-        raise InvalidActionError(
-            f"action {action} out of range [0, {instance.num_jobs})"
-        )
-    schedule = state.schedule
+        raise InvalidActionError(f"action {action} out of range [0, {instance.num_jobs})")
     if schedule.next_op[action] >= instance.tasks_per_job:
         raise InvalidActionError(f"job {action} is already fully scheduled")
 
@@ -184,53 +164,49 @@ def step(state: EnvState, action: int) -> StepResult:
     machine, start = schedule.best_machine(task)
     placement = schedule.place_task(task, machine, start)
     c_after = schedule.makespan
-    state.steps_taken += 1
     if placement.op_index == instance.tasks_per_job - 1:
-        state.mask[action] = False
+        env.mask[action] = False
 
-    done = state.steps_taken == instance.num_tasks
-    if state.mode is RewardMode.DENSE_MAKESPAN_DELTA:
-        reward = -(c_after - c_before) / state.ub
+    done = schedule.complete
+    if env.mode is RewardMode.DENSE_MAKESPAN_DELTA:
+        reward = -(c_after - c_before) / env.ub
     else:
-        reward = -c_after / state.ub if done else 0.0
+        reward = -c_after / env.ub if done else 0.0
 
     return StepResult(
-        observation=observe(state, placement),
+        observation=observe(env, placement),
         reward=reward,
         done=done,
-        mask=state.mask.copy(),
-        info={"makespan": c_after, "last_placement": placement},
+        mask=env.mask.copy(),
+        info={"makespan": c_after},
     )
 
 
 class SchedulingEnv:
-    """Stateful convenience wrapper over the functional reset/step interface.
+    """One scheduling episode on ``instance``; ``schedule`` is None until ``reset``.
 
     This is also the environment-variant hook: the trainers take a factory
-    ``instance -> env`` and ``run_episode`` one ``(instance, mode) -> env``,
-    and they only use the reset()/step() surface below, so alternative action
-    semantics can be dropped in. ``evaluate`` always builds this class.
+    ``instance -> env`` and only use the reset()/step() surface below, so
+    alternative action semantics can be dropped in. ``run_episode`` and
+    ``evaluate`` always build this class.
     """
 
     def __init__(self, instance: Instance, mode: RewardMode = RewardMode.DENSE_MAKESPAN_DELTA):
         self.instance = instance
         self.mode = mode
-        self.state: EnvState | None = None
+        self.ub = instance.total_processing_time  # normalization constant
+        self.p_max = instance.max_processing_time
+        self.schedule: Schedule | None = None
+        self.obs: np.ndarray | None = None  # last observation, updated in place by step
+        self.mask: np.ndarray | None = None  # last action mask, updated in place by step
+        # per machine, then per tool: the jobs whose next task can use it
+        self.watchers: list[set[int]] = []
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
-        obs, mask, self.state = reset(self.instance, self.mode)
-        return obs, mask
+        return reset(self)
 
     def step(self, action: int) -> StepResult:
-        if self.state is None:
-            raise InvalidActionError("step() before reset()")
-        return step(self.state, action)
-
-    @property
-    def schedule(self) -> Schedule:
-        if self.state is None:
-            raise InvalidActionError("no active episode")
-        return self.state.schedule
+        return step(self, action)
 
 
 EnvFactory = Callable[[Instance], SchedulingEnv]

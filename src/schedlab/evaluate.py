@@ -85,14 +85,9 @@ class ComparisonTable:
         return "\n".join(out)
 
 
-def run_episode(
-    policy: Policy,
-    instance: Instance,
-    mode: RewardMode,
-    env_factory: Callable[[Instance, RewardMode], SchedulingEnv] = SchedulingEnv,
-) -> tuple[int, float, Schedule]:
+def run_episode(policy: Policy, instance: Instance, mode: RewardMode) -> tuple[int, float, Schedule]:
     """Roll one full episode; returns (makespan, undiscounted return, schedule)."""
-    env = env_factory(instance, mode)
+    env = SchedulingEnv(instance, mode)
     obs, mask = env.reset()
     total = 0.0
     done = False

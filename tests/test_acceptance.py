@@ -41,17 +41,18 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def random_episode(inst, rng, mode=DENSE):
-    _, mask, state = reset(inst, mode)
+    env = SchedulingEnv(inst, mode)
+    _, mask = reset(env)
     rewards = []
     actions = []
     while mask.any():
         valid = np.flatnonzero(mask)
         a = int(valid[rng.integers(len(valid))])
         actions.append(a)
-        result = step(state, a)
+        result = step(env, a)
         rewards.append(result.reward)
         mask = result.mask
-    return state, rewards, actions
+    return env, rewards, actions
 
 
 def test_criterion_1_validity_fuzz():
@@ -72,8 +73,8 @@ def test_criterion_1_validity_fuzz():
     for i in range(1000):
         cfg = dataclasses.replace(shapes[i % len(shapes)], seed=90_000 + i)
         inst = generate_instance(cfg, 0)
-        state, _, _ = random_episode(inst, rng)
-        found = validate_schedule(state.schedule)
+        env, _, _ = random_episode(inst, rng)
+        found = validate_schedule(env.schedule)
         if found:
             print(f"violation at episode {i} (config seed {cfg.seed}): {found[0]}")
             violations += 1
@@ -157,14 +158,15 @@ def test_criterion_3_telescoping():
     for i in range(100):
         cfg = dataclasses.replace(shapes[i % len(shapes)], seed=70_000 + i)
         inst = generate_instance(cfg, 0)
-        state, rewards, actions = random_episode(inst, rng, DENSE)
+        env, rewards, actions = random_episode(inst, rng, DENSE)
         dense_total = sum(rewards)
-        expected = -state.schedule.makespan / state.ub
+        expected = -env.schedule.makespan / env.ub
         worst = max(worst, abs(dense_total - expected))
-        _, mask2, state2 = reset(inst, SPARSE)
+        env2 = SchedulingEnv(inst, SPARSE)
+        _, mask2 = reset(env2)
         sparse_total = 0.0
         for a in actions:
-            sparse_total += step(state2, a).reward
+            sparse_total += step(env2, a).reward
         worst = max(worst, abs(dense_total - sparse_total))
     ok = worst < 1e-12
     report("3 telescoping", ok, f"max deviation {worst:.2e} over 100 episodes")
@@ -403,9 +405,9 @@ def test_criterion_8_gantt():
                       num_tools=3, seed=812)
     inst = generate_instance(cfg, 0)
     rng = np.random.Generator(np.random.Philox(key=8))
-    state, _, _ = random_episode(inst, rng)
-    svg_a = render_svg(state.schedule)
-    svg_b = render_svg(state.schedule)
+    env, _, _ = random_episode(inst, rng)
+    svg_a = render_svg(env.schedule)
+    svg_b = render_svg(env.schedule)
     root = ET.fromstring(svg_a)
     bars = [r for r in root.iter("{http://www.w3.org/2000/svg}rect")
             if r.get("class") == "bar"]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
-from schedlab.env import RewardMode, reset, step
+from schedlab.env import RewardMode, SchedulingEnv, reset, step
 from schedlab.errors import NoValidActionError
 from schedlab.instances import generate_instance
 from schedlab.schedule import validate_schedule
@@ -15,7 +15,7 @@ def three_job_obs():
     inst = build_instance(
         [[(0, 7, None)], [(1, 2, None)], [(2, 5, None)]], num_machines=3
     )
-    obs, mask, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    obs, mask = reset(SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA))
     return obs, mask
 
 
@@ -35,9 +35,10 @@ def test_mtr_tie_breaks_to_lowest_index():
         ],
         num_machines=3,
     )
-    _, _, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
-    step(state, 2)
-    obs = step(state, 2).observation
+    env = SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    reset(env)
+    step(env, 2)
+    obs = step(env, 2).observation
     mask = np.array([True, True, True])
     assert rule_policy(DispatchRule.MTR)(obs, mask) == 0
 
@@ -73,9 +74,9 @@ def test_deterministic_rules_are_functions_of_state():
     inst = generate_instance(jssp_config(num_jobs=4, tasks_per_job=3, num_machines=3,
                                          seed=9), 0)
     for rule in (DispatchRule.SPT, DispatchRule.LPT, DispatchRule.MTR):
-        obs, mask, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        obs, mask = reset(SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA))
         first = rule_policy(rule)(obs, mask)
-        obs2, mask2, _ = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        obs2, mask2 = reset(SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA))
         assert rule_policy(rule)(obs2, mask2) == first
 
 
@@ -86,10 +87,11 @@ def test_full_rollout_valid_and_policy_equivalent(rule):
         rng_a = np.random.Generator(np.random.Philox(key=5))
         rng_b = np.random.Generator(np.random.Philox(key=5))
         policy = rule_policy(rule, rng_b)
-        obs, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        env = SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+        obs, mask = reset(env)
         while mask.any():
             valid = [j for j in range(inst.num_jobs) if mask[j]]
-            next_op = state.schedule.next_op
+            next_op = env.schedule.next_op
             p = {j: inst.task(j, next_op[j]).processing_time for j in valid}
             if rule is DispatchRule.SPT:
                 expected = min(valid, key=lambda j: (p[j], j))
@@ -101,9 +103,9 @@ def test_full_rollout_valid_and_policy_equivalent(rule):
                 expected = valid[int(rng_a.integers(len(valid)))]
             a = policy(obs, mask)
             assert a == expected
-            result = step(state, a)
+            result = step(env, a)
             obs, mask = result.observation, result.mask
-        assert validate_schedule(state.schedule) == []
+        assert validate_schedule(env.schedule) == []
 
 
 def test_rules_dominated_by_solver():

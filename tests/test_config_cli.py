@@ -3,6 +3,7 @@ import json
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from schedlab.cli import main
@@ -18,6 +19,7 @@ from schedlab.instances import (
     read_instances,
     write_instances,
 )
+from schedlab.nn import init_mlp, save_model
 from schedlab.ppo import PpoConfig
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -293,6 +295,20 @@ def test_cli_test_without_model_fails(tmp_path, capsys):
     assert "model" in capsys.readouterr().err
 
 
+def test_cli_test_model_of_other_size_exit_2(tmp_path, capsys):
+    # a 6-job model on the 2-job test set: 25 inputs and 6 actions, not 9 and 2
+    cfg_path = tiny_config(tmp_path)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    model_path = tmp_path / "six_jobs.model.json"
+    save_model(init_mlp([25, 8, 6], np.random.default_rng(0)), model_path)
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 2
+    out, err = capsys.readouterr()
+    assert str(model_path) in err and "Traceback" not in err
+    assert "25 inputs to 6 actions" in err and "9 inputs and 2 actions" in err
+    assert not (tmp_path / "results").exists()
+
+
 def test_cli_train_without_instances_fails(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["train", "--config", str(cfg_path)]) == 1
@@ -363,6 +379,21 @@ def test_cli_solve_node_limit_one_all_feasible(tmp_path, capsys):
     assert "7 feasible" in out and "0 optimal" in out
     stopped = [line for line in out.splitlines() if "status=feasible" in line]
     assert len(stopped) == 7 and all(" lb=" in line and " gap=" in line for line in stopped)
+
+
+@pytest.mark.parametrize("flag,value", [("--node-limit", "-5"), ("--node-limit", "0"),
+                                        ("--time-limit", "-1"), ("--time-limit", "nan")])
+def test_cli_solve_bad_limits_exit_2_and_leave_files(tmp_path, capsys, flag, value):
+    cfg_path = tiny_config(tmp_path)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    assert main(["solve", "--instances", str(tmp_path / "data")]) == 0
+    files = sorted((tmp_path / "data").glob("*.jsonl"))
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    assert main(["solve", "--instances", str(tmp_path / "data"), flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("config error: " + flag[2:].replace("-", "_")) and out == ""
+    assert [f.read_bytes() for f in files] == before
 
 
 def test_cli_solve_reports_bad_file(tmp_path, capsys):

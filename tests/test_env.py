@@ -22,28 +22,31 @@ SPARSE = RewardMode.SPARSE_TERMINAL
 
 def test_reset_6x6():
     inst = generate_instance(jssp_config(seed=42), 0)
-    obs, mask, state = reset(inst, DENSE)
+    env = SchedulingEnv(inst, DENSE)
+    obs, mask = reset(env)
     assert len(obs) == observation_length(6) == 25
     assert mask.tolist() == [True] * 6
-    assert state.steps_taken == 0
+    assert len(env.schedule.placements) == 0
 
 
 def test_reset_1x1(single_task_instance):
-    obs, mask, state = reset(single_task_instance, DENSE)
+    env = SchedulingEnv(single_task_instance, DENSE)
+    obs, mask = reset(env)
     assert len(obs) == 5
     assert mask.tolist() == [True]
 
 
 def test_reset_is_deterministic():
     inst = generate_instance(jssp_config(seed=1), 0)
-    a = reset(inst, DENSE)
-    b = reset(inst, DENSE)
+    a = reset(SchedulingEnv(inst, DENSE))
+    b = reset(SchedulingEnv(inst, DENSE))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_single_task_dense_reward(single_task_instance):
-    _, _, state = reset(single_task_instance, DENSE)
-    result = step(state, 0)
+    env = SchedulingEnv(single_task_instance, DENSE)
+    reset(env)
+    result = step(env, 0)
     assert result.reward == -1.0
     assert result.done
     assert result.info["makespan"] == 5
@@ -51,41 +54,46 @@ def test_single_task_dense_reward(single_task_instance):
 
 
 def test_single_task_sparse_reward(single_task_instance):
-    _, _, state = reset(single_task_instance, SPARSE)
-    result = step(state, 0)
+    env = SchedulingEnv(single_task_instance, SPARSE)
+    reset(env)
+    result = step(env, 0)
     assert result.reward == -1.0 and result.done
 
 
 def test_two_job_dense_rewards_hand_rolled():
     # p=3 and p=4 on different machines; UB=7
     inst = build_instance([[(0, 3, None)], [(1, 4, None)]], num_machines=2)
-    _, _, state = reset(inst, DENSE)
-    r0 = step(state, 0)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    r0 = step(env, 0)
     assert r0.reward == pytest.approx(-3 / 7)
-    r1 = step(state, 1)
+    r1 = step(env, 1)
     assert r1.reward == pytest.approx(-(4 - 3) / 7)
     assert r1.done and r1.info["makespan"] == 4
 
 
 def test_step_on_completed_job_raises():
     inst = build_instance([[(0, 2, None)], [(0, 3, None)]], num_machines=1)
-    _, _, state = reset(inst, DENSE)
-    step(state, 0)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    step(env, 0)
     with pytest.raises(InvalidActionError):
-        step(state, 0)
+        step(env, 0)
 
 
 def test_step_out_of_range_raises():
     inst = build_instance([[(0, 2, None)]], num_machines=1)
-    _, _, state = reset(inst, DENSE)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
     with pytest.raises(InvalidActionError):
-        step(state, 1)
+        step(env, 1)
     with pytest.raises(InvalidActionError):
-        step(state, -1)
+        step(env, -1)
 
 
 def test_initial_observation_features(single_task_instance):
-    obs, _, state = reset(single_task_instance, DENSE)
+    env = SchedulingEnv(single_task_instance, DENSE)
+    obs, _ = reset(env)
     assert obs[0] == 0.0  # fraction scheduled
     assert obs[1] == 1.0  # p / p_max
     assert obs[2] == 0.0  # job ready / UB
@@ -95,9 +103,10 @@ def test_initial_observation_features(single_task_instance):
 
 def test_terminal_observation_features():
     inst = build_instance([[(0, 2, None), (0, 3, None)]], num_machines=1)
-    _, _, state = reset(inst, DENSE)
-    step(state, 0)
-    result = step(state, 0)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    step(env, 0)
+    result = step(env, 0)
     obs = result.observation
     assert obs[0] == 1.0
     assert obs[1] == 0.0 and obs[3] == 0.0  # zeroed once the job is done
@@ -116,27 +125,28 @@ def test_fuzz_episode_invariants(seed):
                     num_tools=2, seed=seed),
     ):
         inst = generate_instance(cfg, 0)
-        obs, mask, state = reset(inst, DENSE)
+        env = SchedulingEnv(inst, DENSE)
+        obs, mask = reset(env)
         steps = 0
         rewards = []
         while mask.any():
             assert obs.min() >= 0.0 and obs.max() <= 1.0
             assert np.isfinite(obs).all()
             # mask soundness: mask[j] iff job j has an unscheduled op
-            expected = [state.schedule.next_op[j] < inst.tasks_per_job
+            expected = [env.schedule.next_op[j] < inst.tasks_per_job
                         for j in range(inst.num_jobs)]
             assert mask.tolist() == expected
             valid = np.flatnonzero(mask)
-            result = step(state, int(valid[rng.integers(len(valid))]))
+            result = step(env, int(valid[rng.integers(len(valid))]))
             rewards.append(result.reward)
             obs, mask = result.observation, result.mask
             steps += 1
         assert steps == inst.num_tasks
         assert result.done
-        assert validate_schedule(state.schedule) == []
+        assert validate_schedule(env.schedule) == []
         # telescoping: dense rewards sum to -makespan/UB
         total = sum(rewards)
-        assert abs(total - (-state.schedule.makespan / state.ub)) < 1e-12
+        assert abs(total - (-env.schedule.makespan / env.ub)) < 1e-12
 
 
 def test_dense_and_sparse_returns_match():
@@ -144,23 +154,25 @@ def test_dense_and_sparse_returns_match():
     inst = generate_instance(jssp_config(num_jobs=3, tasks_per_job=3, num_machines=3,
                                          seed=17), 0)
     actions = []
-    _, mask, state = reset(inst, DENSE)
+    env = SchedulingEnv(inst, DENSE)
+    _, mask = reset(env)
     dense_total = 0.0
     while mask.any():
         valid = np.flatnonzero(mask)
         a = int(valid[rng.integers(len(valid))])
         actions.append(a)
-        result = step(state, a)
+        result = step(env, a)
         dense_total += result.reward
         mask = result.mask
-    _, _, state2 = reset(inst, SPARSE)
+    env2 = SchedulingEnv(inst, SPARSE)
+    reset(env2)
     sparse_total = 0.0
     for a in actions:
-        r = step(state2, a)
+        r = step(env2, a)
         sparse_total += r.reward
     assert sparse_total == pytest.approx(dense_total, abs=1e-12)
     # identical action sequences give identical placements
-    assert state.schedule.placements == state2.schedule.placements
+    assert env.schedule.placements == env2.schedule.placements
 
 
 def test_env_class_wrapper():
@@ -180,11 +192,12 @@ def test_determinism_full_episode():
     inst = generate_instance(jssp_config(seed=23), 0)
 
     def play():
-        _, mask, state = reset(inst, DENSE)
+        env = SchedulingEnv(inst, DENSE)
+        _, mask = reset(env)
         out = []
         while mask.any():
             a = int(np.flatnonzero(mask)[0])
-            r = step(state, a)
+            r = step(env, a)
             out.append((a, r.reward, r.observation.tolist()))
             mask = r.mask
         return out
@@ -195,10 +208,11 @@ def test_determinism_full_episode():
 def test_observe_and_mask_are_pure():
     inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2,
                                          seed=5), 0)
-    _, _, state = reset(inst, DENSE)
-    step(state, 0)
-    a1, m1 = observe(state), action_mask(state)
-    a2, m2 = observe(state), action_mask(state)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    step(env, 0)
+    a1, m1 = observe(env), action_mask(env)
+    a2, m2 = observe(env), action_mask(env)
     assert np.array_equal(a1, a2) and np.array_equal(m1, m2)
 
 
@@ -220,22 +234,45 @@ def test_step_observation_equals_full_observe(kind):
     for seed in range(12):
         inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
         rng = np.random.Generator(np.random.Philox(key=seed))
-        obs, mask, state = reset(inst, SPARSE)
-        assert obs.tobytes() == observe(state).tobytes()
-        assert np.array_equal(mask, action_mask(state))
+        env = SchedulingEnv(inst, SPARSE)
+        obs, mask = reset(env)
+        assert obs.tobytes() == observe(env).tobytes()
+        assert np.array_equal(mask, action_mask(env))
         while mask.any():
-            result = step(state, int(rng.choice(np.flatnonzero(mask))))
-            assert result.observation.tobytes() == observe(state).tobytes()
-            assert np.array_equal(result.mask, action_mask(state))
+            result = step(env, int(rng.choice(np.flatnonzero(mask))))
+            assert result.observation.tobytes() == observe(env).tobytes()
+            assert np.array_equal(result.mask, action_mask(env))
             mask = result.mask
 
 
 def test_mutating_returned_observation_does_not_leak():
     inst = generate_instance(INCREMENTAL_CONFIGS["fjssp-tools"](3), 0)
-    obs, mask, state = reset(inst, DENSE)
+    env = SchedulingEnv(inst, DENSE)
+    obs, mask = reset(env)
     obs[:] = 7.0
     while mask.any():
-        result = step(state, int(np.flatnonzero(mask)[-1]))
-        assert result.observation.tobytes() == observe(state).tobytes()
+        result = step(env, int(np.flatnonzero(mask)[-1]))
+        assert result.observation.tobytes() == observe(env).tobytes()
         result.observation[:] = 7.0
         mask = result.mask
+
+
+@pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
+def test_second_reset_mid_episode_starts_afresh(kind):
+    inst = generate_instance(INCREMENTAL_CONFIGS[kind](4), 0)
+    env = SchedulingEnv(inst, DENSE)
+    assert env.schedule is None
+    env.reset()
+    for a in [0] * inst.tasks_per_job + [1]:  # job 0 done, its mask entry False
+        env.step(a)
+    obs, mask = env.reset()
+    fresh_obs, fresh_mask = SchedulingEnv(inst, DENSE).reset()
+    assert len(env.schedule.placements) == 0
+    assert obs.tobytes() == fresh_obs.tobytes() and mask.tobytes() == fresh_mask.tobytes()
+    rng = np.random.Generator(np.random.Philox(key=4))
+    while mask.any():
+        result = env.step(int(rng.choice(np.flatnonzero(mask))))
+        assert result.observation.tobytes() == observe(env).tobytes()
+        assert np.array_equal(result.mask, action_mask(env))
+        mask = result.mask
+    assert result.done and validate_schedule(env.schedule) == []

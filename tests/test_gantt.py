@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from schedlab.env import RewardMode, reset, step
+from schedlab.env import RewardMode, SchedulingEnv, reset, step
 from schedlab.errors import InvalidScheduleError
 from schedlab.gantt import GanttOptions, job_color, render_svg
 from schedlab.instances import generate_instance
@@ -22,16 +22,17 @@ def complete_schedule(cfg_seed=42, num_jobs=6, tasks_per_job=6, num_machines=6,
                     with_tools=with_tools, num_tools=num_tools),
         0,
     )
-    _, mask, state = reset(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    env = SchedulingEnv(inst, RewardMode.DENSE_MAKESPAN_DELTA)
+    _, mask = reset(env)
     j = 0
     while mask.any():
         if not mask[j % inst.num_jobs]:
             j += 1
             continue
-        result = step(state, j % inst.num_jobs)
+        result = step(env, j % inst.num_jobs)
         mask = result.mask
         j += 1
-    return state.schedule
+    return env.schedule
 
 
 def svg_rects(svg, cls="bar"):

@@ -3,7 +3,7 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
-from schedlab.errors import MalformedRecordError, OracleSizeError
+from schedlab.errors import ConfigurationError, MalformedRecordError, OracleSizeError
 from schedlab.evaluate import run_episode
 from schedlab.instances import (
     GeneratorConfig,
@@ -93,6 +93,14 @@ def test_time_limit_reports_stop_reason_and_root_bound():
     assert result.nodes_expanded == 1024
     assert result.lower_bound == lower_bound(Schedule(inst)) <= result.makespan
     assert validate_schedule(result.schedule) == []
+
+
+@pytest.mark.parametrize("limits", [SolveLimits(node_limit=0), SolveLimits(node_limit=-5),
+                                    SolveLimits(time_limit_s=-1.0),
+                                    SolveLimits(time_limit_s=float("nan"))])
+def test_out_of_range_limits_rejected(limits):
+    with pytest.raises(ConfigurationError):
+        solve_optimal(interleave_instance(), limits)
 
 
 def test_deep_search_does_not_recurse():
