@@ -63,26 +63,36 @@ class DqnConfig:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions with uniform sampling."""
+    """Fixed-capacity ring buffer of transitions with uniform sampling.
+
+    Field i of each transition tuple is copied into column i, an array of
+    ``capacity`` rows shaped and typed by the first push. ``sample`` returns
+    every column gathered at one ``rng.integers(len(self), size=batch_size)``.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: list[tuple] = []
+        self._columns: list[np.ndarray] = []
+        self._size = 0
         self._next = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
 
     def push(self, transition: tuple) -> None:
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
-        else:
-            self._items[self._next] = transition
-        self._next = (self._next + 1) % self.capacity
+        if not self._columns:
+            for field in transition:
+                field = np.asarray(field)
+                self._columns.append(np.empty((self.capacity, *field.shape), dtype=field.dtype))
+        row = self._next
+        for column, field in zip(self._columns, transition):
+            column[row] = field
+        self._size = min(self._size + 1, self.capacity)
+        self._next = (row + 1) % self.capacity
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[tuple]:
-        idx = rng.integers(len(self._items), size=batch_size)
-        return [self._items[i] for i in idx]
+    def sample(self, batch_size: int, rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+        idx = rng.integers(self._size, size=batch_size)
+        return tuple(column[idx] for column in self._columns)
 
 
 def _epsilon(config: DqnConfig, step: int) -> float:
@@ -110,7 +120,9 @@ def train_dqn(
     q_params = init_mlp(dims, rng, output_gain=1.0)
     target_params = q_params.copy()
     optimizer = Adam(q_params, lr=config.learning_rate)
-    buffer = ReplayBuffer(config.replay_capacity)
+    # the last episode runs past total_steps, so no more than this many pushes
+    longest = max(instance.num_tasks for instance in instances)
+    buffer = ReplayBuffer(min(config.replay_capacity, config.total_steps + longest))
     events: list[MetricsEvent] = []
 
     step_count = 0
@@ -132,8 +144,8 @@ def train_dqn(
             else:
                 action = greedy_action(q_params, obs, mask)
             result = env.step(action)
-            buffer.push((obs, mask.copy(), action, result.reward, result.observation,
-                         result.mask.copy(), result.done))
+            buffer.push((obs, mask, action, result.reward, result.observation, result.mask,
+                         result.done))
             ep_return += result.reward
             obs, mask = result.observation, result.mask
             done = result.done
@@ -164,13 +176,8 @@ def train_dqn(
 
 
 def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, step_count):
-    batch = buffer.sample(config.batch_size, rng)
-    obs = np.stack([b[0] for b in batch])
-    actions = np.array([b[2] for b in batch])
-    rewards = np.array([b[3] for b in batch])
-    next_obs = np.stack([b[4] for b in batch])
-    next_masks = np.stack([b[5] for b in batch])
-    dones = np.array([b[6] for b in batch])
+    obs, _, actions, rewards, next_obs, next_masks, dones = buffer.sample(config.batch_size, rng)
+    rows = np.arange(config.batch_size)
 
     next_q = mlp_forward(target_params, next_obs)
     next_q = np.where(next_masks, next_q, -np.inf)
@@ -180,7 +187,7 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
 
     q_acts = mlp_activations(q_params, obs)
     q = q_acts[-1]
-    q_sa = q[np.arange(len(batch)), actions]
+    q_sa = q[rows, actions]
     td_error = q_sa - targets
     loss = float(np.mean(td_error**2))
     if not math.isfinite(loss):
@@ -189,7 +196,7 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
             f"[{np.nanmin(td_error)}, {np.nanmax(td_error)}]"
         )
     upstream = np.zeros_like(q)
-    upstream[np.arange(len(batch)), actions] = 2.0 * td_error / len(batch)
+    upstream[rows, actions] = 2.0 * td_error / config.batch_size
     grad_w, grad_b = mlp_gradient(q_params, obs, upstream, q_acts)
     optimizer.step(grad_w, grad_b)
     return loss

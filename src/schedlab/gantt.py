@@ -10,7 +10,6 @@ start to crowd.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from .errors import InvalidScheduleError
 from .schedule import Schedule, ScheduleRecord, schedule_to_record, validate_schedule
@@ -108,7 +107,7 @@ def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None
                 label += f" t={pl.tool}"
             parts.append(
                 f'<text x="{_fmt(x + 2)}" y="{_fmt(y + bar_height / 2 + 3)}">'
-                f"{escape(label)}</text>"
+                f"{label}</text>"
             )
 
     axis_y = _MARGIN_TOP + n_machines * options.row_height_px

@@ -10,7 +10,9 @@ check tight.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -75,9 +77,10 @@ def mlp_activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     activations = [h]
     last = params.num_layers() - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i != last:
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         activations.append(h)
     return activations
 
@@ -121,18 +124,17 @@ def mlp_gradient(
         grad_w[i] = acts[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
-            delta = (delta @ params.weights[i].T) * (1.0 - acts[i] ** 2)
+            delta = delta @ params.weights[i].T
+            delta *= 1.0 - acts[i] ** 2
     return grad_w, grad_b
 
 
 def masked_log_probs(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Log softmax over valid entries of (possibly batched) raw logits."""
-    masks = np.asarray(masks, dtype=bool)
+    """Log softmax over valid entries of (possibly batched) raw logits; masked entries are -inf."""
     neg = np.where(masks, logits, -np.inf)
-    zmax = neg.max(axis=-1, keepdims=True)
-    z = neg - zmax
-    logsum = np.log(np.where(masks, np.exp(z), 0.0).sum(axis=-1, keepdims=True))
-    return z - logsum
+    z = neg - neg.max(axis=-1, keepdims=True)
+    # exp(-inf) is exactly 0.0, so masked entries add nothing to the sum
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 def greedy_action(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> int:
@@ -143,9 +145,10 @@ def greedy_action(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> int:
 
 
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(probs)
-    # searchsorted never returns a negative index, so only the top needs a cap
-    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
+    # adds left to right like np.cumsum on a vector, so the cut points are the same floats
+    cum = list(accumulate(probs.tolist()))
+    # bisect_right never returns a negative index, so only the top needs a cap
+    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
 ADAM_BETA1 = 0.9
@@ -154,31 +157,43 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam over an MlpParams pytree; updates in place."""
+    """Standard Adam over an MlpParams pytree; updates the parameters in place.
+
+    The moments ``m``, ``v`` and the gradients of a step live in flat float64
+    vectors (all weights, then all biases, each raveled), so each elementwise
+    update runs once over every parameter. The parameters stay separate
+    arrays, because BLAS results depend on their memory layout.
+    """
 
     def __init__(self, params: MlpParams, lr: float):
         self.params = params
         self.lr = lr
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
+        arrays = (*params.weights, *params.biases)
+        sizes = [a.size for a in arrays]
+        self.m = np.zeros(sum(sizes))
+        self.v = np.zeros(sum(sizes))
+        self._grad = np.empty(sum(sizes))
+        self._delta = np.empty(sum(sizes))
+        # per-parameter views of the flat update, in the order of the moments
+        self._deltas = [
+            part.reshape(a.shape)
+            for part, a in zip(np.split(self._delta, np.cumsum(sizes)[:-1]), arrays)
+        ]
 
     def step(self, grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> None:
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        for i in range(self.params.num_layers()):
-            for m, v, g, p in (
-                (self.m_w[i], self.v_w[i], grad_w[i], self.params.weights[i]),
-                (self.m_b[i], self.v_b[i], grad_b[i], self.params.biases[i]),
-            ):
-                m *= ADAM_BETA1
-                m += (1.0 - ADAM_BETA1) * g
-                v *= ADAM_BETA2
-                v += (1.0 - ADAM_BETA2) * g * g
-                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        m, v, g = self.m, self.v, self._grad
+        np.concatenate([a.ravel() for a in (*grad_w, *grad_b)], out=g)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        np.divide(self.lr * (m / bc1), np.sqrt(v / bc2) + ADAM_EPS, out=self._delta)
+        for p, delta in zip((*self.params.weights, *self.params.biases), self._deltas):
+            p -= delta
 
 
 # ---------------------------------------------------------------------------

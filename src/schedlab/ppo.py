@@ -174,26 +174,27 @@ class _RolloutCollector:
         self._ep_return = 0.0
 
     def collect(self, n_steps: int, policy: MlpParams, value: MlpParams) -> Trajectory:
-        obs_buf, mask_buf, act_buf = [], [], []
-        rew_buf, done_buf, val_buf, logp_buf = [], [], [], []
-        for _ in range(n_steps):
+        obs_buf, mask_buf = [], []
+        act_buf = np.empty(n_steps, dtype=np.int64)
+        rew_buf = np.empty(n_steps, dtype=np.float64)
+        done_buf = np.empty(n_steps, dtype=bool)
+        val_buf = np.empty(n_steps, dtype=np.float64)
+        logp_buf = np.empty(n_steps, dtype=np.float64)
+        for t in range(n_steps):
             if self.env is None:
                 self._begin_episode()
-            obs, mask = self.obs, self.mask
-            logits = mlp_forward(policy, obs)
-            logp_all = masked_log_probs(logits, mask)
-            probs = np.exp(logp_all)
-            action = sample_action(probs, self.rng)
-            v = float(mlp_forward(value, obs)[0])
+            obs = self.obs
+            logp_all = masked_log_probs(mlp_forward(policy, obs), self.mask)
+            action = sample_action(np.exp(logp_all), self.rng)
+            val_buf[t] = mlp_forward(value, obs)[0]
             result = self.env.step(action)
 
             obs_buf.append(obs)
-            mask_buf.append(mask)
-            act_buf.append(action)
-            rew_buf.append(result.reward)
-            done_buf.append(result.done)
-            val_buf.append(v)
-            logp_buf.append(float(logp_all[action]))
+            mask_buf.append(self.mask)
+            act_buf[t] = action
+            rew_buf[t] = result.reward
+            done_buf[t] = result.done
+            logp_buf[t] = logp_all[action]
 
             self._ep_return += result.reward
             if result.done:
@@ -210,11 +211,11 @@ class _RolloutCollector:
         return Trajectory(
             observations=np.stack(obs_buf),
             masks=np.stack(mask_buf),
-            actions=np.array(act_buf, dtype=np.int64),
-            rewards=np.array(rew_buf, dtype=np.float64),
-            dones=np.array(done_buf, dtype=bool),
-            values=np.array(val_buf, dtype=np.float64),
-            log_probs=np.array(logp_buf, dtype=np.float64),
+            actions=act_buf,
+            rewards=rew_buf,
+            dones=done_buf,
+            values=val_buf,
+            log_probs=logp_buf,
             bootstrap_value=bootstrap,
         )
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schedlab import dqn
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
 from schedlab.nn import greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient
@@ -66,9 +67,82 @@ def test_replay_buffer_ring():
     for i in range(5):
         buf.push((i,))
     assert len(buf) == 3
-    assert sorted(item[0] for item in buf._items) == [2, 3, 4]
     rng = np.random.Generator(np.random.Philox(key=0))
-    assert all(s[0] in (2, 3, 4) for s in buf.sample(10, rng))
+    (items,) = buf.sample(200, rng)
+    assert set(items.tolist()) == {2, 3, 4}
+
+
+class ListReplayBuffer:
+    """Reference: a ring of transition tuples, batched with np.stack/np.array per field."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._items = []
+        self._next = 0
+
+    def __len__(self):
+        return len(self._items)
+
+    def push(self, transition):
+        transition = tuple(f.copy() if isinstance(f, np.ndarray) else f for f in transition)
+        if len(self._items) < self.capacity:
+            self._items.append(transition)
+        else:
+            self._items[self._next] = transition
+        self._next = (self._next + 1) % self.capacity
+
+    def sample(self, batch_size, rng):
+        batch = [self._items[i] for i in rng.integers(len(self._items), size=batch_size)]
+        return tuple(
+            (np.stack if isinstance(batch[0][k], np.ndarray) else np.array)([b[k] for b in batch])
+            for k in range(len(batch[0]))
+        )
+
+
+def random_transition(rng, obs_dim=9, n_actions=2):
+    return (rng.standard_normal(obs_dim), rng.random(n_actions) < 0.5,
+            int(rng.integers(n_actions)), float(rng.standard_normal()),
+            rng.standard_normal(obs_dim), rng.random(n_actions) < 0.5, bool(rng.random() < 0.2))
+
+
+def test_replay_buffer_batches_match_list_reference_through_ring_wrap():
+    data_rng = np.random.Generator(np.random.Philox(key=40))
+    buf, ref = ReplayBuffer(capacity=7), ListReplayBuffer(capacity=7)
+    rng_a = np.random.Generator(np.random.Philox(key=41))
+    rng_b = np.random.Generator(np.random.Philox(key=41))
+    for _ in range(20):  # wraps the ring twice
+        transition = random_transition(data_rng)
+        buf.push(transition)
+        ref.push(transition)
+        assert len(buf) == len(ref)
+        got, want = buf.sample(16, rng_a), ref.sample(16, rng_b)
+        assert len(got) == len(want) == 7
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("replay_capacity", [50_000, 20])
+def test_train_dqn_matches_list_replay_reference(monkeypatch, replay_capacity):
+    """Bitwise the same run as with the list buffer at the configured capacity.
+
+    The last 9-step episode runs 5 steps past total_steps=40, so a buffer
+    of total_steps rows would overwrite early transitions that the list
+    buffer keeps. With capacity 20 both rings wrap.
+    """
+    inst = generate_instance(jssp_config(num_jobs=3, tasks_per_job=3, num_machines=3,
+                                         seed=5), 0)
+    config = DqnConfig(total_steps=40, batch_size=16, replay_capacity=replay_capacity,
+                       target_sync_interval=10, seed=7)
+    params, events = train_dqn(dense_factory, [inst], config)
+    assert events[-1].step > config.total_steps
+    monkeypatch.setattr(dqn, "ReplayBuffer", lambda capacity: ListReplayBuffer(replay_capacity))
+    ref_params, ref_events = train_dqn(dense_factory, [inst], config)
+    for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+        assert a.tobytes() == b.tobytes()
+    assert [(e.step, e.episode, e.scalars) for e in events] == [
+        (e.step, e.episode, e.scalars) for e in ref_events
+    ]
 
 
 def test_ppo_single_action_mdp(single_task_instance):

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schedlab
 from schedlab.cli import main
 from schedlab.config import config_digest, load_experiment_config, run_id
 from schedlab.dqn import DqnConfig
@@ -433,3 +437,14 @@ def test_cli_plot_rejects_makespan_below_placements(tmp_path, capsys):
     assert main(["plot", "--schedule", str(bad), "--out", str(svg)]) == 1
     assert "makespan 2 below the last end 3" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_cli_import_leaves_network_and_mail_modules_unloaded():
+    """``import schedlab.cli`` pulls in no urllib/http/email/ssl/socket stack."""
+    heavy = ["urllib.request", "http.client", "email", "ssl", "socket"]
+    code = f"import sys, schedlab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    src = str(Path(schedlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

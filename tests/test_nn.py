@@ -164,6 +164,103 @@ def test_adam_moves_toward_minimum():
     assert abs(params.weights[0][0, 0]) < 1e-2
 
 
+class PerArrayAdam:
+    """Reference: Adam with one pair of moment arrays per parameter array."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m_w = [np.zeros_like(w) for w in params.weights]
+        self.v_w = [np.zeros_like(w) for w in params.weights]
+        self.m_b = [np.zeros_like(b) for b in params.biases]
+        self.v_b = [np.zeros_like(b) for b in params.biases]
+
+    def step(self, grad_w, grad_b):
+        self.t += 1
+        bc1 = 1.0 - 0.9**self.t
+        bc2 = 1.0 - 0.999**self.t
+        for i in range(self.params.num_layers()):
+            for m, v, g, p in (
+                (self.m_w[i], self.v_w[i], grad_w[i], self.params.weights[i]),
+                (self.m_b[i], self.v_b[i], grad_b[i], self.params.biases[i]),
+            ):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+
+
+@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [13, 64, 64, 1]])
+def test_adam_matches_per_array_reference_bitwise(dims):
+    rng = rng_(50)
+    params = init_mlp(dims, rng)
+    ref_params = params.copy()
+    opt, ref = Adam(params, lr=1e-3), PerArrayAdam(ref_params, lr=1e-3)
+    for _ in range(50):
+        scale = 10.0 ** rng.uniform(-4, 1)
+        grad_w = [scale * rng.standard_normal(w.shape) for w in params.weights]
+        grad_b = [scale * rng.standard_normal(b.shape) for b in params.biases]
+        opt.step(grad_w, grad_b)
+        ref.step(grad_w, grad_b)
+    for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
+        assert a.tobytes() == b.tobytes()
+
+
+class FixedRng:
+    """Stands in for a Generator whose next ``random()`` is known."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def reference_sample_action(probs, rng):
+    cum = np.cumsum(probs)
+    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
+
+
+def test_sample_action_matches_cumsum_searchsorted():
+    gen = rng_(60)
+    rng_a, rng_b = rng_(61), rng_(61)
+    for trial in range(10_000):
+        n = int(gen.integers(1, 13))
+        mask = gen.random(n) < 0.6
+        mask[gen.integers(n)] = True
+        if trial % 2:  # policy probabilities, exactly 0.0 where masked
+            probs = np.exp(masked_log_probs(3.0 * gen.standard_normal(n), mask))
+        else:  # unnormalized weights with zeros
+            probs = np.where(mask, gen.random(n), 0.0)
+        assert sample_action(probs, rng_a) == reference_sample_action(probs, rng_b)
+    assert rng_a.random() == rng_b.random()  # both consumed the same draws
+    # draws that land exactly on a cut point, where zero-probability entries tie
+    probs = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+    for u in (0.0, 0.5, 1.0 - 2.0**-53):
+        assert sample_action(probs, FixedRng(u)) == reference_sample_action(probs, FixedRng(u))
+
+
+def reference_masked_log_probs(logits, masks):
+    masks = np.asarray(masks, dtype=bool)
+    neg = np.where(masks, logits, -np.inf)
+    z = neg - neg.max(axis=-1, keepdims=True)
+    logsum = np.log(np.where(masks, np.exp(z), 0.0).sum(axis=-1, keepdims=True))
+    return z - logsum
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (256, 6), (64, 13)])
+def test_masked_log_probs_matches_two_where_form(shape):
+    rng = rng_(70)
+    for _ in range(20):
+        logits = 10.0 ** rng.uniform(-2, 2) * rng.standard_normal(shape)
+        masks = rng.random(shape) < 0.5
+        masks[..., 0], masks[..., -1] = True, False
+        got = masked_log_probs(logits, masks)
+        want = reference_masked_log_probs(logits, masks)
+        assert np.isneginf(got[~masks]).all()
+        assert got.tobytes() == want.tobytes()
+
+
 def test_model_roundtrip_bitwise(tmp_path):
     params = init_mlp([5, 16, 16, 4], rng_(33))
     path = tmp_path / "model.json"
