@@ -13,9 +13,9 @@ from . import gantt
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
 from .env import SchedulingEnv, observation_length
-from .errors import ConfigurationError, SchedlabError
+from .errors import ConfigurationError, InstanceSetError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
-from .instances import generate_batch, read_instances, write_instances
+from .instances import check_trainable, generate_batch, read_instances, write_instances
 from .metrics import write_metrics
 from .nn import load_model, save_model
 from .ppo import train_ppo
@@ -93,6 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"error: {train_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
     instances = read_instances(train_path)
+    check_trainable(instances, train_path)
     rid = run_id(config)
     env_factory = lambda inst: SchedulingEnv(inst, config.reward_mode)
 
@@ -119,6 +120,8 @@ def cmd_test(args: argparse.Namespace) -> int:
         print(f"error: {test_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
     instances = read_instances(test_path)
+    if not instances:
+        raise InstanceSetError(f"{test_path}: holds no instances")
 
     model_params = None
     if "model" in config.eval.methods:
@@ -208,6 +211,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except InstanceSetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchedlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

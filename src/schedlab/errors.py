@@ -20,6 +20,10 @@ class DigestMismatchError(SchedlabError):
     """A stored instance id does not match the digest recomputed from its content."""
 
 
+class InstanceSetError(SchedlabError, ValueError):
+    """An instance set a run cannot take: empty, or mixing job counts for one model."""
+
+
 class InternalError(SchedlabError):
     """An invariant the library itself guarantees was violated (likely a bug)."""
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
 from .env import RewardMode, SchedulingEnv
-from .errors import InternalError, InvalidActionError, UnknownMethodError
+from .errors import InstanceSetError, InternalError, InvalidActionError, UnknownMethodError
 from .instances import Instance, PROOF_OPTIMAL
 from .nn import MlpParams, greedy_action
 from .schedule import Schedule, validate_schedule
@@ -132,7 +132,7 @@ def evaluate(
     records alongside their mean; deterministic methods run once.
     """
     if not instances:
-        raise ValueError("instance set must be non-empty")
+        raise InstanceSetError("instance set must be non-empty")
     for name in methods:
         if name not in VALID_METHODS:
             raise UnknownMethodError(name, VALID_METHODS)

@@ -24,11 +24,17 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, DigestMismatchError, InternalError, MalformedRecordError
+from .errors import (
+    ConfigurationError,
+    DigestMismatchError,
+    InstanceSetError,
+    InternalError,
+    MalformedRecordError,
+)
 
 GENERATOR_VERSION = 1
 
@@ -215,6 +221,20 @@ def generate_batch(config: GeneratorConfig) -> list[Instance]:
     if len(ids) != len(batch):
         raise InternalError("duplicate instance digest within a batch; identical instances generated")
     return batch
+
+
+def check_trainable(instances: Sequence[Instance], source: object = "instance set") -> None:
+    """Raise InstanceSetError unless the set is non-empty and of one job count.
+
+    A network's input and output widths follow the job count, so a model
+    trains on one count only. ``source`` (a file path, say) starts the message.
+    """
+    counts = sorted({inst.num_jobs for inst in instances})
+    if not counts:
+        raise InstanceSetError(f"{source}: holds no instances")
+    if len(counts) > 1:
+        found = " and ".join(f"{n}-job" for n in counts)
+        raise InstanceSetError(f"{source}: mixes {found} instances; a model takes one job count")
 
 
 # ---------------------------------------------------------------------------

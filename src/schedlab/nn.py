@@ -72,6 +72,12 @@ def mlp_activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
     The last entry is ``mlp_forward(params, x)``; pass the list to
     ``mlp_gradient`` to skip running the same forward pass again.
+
+    ``x`` may have any leading shape. The stacking rule: a ``(k, 1, d)``
+    stack runs k gemv products, so row i is bit-equal to the forward of
+    ``x[i, 0]`` alone; a ``(k, d)`` batch runs one gemm, which sums in
+    another order, so its rows may differ from the single forwards in the
+    last bit.
     """
     h = _check_input(params, x)
     activations = [h]
@@ -86,7 +92,10 @@ def mlp_activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """tanh hidden layers, identity output. Accepts a vector or a batch."""
+    """tanh hidden layers, identity output. Accepts a vector, a batch or a stack.
+
+    See ``mlp_activations`` for which shapes are bit-equal to vector calls.
+    """
     return mlp_activations(params, x)[-1]
 
 

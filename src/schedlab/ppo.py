@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .env import EnvFactory, SchedulingEnv
 from .errors import ConfigurationError, TrainingDivergedError
-from .instances import Instance
+from .instances import Instance, check_trainable
 from .metrics import MetricsEvent
 from .nn import (
     Adam,
@@ -151,6 +151,9 @@ def compute_gae(
     return advantages, advantages + values
 
 
+_VALUE_ROWS = 256  # rows per stacked value pass after a rollout
+
+
 class _RolloutCollector:
     """Streams environment steps across instances, preserving episode state between buffers."""
 
@@ -174,11 +177,20 @@ class _RolloutCollector:
         self._ep_return = 0.0
 
     def collect(self, n_steps: int, policy: MlpParams, value: MlpParams) -> Trajectory:
-        obs_buf, mask_buf = [], []
+        """Step the policy n_steps times; the values are computed once the buffer is full.
+
+        GAE reads the values only after the rollout, so a step runs the policy
+        alone and stores its observation. The values then come from
+        ``(256, 1, d)`` stacks of the stored rows, which are bit-equal to one
+        single-observation forward per step (see ``mlp_activations``); the
+        slices bound the pass's extra memory. The bootstrap value of an
+        episode still in flight is one single-observation forward.
+        """
+        obs_buf = np.empty((n_steps, policy.dims()[0]), dtype=np.float64)
+        mask_buf = np.empty((n_steps, policy.dims()[-1]), dtype=bool)
         act_buf = np.empty(n_steps, dtype=np.int64)
         rew_buf = np.empty(n_steps, dtype=np.float64)
         done_buf = np.empty(n_steps, dtype=bool)
-        val_buf = np.empty(n_steps, dtype=np.float64)
         logp_buf = np.empty(n_steps, dtype=np.float64)
         for t in range(n_steps):
             if self.env is None:
@@ -186,11 +198,10 @@ class _RolloutCollector:
             obs = self.obs
             logp_all = masked_log_probs(mlp_forward(policy, obs), self.mask)
             action = sample_action(np.exp(logp_all), self.rng)
-            val_buf[t] = mlp_forward(value, obs)[0]
             result = self.env.step(action)
 
-            obs_buf.append(obs)
-            mask_buf.append(self.mask)
+            obs_buf[t] = obs
+            mask_buf[t] = self.mask
             act_buf[t] = action
             rew_buf[t] = result.reward
             done_buf[t] = result.done
@@ -204,13 +215,17 @@ class _RolloutCollector:
             else:
                 self.obs, self.mask = result.observation, result.mask
 
+        val_buf = np.empty(n_steps, dtype=np.float64)
+        for lo in range(0, n_steps, _VALUE_ROWS):
+            rows = obs_buf[lo : lo + _VALUE_ROWS, None, :]
+            val_buf[lo : lo + _VALUE_ROWS] = mlp_forward(value, rows)[:, 0, 0]
         if self.env is None:
             bootstrap = 0.0
         else:
             bootstrap = float(mlp_forward(value, self.obs)[0])
         return Trajectory(
-            observations=np.stack(obs_buf),
-            masks=np.stack(mask_buf),
+            observations=obs_buf,
+            masks=mask_buf,
             actions=act_buf,
             rewards=rew_buf,
             dones=done_buf,
@@ -225,10 +240,16 @@ def train_ppo(
     instances: Sequence[Instance],
     config: PpoConfig,
     run_id: str = "ppo",
+    timer: Callable[[], float] | None = None,
 ) -> tuple[MlpParams, MlpParams, list[MetricsEvent]]:
-    """Train policy and value networks; returns both plus one MetricsEvent per update."""
-    if not instances:
-        raise ValueError("instances must be non-empty")
+    """Train policy and value networks; returns both plus one MetricsEvent per update.
+
+    With a ``timer`` such as ``time.perf_counter``, each event also records
+    ``rollout_ms`` (``collect``, values included) and ``update_ms`` (GAE and
+    the minibatch epochs). Without one the events carry no wall times, so
+    identical runs give byte-identical metrics files.
+    """
+    check_trainable(instances)
     config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
@@ -245,8 +266,12 @@ def train_ppo(
     n_updates = math.ceil(config.total_steps / config.steps_per_update)
     steps_done = 0
 
+    clock = timer if timer is not None else (lambda: 0.0)
+
     for update in range(n_updates):
+        t0 = clock()
         traj = collector.collect(config.steps_per_update, policy, value)
+        t1 = clock()
         steps_done += len(traj)
         advantages, value_targets = compute_gae(
             traj.rewards, traj.values, traj.dones, traj.bootstrap_value,
@@ -259,6 +284,9 @@ def train_ppo(
             traj, norm_adv, value_targets, policy, value, policy_opt, value_opt, config, rng,
             update,
         )
+        if timer is not None:
+            stats["rollout_ms"] = (t1 - t0) * 1000.0
+            stats["update_ms"] = (clock() - t1) * 1000.0
         window_returns = collector.finished_returns[-50:]
         window_makespans = collector.finished_makespans[-50:]
         events.append(

@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
-from schedlab import dqn
+from schedlab import dqn, ppo
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
-from schedlab.nn import greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient
-from schedlab.ppo import PpoConfig, _RolloutCollector, compute_gae, train_ppo
+from schedlab.errors import InstanceSetError
+from schedlab.nn import (
+    greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient, sample_action,
+)
+from schedlab.ppo import PpoConfig, Trajectory, _RolloutCollector, compute_gae, train_ppo
 from schedlab.evaluate import run_episode
 from schedlab.solver import permutation_oracle
 
@@ -145,6 +150,120 @@ def test_train_dqn_matches_list_replay_reference(monkeypatch, replay_capacity):
     ]
 
 
+class PerStepValueCollector(_RolloutCollector):
+    """Reference: the rollout that runs the value network on every step.
+
+    Records each buffer's bootstrap value in ``bootstraps``.
+    """
+
+    def __init__(self, env_factory, instances, rng, bootstraps):
+        super().__init__(env_factory, instances, rng)
+        self.bootstraps = bootstraps
+
+    def collect(self, n_steps, policy, value):
+        obs_buf, mask_buf = [], []
+        act_buf = np.empty(n_steps, dtype=np.int64)
+        rew_buf = np.empty(n_steps, dtype=np.float64)
+        done_buf = np.empty(n_steps, dtype=bool)
+        val_buf = np.empty(n_steps, dtype=np.float64)
+        logp_buf = np.empty(n_steps, dtype=np.float64)
+        for t in range(n_steps):
+            if self.env is None:
+                self._begin_episode()
+            obs = self.obs
+            logp_all = masked_log_probs(mlp_forward(policy, obs), self.mask)
+            action = sample_action(np.exp(logp_all), self.rng)
+            val_buf[t] = mlp_forward(value, obs)[0]
+            result = self.env.step(action)
+
+            obs_buf.append(obs)
+            mask_buf.append(self.mask)
+            act_buf[t] = action
+            rew_buf[t] = result.reward
+            done_buf[t] = result.done
+            logp_buf[t] = logp_all[action]
+
+            self._ep_return += result.reward
+            if result.done:
+                self.finished_returns.append(self._ep_return)
+                self.finished_makespans.append(result.info["makespan"])
+                self.env = None
+            else:
+                self.obs, self.mask = result.observation, result.mask
+
+        bootstrap = 0.0 if self.env is None else float(mlp_forward(value, self.obs)[0])
+        self.bootstraps.append(bootstrap)
+        return Trajectory(
+            observations=np.stack(obs_buf), masks=np.stack(mask_buf), actions=act_buf,
+            rewards=rew_buf, dones=done_buf, values=val_buf, log_probs=logp_buf,
+            bootstrap_value=bootstrap,
+        )
+
+
+def nine_task_instances(tools):
+    """Two 3x3 instances, so every episode takes 9 steps."""
+    cfg = jssp_config(num_jobs=3, tasks_per_job=3, num_machines=3, seed=31, count=2,
+                      with_tools=tools, num_tools=2 if tools else 0)
+    return [generate_instance(cfg, i) for i in range(2)]
+
+
+@pytest.mark.parametrize(
+    "tools, mode, steps_per_update",
+    [
+        (False, RewardMode.DENSE_MAKESPAN_DELTA, 37),
+        (False, RewardMode.DENSE_MAKESPAN_DELTA, 300),
+        (True, RewardMode.SPARSE_TERMINAL, 37),
+        (True, RewardMode.SPARSE_TERMINAL, 300),
+        (False, RewardMode.DENSE_MAKESPAN_DELTA, 270),  # 30 whole episodes per buffer
+    ],
+)
+def test_train_ppo_matches_per_step_value_reference(monkeypatch, tools, mode, steps_per_update):
+    """The stacked value pass trains bitwise like a value forward on every step.
+
+    37 and 300 end each buffer mid-episode, so the bootstrap value counts;
+    300 leaves a partial 44-row slice after one 256-row slice; 270 ends
+    every buffer on an episode boundary, where the bootstrap is 0.
+    """
+    instances = nine_task_instances(tools)
+    factory = lambda inst: SchedulingEnv(inst, mode)
+    config = PpoConfig(total_steps=2 * steps_per_update, steps_per_update=steps_per_update,
+                       epochs=2, minibatch_size=64, discount=0.99, seed=3)
+    policy, value, events = train_ppo(factory, instances, config)
+    bootstraps = []
+    monkeypatch.setattr(ppo, "_RolloutCollector",
+                        functools.partial(PerStepValueCollector, bootstraps=bootstraps))
+    ref_policy, ref_value, ref_events = train_ppo(factory, instances, config)
+
+    assert len(bootstraps) == 2
+    if steps_per_update % 9 == 0:
+        assert bootstraps == [0.0, 0.0]
+    else:
+        assert 0.0 not in bootstraps
+    for net, ref in ((policy, ref_policy), (value, ref_value)):
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert a.tobytes() == b.tobytes()
+    assert [(e.step, e.episode, e.scalars) for e in events] == [
+        (e.step, e.episode, e.scalars) for e in ref_events
+    ]
+
+
+def test_ppo_timer_adds_wall_times_and_nothing_else():
+    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2,
+                                         seed=13), 0)
+    config = PpoConfig(total_steps=96, steps_per_update=32, epochs=1, minibatch_size=16,
+                       seed=5)
+    ticks = iter(range(1000))
+    _, _, timed = train_ppo(dense_factory, [inst], config, timer=lambda: next(ticks) * 0.5)
+    _, _, plain = train_ppo(dense_factory, [inst], config)
+    assert [e.scalars["rollout_ms"] for e in timed] == [500.0] * 3
+    assert [e.scalars["update_ms"] for e in timed] == [500.0] * 3
+    for t in timed:
+        del t.scalars["rollout_ms"], t.scalars["update_ms"]
+    assert [(e.step, e.episode, e.scalars, e.timestamp) for e in timed] == [
+        (e.step, e.episode, e.scalars, e.timestamp) for e in plain
+    ]
+
+
 def test_ppo_single_action_mdp(single_task_instance):
     config = PpoConfig(total_steps=128, steps_per_update=32, epochs=2, minibatch_size=16,
                        seed=4)
@@ -239,6 +358,18 @@ def test_trainers_reject_empty_instances():
         train_dqn(dense_factory, [], DqnConfig(total_steps=10))
     with pytest.raises(ValueError):
         train_ppo(dense_factory, [], PpoConfig(total_steps=10))
+
+
+def test_trainers_reject_mixed_job_counts_before_the_first_step():
+    three = generate_instance(jssp_config(num_jobs=3, tasks_per_job=2, num_machines=2), 0)
+    two = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2), 0)
+    built = []
+    factory = lambda inst: built.append(inst) or dense_factory(inst)
+    with pytest.raises(InstanceSetError, match="2-job and 3-job"):
+        train_dqn(factory, [three, two], DqnConfig(total_steps=10))
+    with pytest.raises(InstanceSetError, match="2-job and 3-job"):
+        train_ppo(factory, [three, two], PpoConfig(total_steps=10))
+    assert built == []
 
 
 def test_trajectory_length():

@@ -19,12 +19,15 @@ from schedlab.instances import (
     Instance,
     InstanceMeta,
     ProblemType,
+    generate_instance,
     instance_digest,
     read_instances,
     write_instances,
 )
 from schedlab.nn import init_mlp, save_model
 from schedlab.ppo import PpoConfig
+
+from conftest import jssp_config
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -317,6 +320,41 @@ def test_cli_train_without_instances_fails(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["train", "--config", str(cfg_path)]) == 1
     assert "generate" in capsys.readouterr().err
+
+
+def split_file(cfg_path, name):
+    return Path(load_experiment_config(cfg_path).paths.instances_dir) / f"{name}.jsonl"
+
+
+@pytest.mark.parametrize("algo", ["ppo", "dqn"])
+@pytest.mark.parametrize("content", ["empty", "mixed"])
+def test_cli_train_on_untrainable_file_exit_2(tmp_path, capsys, algo, content):
+    cfg_path = tiny_config(tmp_path, algo=algo)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    train_path = split_file(cfg_path, "train")
+    if content == "empty":
+        train_path.write_text("")
+    else:  # the 2-job split plus one 3-job instance
+        extra = generate_instance(jssp_config(num_jobs=3, tasks_per_job=2, num_machines=2), 0)
+        write_instances(read_instances(train_path) + [extra], train_path)
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(train_path) in err and "Traceback" not in err
+    assert ("no instances" if content == "empty" else "2-job and 3-job") in err
+    assert not (tmp_path / "models").exists() and not (tmp_path / "results").exists()
+
+
+def test_cli_test_on_empty_file_exit_2(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path, methods=("spt", "random"))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    test_path = split_file(cfg_path, "test")
+    test_path.write_text("")
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{test_path}: holds no instances" in err and "Traceback" not in err
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_solve_empty_dir(tmp_path, capsys):

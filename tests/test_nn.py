@@ -44,6 +44,19 @@ def test_dimension_mismatch_raises():
         mlp_gradient(params, np.zeros((3, 4)), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1], [13, 64, 64, 1], [9, 7, 5, 1]])
+@pytest.mark.parametrize("k", [1, 255, 256, 257, 2049])
+def test_stacked_forward_rows_equal_single_forwards_bitwise(dims, k):
+    """A (k, 1, d) stack runs one gemv per row, the product a single vector takes."""
+    rng = rng_(k + dims[0])
+    params = init_mlp(dims, rng, output_gain=1.0)
+    x = rng.random((k, dims[0])) * 2.0 - 0.5
+    stacked = mlp_forward(params, x[:, None, :])
+    assert stacked.shape == (k, 1, dims[-1])
+    for row, xi in zip(stacked[:, 0], x):
+        assert row.tobytes() == mlp_forward(params, xi).tobytes()
+
+
 def finite_difference_grads(params, x, upstream, h=1e-5):
     """Central-difference oracle for d(sum(out * upstream))/d(theta)."""
 
