@@ -15,7 +15,7 @@ from .dqn import train_dqn
 from .env import SchedulingEnv, observation_length
 from .errors import ConfigurationError, InstanceSetError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
-from .instances import check_trainable, generate_batch, read_instances, write_instances
+from .instances import check_instance_set, generate_batch, read_instances, write_instances
 from .metrics import write_metrics
 from .nn import load_model, save_model
 from .ppo import train_ppo
@@ -93,7 +93,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"error: {train_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
     instances = read_instances(train_path)
-    check_trainable(instances, train_path)
+    check_instance_set(instances, train_path)
     rid = run_id(config)
     env_factory = lambda inst: SchedulingEnv(inst, config.reward_mode)
 
@@ -120,8 +120,7 @@ def cmd_test(args: argparse.Namespace) -> int:
         print(f"error: {test_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
     instances = read_instances(test_path)
-    if not instances:
-        raise InstanceSetError(f"{test_path}: holds no instances")
+    check_instance_set(instances, test_path, one_job_count=False)
 
     model_params = None
     if "model" in config.eval.methods:

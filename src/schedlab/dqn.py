@@ -16,7 +16,7 @@ import numpy as np
 
 from .env import EnvFactory
 from .errors import ConfigurationError, TrainingDivergedError
-from .instances import Instance, check_trainable
+from .instances import Instance, check_instance_set
 from .metrics import MetricsEvent
 from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
 
@@ -108,7 +108,7 @@ def train_dqn(
     run_id: str = "dqn",
 ) -> tuple[MlpParams, list[MetricsEvent]]:
     """Train a Q-network; returns the parameters and one MetricsEvent per episode."""
-    check_trainable(instances)
+    check_instance_set(instances)
     config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 

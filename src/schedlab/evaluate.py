@@ -22,8 +22,8 @@ import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
 from .env import RewardMode, SchedulingEnv
-from .errors import InstanceSetError, InternalError, InvalidActionError, UnknownMethodError
-from .instances import Instance, PROOF_OPTIMAL
+from .errors import InternalError, InvalidActionError, UnknownMethodError
+from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
 from .schedule import Schedule, validate_schedule
 from .solver import SolveLimits, solve_optimal
@@ -131,8 +131,7 @@ def evaluate(
     Stochastic methods (random) run once per seed and report the per-seed
     records alongside their mean; deterministic methods run once.
     """
-    if not instances:
-        raise InstanceSetError("instance set must be non-empty")
+    check_instance_set(instances, one_job_count=False)
     for name in methods:
         if name not in VALID_METHODS:
             raise UnknownMethodError(name, VALID_METHODS)

@@ -2,9 +2,9 @@
 
 Each event carries a flat scalar map and is written as one line per scalar:
 ``{"run_id": ..., "step": ..., "episode": ..., "key": ..., "value": ...,
-"timestamp": ...}``. The trainers stamp every event 0.0, so identical runs
-produce byte-identical files; ``train_ppo(..., timer=...)`` adds the
-``rollout_ms`` and ``update_ms`` scalars, and ``train_dqn`` takes no clock yet.
+"timestamp": ...}``. ``train_ppo`` and ``train_dqn`` take no clock yet and
+stamp every event 0.0, so identical runs produce byte-identical files;
+trainer timers are an open item in ROADMAP.md.
 """
 
 from __future__ import annotations

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .env import EnvFactory, SchedulingEnv
 from .errors import ConfigurationError, TrainingDivergedError
-from .instances import Instance, check_trainable
+from .instances import Instance, check_instance_set
 from .metrics import MetricsEvent
 from .nn import (
     Adam,
@@ -240,16 +240,9 @@ def train_ppo(
     instances: Sequence[Instance],
     config: PpoConfig,
     run_id: str = "ppo",
-    timer: Callable[[], float] | None = None,
 ) -> tuple[MlpParams, MlpParams, list[MetricsEvent]]:
-    """Train policy and value networks; returns both plus one MetricsEvent per update.
-
-    With a ``timer`` such as ``time.perf_counter``, each event also records
-    ``rollout_ms`` (``collect``, values included) and ``update_ms`` (GAE and
-    the minibatch epochs). Without one the events carry no wall times, so
-    identical runs give byte-identical metrics files.
-    """
-    check_trainable(instances)
+    """Train policy and value networks; returns both plus one MetricsEvent per update."""
+    check_instance_set(instances)
     config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
@@ -266,12 +259,8 @@ def train_ppo(
     n_updates = math.ceil(config.total_steps / config.steps_per_update)
     steps_done = 0
 
-    clock = timer if timer is not None else (lambda: 0.0)
-
     for update in range(n_updates):
-        t0 = clock()
         traj = collector.collect(config.steps_per_update, policy, value)
-        t1 = clock()
         steps_done += len(traj)
         advantages, value_targets = compute_gae(
             traj.rewards, traj.values, traj.dones, traj.bootstrap_value,
@@ -284,9 +273,6 @@ def train_ppo(
             traj, norm_adv, value_targets, policy, value, policy_opt, value_opt, config, rng,
             update,
         )
-        if timer is not None:
-            stats["rollout_ms"] = (t1 - t0) * 1000.0
-            stats["update_ms"] = (clock() - t1) * 1000.0
         window_returns = collector.finished_returns[-50:]
         window_makespans = collector.finished_makespans[-50:]
         events.append(

@@ -247,23 +247,6 @@ def test_train_ppo_matches_per_step_value_reference(monkeypatch, tools, mode, st
     ]
 
 
-def test_ppo_timer_adds_wall_times_and_nothing_else():
-    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2,
-                                         seed=13), 0)
-    config = PpoConfig(total_steps=96, steps_per_update=32, epochs=1, minibatch_size=16,
-                       seed=5)
-    ticks = iter(range(1000))
-    _, _, timed = train_ppo(dense_factory, [inst], config, timer=lambda: next(ticks) * 0.5)
-    _, _, plain = train_ppo(dense_factory, [inst], config)
-    assert [e.scalars["rollout_ms"] for e in timed] == [500.0] * 3
-    assert [e.scalars["update_ms"] for e in timed] == [500.0] * 3
-    for t in timed:
-        del t.scalars["rollout_ms"], t.scalars["update_ms"]
-    assert [(e.step, e.episode, e.scalars, e.timestamp) for e in timed] == [
-        (e.step, e.episode, e.scalars, e.timestamp) for e in plain
-    ]
-
-
 def test_ppo_single_action_mdp(single_task_instance):
     config = PpoConfig(total_steps=128, steps_per_update=32, epochs=2, minibatch_size=16,
                        seed=4)
