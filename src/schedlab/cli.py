@@ -49,8 +49,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    # checked here, before any file is read or rewritten
     limits = SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
-    limits.validate()  # before any file is read or rewritten
     directory = Path(args.instances)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory of instance files", file=sys.stderr)

@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 from pathlib import Path
 
 from .dqn import DqnConfig
 from .env import RewardMode
-from .errors import ConfigurationError
+from .errors import ConfigurationError, bounded, check_fields
 from .evaluate import VALID_METHODS
 from .instances import GeneratorConfig
 from .ppo import PpoConfig
@@ -27,21 +27,20 @@ from .ppo import PpoConfig
 
 @dataclass(frozen=True)
 class SplitConfig:
-    train_count: int
-    test_count: int
+    train_count: int = bounded(MISSING, 1)
+    test_count: int = bounded(MISSING, 1)
 
-    def validate(self) -> None:
-        for name in ("train_count", "test_count"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name}: must be >= 1, got {getattr(self, name)}")
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class EvalSettings:
     methods: tuple[str, ...] = ("model", "spt", "lpt", "mtr", "random", "solver")
-    seeds: tuple[int, ...] = (0,)
+    seeds: tuple[int, ...] = bounded((0,), 0)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check_fields(self)
         for name in self.methods:
             if name not in VALID_METHODS:
                 raise ConfigurationError(
@@ -53,8 +52,6 @@ class EvalSettings:
                 raise ConfigurationError(f"{name}: repeated entries {repeated}")
         if not self.seeds:
             raise ConfigurationError("seeds: must be non-empty")
-        if any(s < 0 for s in self.seeds):
-            raise ConfigurationError(f"seeds: must be >= 0, got {min(self.seeds)}")
 
 
 @dataclass(frozen=True)
@@ -121,23 +118,20 @@ def _build(cls, data, path: str, **defaults):
     """Build config dataclass ``cls`` from the JSON object ``data``.
 
     The annotations are the schema: each value must have its field's type,
-    where an integer is a valid float and a list a valid tuple. Then
-    ``cls.validate()``, if defined, checks the ranges. Every error names the
-    dotted path of the offending value.
+    where an integer is a valid float and a list a valid tuple. The
+    constructor checks the ranges. Every error names the dotted path of the
+    offending value.
     """
     fields = dataclasses.fields(cls)
-    required = [f.name for f in fields
-                if f.default is dataclasses.MISSING and f.name not in defaults]
+    required = [f.name for f in fields if f.default is MISSING and f.name not in defaults]
     _check_object(data, path, [f.name for f in fields], required)
     hints = typing.get_type_hints(cls)
-    config = cls(**{name: _value(hints[name], value, f"{path}.{name}")
-                    for name, value in {**defaults, **data}.items()})
-    if hasattr(config, "validate"):
-        try:
-            config.validate()
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{path}.{exc}") from exc
-    return config
+    values = {name: _value(hints[name], value, f"{path}.{name}")
+              for name, value in {**defaults, **data}.items()}
+    try:
+        return cls(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}.{exc}") from exc
 
 
 def experiment_config_from_dict(data: dict) -> ExperimentConfig:

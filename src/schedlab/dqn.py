@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EnvFactory
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import ConfigurationError, TrainingDivergedError, bounded, check_fields
 from .instances import Instance, check_instance_set
 from .metrics import MetricsEvent
 from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
@@ -23,43 +23,22 @@ from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_f
 
 @dataclass(frozen=True)
 class DqnConfig:
-    total_steps: int = 20_000
-    replay_capacity: int = 50_000
-    batch_size: int = 64
-    learning_rate: float = 1e-3
-    discount: float = 1.0
-    target_sync_interval: int = 500
-    eps_start: float = 1.0
-    eps_end: float = 0.05
-    eps_decay_steps: int | None = None  # defaults to total_steps // 2
-    hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
+    total_steps: int = bounded(20_000, 1)
+    replay_capacity: int = bounded(50_000, 1)
+    batch_size: int = bounded(64, 1)
+    learning_rate: float = bounded(1e-3, 0, above=True)
+    discount: float = bounded(1.0, 0, 1, above=True)
+    target_sync_interval: int = bounded(500, 1)
+    eps_start: float = bounded(1.0, 0, 1)
+    eps_end: float = bounded(0.05, 0, 1)
+    eps_decay_steps: int | None = bounded(None, 1)  # defaults to total_steps // 2
+    hidden: tuple[int, ...] = bounded((64, 64), 1)
+    seed: int = bounded(0, 0)
 
-    def validate(self) -> None:
-        if self.total_steps < 1:
-            raise ConfigurationError(f"total_steps: must be >= 1, got {self.total_steps}")
-        if self.replay_capacity < 1:
-            raise ConfigurationError(f"replay_capacity: must be >= 1, got {self.replay_capacity}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate: must be > 0, got {self.learning_rate}")
-        if not (0.0 < self.discount <= 1.0):
-            raise ConfigurationError(f"discount: must be in (0, 1], got {self.discount}")
-        if self.target_sync_interval < 1:
-            raise ConfigurationError(
-                f"target_sync_interval: must be >= 1, got {self.target_sync_interval}"
-            )
-        if not (0.0 <= self.eps_end <= self.eps_start <= 1.0):
-            raise ConfigurationError("eps schedule: need 0 <= eps_end <= eps_start <= 1")
-        if self.eps_decay_steps is not None and self.eps_decay_steps < 1:
-            raise ConfigurationError(
-                f"eps_decay_steps: must be >= 1 when set, got {self.eps_decay_steps}"
-            )
-        if any(width < 1 for width in self.hidden):
-            raise ConfigurationError(f"hidden: widths must be >= 1, got {list(self.hidden)}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.eps_end > self.eps_start:
+            raise ConfigurationError(f"eps_end: must be <= eps_start ({self.eps_start}), got {self.eps_end}")
 
 
 class ReplayBuffer:
@@ -109,7 +88,6 @@ def train_dqn(
 ) -> tuple[MlpParams, list[MetricsEvent]]:
     """Train a Q-network; returns the parameters and one MetricsEvent per episode."""
     check_instance_set(instances)
-    config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
     probe = env_factory(instances[0])

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit, and the config range check."""
+
+import dataclasses
 
 
 class SchedlabError(Exception):
@@ -10,6 +12,34 @@ class ConfigurationError(SchedlabError):
 
     The message names the offending field (dotted path for nested configs).
     """
+
+
+def bounded(default, lo, hi=None, *, above=False, below=False):
+    """A dataclass field whose value, or each entry of a tuple value, must lie in
+    [lo, hi]; ``above``/``below`` exclude lo/hi. A None value passes. Pass
+    ``dataclasses.MISSING`` as ``default`` for a required field."""
+    return dataclasses.field(default=default, metadata={"range": (lo, hi, above, below)})
+
+
+def check_fields(config) -> None:
+    """Raise ConfigurationError for the first value outside its ``bounded`` range.
+
+    NaN lies outside every range: each comparison with it is false.
+    """
+    for field in dataclasses.fields(config):
+        if "range" not in field.metadata:
+            continue
+        lo, hi, above, below = field.metadata["range"]
+        value = getattr(config, field.name)
+        entries = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+        for i, v in entries:
+            if v is None or ((v > lo if above else v >= lo)
+                             and (hi is None or (v < hi if below else v <= hi))):
+                continue
+            name = field.name if i is None else f"{field.name}[{i}]"
+            rule = (f"{'>' if above else '>='} {lo}" if hi is None else
+                    f"in {'(' if above else '['}{lo}, {hi}{')' if below else ']'}")
+            raise ConfigurationError(f"{name}: must be {rule}, got {v}")
 
 
 class MalformedRecordError(SchedlabError):

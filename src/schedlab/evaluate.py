@@ -26,7 +26,7 @@ from .errors import InternalError, InvalidActionError, UnknownMethodError
 from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
 from .schedule import Schedule, validate_schedule
-from .solver import SolveLimits, solve_optimal
+from .solver import solve_optimal
 
 RULE_METHODS = ("spt", "lpt", "mtr", "random")
 VALID_METHODS = RULE_METHODS + ("model", "solver")
@@ -123,7 +123,6 @@ def evaluate(
     mode: RewardMode,
     seeds: Sequence[int] = (0,),
     model_params: MlpParams | None = None,
-    solve_limits: SolveLimits | None = None,
     timer: Callable[[], float] | None = None,
 ) -> list[EvalRecord]:
     """One aggregate record per (method, instance).
@@ -147,7 +146,7 @@ def evaluate(
     def run(name: str, instance: Instance, seed: int | None) -> tuple[int, float]:
         """(makespan, return) of one run of a method on an instance."""
         if name == "solver":
-            result = solve_optimal(instance, solve_limits)
+            result = solve_optimal(instance)
             violations = validate_schedule(result.schedule)
             if violations:
                 raise InternalError(f"solver produced an invalid schedule: {violations[0]}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -34,6 +34,8 @@ from .errors import (
     InstanceSetError,
     InternalError,
     MalformedRecordError,
+    bounded,
+    check_fields,
 )
 
 GENERATOR_VERSION = 1
@@ -108,33 +110,24 @@ class Instance:
 @dataclass(frozen=True)
 class GeneratorConfig:
     problem_type: ProblemType
-    num_jobs: int
-    tasks_per_job: int
-    num_machines: int
-    runtime_lo: int
+    num_jobs: int = bounded(MISSING, 1)
+    tasks_per_job: int = bounded(MISSING, 1)
+    num_machines: int = bounded(MISSING, 1)
+    runtime_lo: int = bounded(MISSING, 1)
     runtime_hi: int
-    count: int
-    seed: int
+    count: int = bounded(MISSING, 1)
+    seed: int = bounded(MISSING, 0, 2**64 - 1)
     with_tools: bool = False
     num_tools: int = 0
 
-    def validate(self) -> None:
-        """Raise ConfigurationError naming the first offending field."""
+    def __post_init__(self) -> None:
         if not isinstance(self.problem_type, ProblemType):
             raise ConfigurationError(f"problem_type: expected one of {[p.value for p in ProblemType]}")
-        for name in ("num_jobs", "tasks_per_job", "num_machines"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name}: must be >= 1, got {getattr(self, name)}")
-        if self.runtime_lo < 1:
-            raise ConfigurationError(f"runtime_lo: must be >= 1, got {self.runtime_lo}")
+        check_fields(self)
         if self.runtime_hi < self.runtime_lo:
             raise ConfigurationError(
                 f"runtime_hi: must be >= runtime_lo ({self.runtime_lo}), got {self.runtime_hi}"
             )
-        if self.count < 1:
-            raise ConfigurationError(f"count: must be >= 1, got {self.count}")
-        if not (0 <= self.seed < 2**64):
-            raise ConfigurationError(f"seed: must be an unsigned 64-bit integer, got {self.seed}")
         if self.with_tools and self.num_tools < 1:
             raise ConfigurationError(f"num_tools: must be >= 1 when with_tools, got {self.num_tools}")
         if not self.with_tools and self.num_tools != 0:
@@ -159,7 +152,6 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
     Draw order (runtimes, machines, tools) is fixed and covered by
     ``meta.generator_version``.
     """
-    config.validate()
     if not (0 <= stream_index < config.count):
         raise ConfigurationError(
             f"stream_index: must be in [0, count={config.count}), got {stream_index}"
@@ -215,7 +207,6 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
 
 def generate_batch(config: GeneratorConfig) -> list[Instance]:
     """Generate ``config.count`` instances for stream indices 0..count-1."""
-    config.validate()
     batch = [generate_instance(config, i) for i in range(config.count)]
     ids = {inst.id for inst in batch}
     if len(ids) != len(batch):

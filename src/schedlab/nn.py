@@ -243,9 +243,9 @@ def load_model(path: str | Path) -> MlpParams:
         biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload: {exc!r}") from exc
-    params = MlpParams(weights, biases)
-    expected = [(dims[i], dims[i + 1]) for i in range(len(dims) - 1)]
-    actual = [w.shape for w in weights]
-    if actual != expected or [b.shape[0] for b in biases] != dims[1:]:
+    if len(dims) < 2 or min(dims) < 1:
+        raise ModelFormatError(f"{path}: dims {dims}: need two or more entries, each >= 1")
+    if ([w.shape for w in weights] != list(zip(dims, dims[1:]))
+            or [b.shape for b in biases] != [(d,) for d in dims[1:]]):
         raise ModelFormatError(f"{path}: dims {dims} do not match stored arrays")
-    return params
+    return MlpParams(weights, biases)

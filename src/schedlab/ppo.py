@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EnvFactory, SchedulingEnv
-from .errors import ConfigurationError, TrainingDivergedError
+from .errors import TrainingDivergedError, bounded, check_fields
 from .instances import Instance, check_instance_set
 from .metrics import MetricsEvent
 from .nn import (
@@ -74,42 +74,21 @@ def clipped_objective_upstream(
 
 @dataclass(frozen=True)
 class PpoConfig:
-    total_steps: int = 100_000
-    steps_per_update: int = 2_048
-    epochs: int = 10
-    minibatch_size: int = 256
-    clip_ratio: float = 0.2
-    discount: float = 1.0
-    gae_lambda: float = 0.95
+    total_steps: int = bounded(100_000, 1)
+    steps_per_update: int = bounded(2_048, 1)
+    epochs: int = bounded(10, 0)
+    minibatch_size: int = bounded(256, 1)
+    clip_ratio: float = bounded(0.2, 0, 1, above=True, below=True)
+    discount: float = bounded(1.0, 0, 1, above=True)
+    gae_lambda: float = bounded(0.95, 0, 1, above=True)
     value_coef: float = 0.5
     entropy_coef: float = 0.01
-    learning_rate: float = 3e-4
-    hidden: tuple[int, ...] = (64, 64)
-    seed: int = 0
+    learning_rate: float = bounded(3e-4, 0, above=True)
+    hidden: tuple[int, ...] = bounded((64, 64), 1)
+    seed: int = bounded(0, 0)
 
-    def validate(self) -> None:
-        if self.total_steps < 1:
-            raise ConfigurationError(f"total_steps: must be >= 1, got {self.total_steps}")
-        if self.steps_per_update < 1:
-            raise ConfigurationError(
-                f"steps_per_update: must be >= 1, got {self.steps_per_update}"
-            )
-        if self.epochs < 0:
-            raise ConfigurationError(f"epochs: must be >= 0, got {self.epochs}")
-        if self.minibatch_size < 1:
-            raise ConfigurationError(f"minibatch_size: must be >= 1, got {self.minibatch_size}")
-        if not (0.0 < self.clip_ratio < 1.0):
-            raise ConfigurationError(f"clip_ratio: must be in (0, 1), got {self.clip_ratio}")
-        if not (0.0 < self.discount <= 1.0):
-            raise ConfigurationError(f"discount: must be in (0, 1], got {self.discount}")
-        if not (0.0 < self.gae_lambda <= 1.0):
-            raise ConfigurationError(f"gae_lambda: must be in (0, 1], got {self.gae_lambda}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate: must be > 0, got {self.learning_rate}")
-        if any(width < 1 for width in self.hidden):
-            raise ConfigurationError(f"hidden: widths must be >= 1, got {list(self.hidden)}")
-        if self.seed < 0:
-            raise ConfigurationError(f"seed: must be >= 0, got {self.seed}")
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -243,7 +222,6 @@ def train_ppo(
 ) -> tuple[MlpParams, MlpParams, list[MetricsEvent]]:
     """Train policy and value networks; returns both plus one MetricsEvent per update."""
     check_instance_set(instances)
-    config.validate()
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
     probe = env_factory(instances[0])

@@ -32,7 +32,7 @@ import heapq
 import time
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, InternalError, OracleSizeError
+from .errors import InternalError, OracleSizeError, bounded, check_fields
 from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL, validate_instance
 from .schedule import Schedule, Timeline, earliest_start
 
@@ -42,14 +42,11 @@ _TIME_CHECK_MASK = 1023
 
 @dataclass(frozen=True)
 class SolveLimits:
-    node_limit: int = 10_000_000
-    time_limit_s: float = 60.0
+    node_limit: int = bounded(10_000_000, 1)
+    time_limit_s: float = bounded(60.0, 0)
 
-    def validate(self) -> None:
-        if self.node_limit < 1:
-            raise ConfigurationError(f"node_limit: must be >= 1, got {self.node_limit}")
-        if not self.time_limit_s >= 0:  # also false for NaN
-            raise ConfigurationError(f"time_limit_s: must be >= 0, got {self.time_limit_s}")
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass
@@ -207,7 +204,6 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     validate_instance(instance)
     if limits is None:
         limits = SolveLimits()
-    limits.validate()
     t_start = time.perf_counter()
     deadline = t_start + limits.time_limit_s
 

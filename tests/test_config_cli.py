@@ -11,11 +11,18 @@ import pytest
 
 import schedlab
 from schedlab.cli import main
-from schedlab.config import config_digest, load_experiment_config, run_id
+from schedlab.config import (
+    EvalSettings,
+    SplitConfig,
+    config_digest,
+    load_experiment_config,
+    run_id,
+)
 from schedlab.dqn import DqnConfig
 from schedlab.env import RewardMode
 from schedlab.errors import ConfigurationError
 from schedlab.instances import (
+    GeneratorConfig,
     Instance,
     InstanceMeta,
     ProblemType,
@@ -26,6 +33,7 @@ from schedlab.instances import (
 )
 from schedlab.nn import init_mlp, save_model
 from schedlab.ppo import PpoConfig
+from schedlab.solver import SolveLimits
 
 from conftest import jssp_config
 
@@ -144,6 +152,7 @@ def test_cli_wrong_json_type_exit_2(tmp_path, capsys, dotted, value):
     ("dqn.hidden", [64, 0]),
     ("dqn.eps_decay_steps", -5),
     ("dqn.eps_decay_steps", 0),
+    ("dqn.eps_start", 1.5),
 ])
 def test_cli_range_error_exit_2(tmp_path, capsys, dotted, value):
     # instances exist, so without the check training would start
@@ -151,6 +160,65 @@ def test_cli_range_error_exit_2(tmp_path, capsys, dotted, value):
     capsys.readouterr()
     assert main(["train", "--config", str(config_with(tmp_path, dotted, value))]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {dotted}")
+
+
+def test_cli_eps_end_above_eps_start_exit_2(tmp_path, capsys):
+    path = config_with(tmp_path, "dqn.eps_start", 0.1)
+    data = json.loads(path.read_text())
+    data["dqn"]["eps_end"] = 0.5
+    path.write_text(json.dumps(data))
+    assert main(["generate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: dqn.eps_end")
+    assert not (tmp_path / "data").exists()
+
+
+NAN = float("nan")
+# every bounded field with values outside its range: below, above where the
+# range is closed above, NaN for floats, one bad entry for tuples
+OUT_OF_RANGE = {
+    PpoConfig: {
+        "total_steps": [0], "steps_per_update": [0], "epochs": [-1], "minibatch_size": [0],
+        "clip_ratio": [0.0, 1.0, NAN], "discount": [0.0, 1.5, NAN], "gae_lambda": [0.0, 1.5, NAN],
+        "learning_rate": [0.0, NAN], "hidden": [(64, 0)], "seed": [-1],
+    },
+    DqnConfig: {
+        "total_steps": [0], "replay_capacity": [0], "batch_size": [0],
+        "learning_rate": [0.0, NAN], "discount": [0.0, 1.5, NAN], "target_sync_interval": [0],
+        "eps_start": [-0.1, 1.5, NAN], "eps_end": [-0.1, 1.5, NAN], "eps_decay_steps": [0],
+        "hidden": [(0, 64)], "seed": [-1],
+    },
+    GeneratorConfig: {
+        "num_jobs": [0], "tasks_per_job": [0], "num_machines": [0], "runtime_lo": [0],
+        "count": [0], "seed": [-1, 2**64],
+    },
+    SplitConfig: {"train_count": [0], "test_count": [0]},
+    EvalSettings: {"seeds": [(0, -1)]},
+    SolveLimits: {"node_limit": [0], "time_limit_s": [-1.0, NAN]},
+}
+VALID = {PpoConfig: PpoConfig(), DqnConfig: DqnConfig(), GeneratorConfig: jssp_config(),
+         SplitConfig: SplitConfig(1, 1), EvalSettings: EvalSettings(), SolveLimits: SolveLimits()}
+
+
+def test_out_of_range_table_covers_every_bounded_field():
+    for cls, fields in OUT_OF_RANGE.items():
+        assert set(fields) == {f.name for f in dataclasses.fields(cls) if "range" in f.metadata}
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (cls, field, value)
+    for cls, fields in OUT_OF_RANGE.items() for field, values in fields.items() for value in values
+])
+def test_out_of_range_field_rejected_at_construction(cls, field, value):
+    with pytest.raises(ConfigurationError) as exc:
+        dataclasses.replace(VALID[cls], **{field: value})
+    assert str(exc.value).startswith(field)
+
+
+def test_range_boundaries_accepted():
+    assert PpoConfig(epochs=0, discount=1).epochs == 0
+    assert DqnConfig(eps_start=0.3, eps_end=0.3, eps_decay_steps=None).eps_end == 0.3
+    assert jssp_config(seed=2**64 - 1).seed == 2**64 - 1
+    assert SolveLimits(time_limit_s=0).time_limit_s == 0
 
 
 def test_unknown_root_key_rejected(tmp_path):
@@ -313,6 +381,22 @@ def test_cli_test_model_of_other_size_exit_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert str(model_path) in err and "Traceback" not in err
     assert "25 inputs to 6 actions" in err and "9 inputs and 2 actions" in err
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("arrays", [
+    {"dims": [5], "weights": [], "biases": []},
+    {"dims": [9, 2], "weights": [[[0.0, 0.0]] * 9], "biases": [[[0.0], [0.0]]]},
+])
+def test_cli_test_malformed_model_exit_1(tmp_path, capsys, arrays):
+    cfg_path = tiny_config(tmp_path)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    model_path = tmp_path / "bad.model.json"
+    model_path.write_text(json.dumps({"format": "mlp-params", "version": 1, **arrays}))
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model_path}: dims") and "Traceback" not in err
     assert not (tmp_path / "results").exists()
 
 

@@ -121,9 +121,8 @@ def test_stream_independent_of_count():
     ],
 )
 def test_invalid_config_names_field(field, value, fragment):
-    cfg = dataclasses.replace(jssp_config(), **{field: value})
     with pytest.raises(ConfigurationError, match=fragment):
-        generate_instance(cfg, 0)
+        generate_instance(dataclasses.replace(jssp_config(), **{field: value}), 0)
 
 
 def test_stream_index_out_of_range():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -303,6 +305,28 @@ def test_model_truncated_file(tmp_path):
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
     with pytest.raises(ModelFormatError):
+        load_model(path)
+
+
+# shape faults that once loaded, then failed with an IndexError or a broadcast
+# ValueError in dims() or the forward pass
+MALFORMED_MODEL_ARRAYS = {
+    "one dims entry": {"dims": [5], "weights": [], "biases": []},
+    "2-d bias": {"dims": [9, 2], "weights": [[[0.0, 0.0]] * 9], "biases": [[[0.0], [0.0]]]},
+    "scalar bias": {"dims": [9, 1], "weights": [[[0.0]] * 9], "biases": [0.0]},
+    "zero width": {"dims": [9, 0], "weights": [[[]] * 9], "biases": [[]]},
+}
+
+
+def write_model_payload(path, arrays):
+    path.write_text(json.dumps({"format": "mlp-params", "version": 1, **arrays}))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_MODEL_ARRAYS))
+def test_model_malformed_shapes_rejected(tmp_path, name):
+    path = write_model_payload(tmp_path / "model.json", MALFORMED_MODEL_ARRAYS[name])
+    with pytest.raises(ModelFormatError, match="dims"):
         load_model(path)
 
 

@@ -95,12 +95,12 @@ def test_time_limit_reports_stop_reason_and_root_bound():
     assert validate_schedule(result.schedule) == []
 
 
-@pytest.mark.parametrize("limits", [SolveLimits(node_limit=0), SolveLimits(node_limit=-5),
-                                    SolveLimits(time_limit_s=-1.0),
-                                    SolveLimits(time_limit_s=float("nan"))])
+@pytest.mark.parametrize("limits", [dict(node_limit=0), dict(node_limit=-5),
+                                    dict(time_limit_s=-1.0),
+                                    dict(time_limit_s=float("nan"))])
 def test_out_of_range_limits_rejected(limits):
     with pytest.raises(ConfigurationError):
-        solve_optimal(interleave_instance(), limits)
+        solve_optimal(interleave_instance(), SolveLimits(**limits))
 
 
 def test_deep_search_does_not_recurse():
