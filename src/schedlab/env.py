@@ -188,7 +188,9 @@ class SchedulingEnv:
     This is also the environment-variant hook: the trainers take a factory
     ``instance -> env`` and only use the reset()/step() surface below, so
     alternative action semantics can be dropped in. ``run_episode`` and
-    ``evaluate`` always build this class.
+    ``evaluate`` always build this class. A variant must keep the episode
+    length: ``done`` comes on exactly the ``instance.num_tasks``-th step,
+    because the PPO rollout plans its buffer rows from it.
     """
 
     def __init__(self, instance: Instance, mode: RewardMode = RewardMode.DENSE_MAKESPAN_DELTA):
@@ -209,4 +211,6 @@ class SchedulingEnv:
         return step(self, action)
 
 
+# A fresh env per call, whose every episode ends after exactly
+# ``instance.num_tasks`` steps; PPO raises ``EpisodeLengthError`` otherwise.
 EnvFactory = Callable[[Instance], SchedulingEnv]

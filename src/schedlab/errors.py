@@ -80,6 +80,10 @@ class NoValidActionError(SchedlabError):
     """An action was requested but the mask admits none."""
 
 
+class EpisodeLengthError(SchedlabError):
+    """An environment ended an episode before or after ``instance.num_tasks`` steps."""
+
+
 class InvalidScheduleError(SchedlabError):
     """A schedule handed to a consumer (renderer, plotter CLI) fails validation."""
 

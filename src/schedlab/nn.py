@@ -10,9 +10,7 @@ check tight.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -139,7 +137,11 @@ def mlp_gradient(
 
 
 def masked_log_probs(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Log softmax over valid entries of (possibly batched) raw logits; masked entries are -inf."""
+    """Log softmax over valid entries of (possibly batched) raw logits; masked entries are -inf.
+
+    Each row of a batch is bit-equal to the call on that row alone: the max
+    and the sum run along the last axis, row by row.
+    """
     neg = np.where(masks, logits, -np.inf)
     z = neg - neg.max(axis=-1, keepdims=True)
     # exp(-inf) is exactly 0.0, so masked entries add nothing to the sum
@@ -153,11 +155,16 @@ def greedy_action(params: MlpParams, obs: np.ndarray, mask: np.ndarray) -> int:
     return int(np.argmax(np.where(mask, mlp_forward(params, obs), -np.inf)))
 
 
-def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    # adds left to right like np.cumsum on a vector, so the cut points are the same floats
-    cum = list(accumulate(probs.tolist()))
-    # bisect_right never returns a negative index, so only the top needs a cap
-    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+def sample_actions(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """One action per row of ``probs`` (k, n), row i drawn by ``draws[i]`` in [0, 1).
+
+    Row i takes the number of running sums (np.cumsum, left to right) at or
+    below ``draws[i]`` times the row total, capped at n - 1: the first index
+    whose running sum exceeds the cut point.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    cuts = draws * cum[:, -1]
+    return np.minimum((cum <= cuts[:, None]).sum(axis=-1), probs.shape[-1] - 1)
 
 
 ADAM_BETA1 = 0.9

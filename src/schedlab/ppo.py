@@ -1,10 +1,14 @@
 """Proximal policy optimization with clipping and GAE, from scratch.
 
-Rollouts are collected round-robin over the training instances. Advantages
-use GAE(discount, lambda) with value bootstrap at buffer boundaries,
-normalized once per update batch. The update is the clipped surrogate plus a
-value regression term and an entropy bonus, run for several epochs of
-shuffled minibatches. Deterministic for a fixed seed.
+Rollouts are collected round-robin over the training instances. Every
+episode lasts exactly ``instance.num_tasks`` steps and a step takes one
+uniform draw, so a buffer's rows, episodes and draws are known before it
+runs: the episodes of one buffer are stepped in lockstep, with one stacked
+policy forward per step, and train bit for bit like one episode after
+another. Advantages use GAE(discount, lambda) with value bootstrap at
+buffer boundaries, normalized once per update batch. The update is the
+clipped surrogate plus a value regression term and an entropy bonus, run
+for several epochs of shuffled minibatches. Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .env import EnvFactory, SchedulingEnv
-from .errors import TrainingDivergedError, bounded, check_fields
+from .errors import EpisodeLengthError, TrainingDivergedError, bounded, check_fields
 from .instances import Instance, check_instance_set
 from .metrics import MetricsEvent
 from .nn import (
@@ -27,7 +31,7 @@ from .nn import (
     mlp_activations,
     mlp_forward,
     mlp_gradient,
-    sample_action,
+    sample_actions,
 )
 
 
@@ -133,6 +137,20 @@ def compute_gae(
 _VALUE_ROWS = 256  # rows per stacked value pass after a rollout
 
 
+@dataclass
+class _Episode:
+    """One episode of a rollout: its env, last observation and progress."""
+
+    instance: Instance
+    env: SchedulingEnv
+    obs: np.ndarray
+    mask: np.ndarray
+    row: int  # buffer row of its next step
+    steps: int = 0
+    ret: float = 0.0
+    makespan: int | None = None  # set when it ends
+
+
 class _RolloutCollector:
     """Streams environment steps across instances, preserving episode state between buffers."""
 
@@ -141,29 +159,43 @@ class _RolloutCollector:
         self.instances = instances
         self.rng = rng
         self.instance_cursor = 0
-        self.env: SchedulingEnv | None = None
-        self.obs: np.ndarray | None = None
-        self.mask: np.ndarray | None = None
+        self.episode: _Episode | None = None  # in flight across the buffer boundary
         self.finished_returns: list[float] = []
         self.finished_makespans: list[int] = []
-        self._ep_return = 0.0
 
-    def _begin_episode(self) -> None:
-        instance = self.instances[self.instance_cursor % len(self.instances)]
-        self.instance_cursor += 1
-        self.env = self.env_factory(instance)
-        self.obs, self.mask = self.env.reset()
-        self._ep_return = 0.0
+    def _plan(self, n_steps: int) -> list[_Episode]:
+        """The episodes that fill the next n_steps rows: the one in flight, then new ones."""
+        episodes, row = [], 0
+        if self.episode is not None:
+            self.episode.row = 0
+            episodes.append(self.episode)
+            row = self.episode.instance.num_tasks - self.episode.steps
+        while row < n_steps:
+            instance = self.instances[self.instance_cursor % len(self.instances)]
+            self.instance_cursor += 1
+            env = self.env_factory(instance)
+            obs, mask = env.reset()
+            episodes.append(_Episode(instance, env, obs, mask, row))
+            row += instance.num_tasks
+        return episodes
 
     def collect(self, n_steps: int, policy: MlpParams, value: MlpParams) -> Trajectory:
         """Step the policy n_steps times; the values are computed once the buffer is full.
 
-        GAE reads the values only after the rollout, so a step runs the policy
-        alone and stores its observation. The values then come from
-        ``(256, 1, d)`` stacks of the stored rows, which are bit-equal to one
-        single-observation forward per step (see ``mlp_activations``); the
-        slices bound the pass's extra memory. The bootstrap value of an
-        episode still in flight is one single-observation forward.
+        Row r of the buffer is step r of the sequential rollout: the episode
+        in flight continues, then instances follow in cursor order, each for
+        ``instance.num_tasks`` steps; the last one may carry over. Row r
+        samples with ``draws[r]`` of one bulk draw, which equals the r-th of
+        n_steps single draws. All episodes step together: one ``(k, 1, d)``
+        policy stack per step, whose row i is bit-equal to the forward of
+        that observation alone (see ``mlp_activations``), then row-wise
+        ``masked_log_probs`` and ``sample_actions``. Finished episodes are
+        recorded in episode order.
+
+        GAE reads the values only after the rollout. They come from
+        ``(256, 1, d)`` stacks of the stored rows, bit-equal in the same
+        way; the slices bound the pass's extra memory. The bootstrap value
+        of an episode still in flight is one single-observation forward.
         """
         obs_buf = np.empty((n_steps, policy.dims()[0]), dtype=np.float64)
         mask_buf = np.empty((n_steps, policy.dims()[-1]), dtype=bool)
@@ -171,37 +203,53 @@ class _RolloutCollector:
         rew_buf = np.empty(n_steps, dtype=np.float64)
         done_buf = np.empty(n_steps, dtype=bool)
         logp_buf = np.empty(n_steps, dtype=np.float64)
-        for t in range(n_steps):
-            if self.env is None:
-                self._begin_episode()
-            obs = self.obs
-            logp_all = masked_log_probs(mlp_forward(policy, obs), self.mask)
-            action = sample_action(np.exp(logp_all), self.rng)
-            result = self.env.step(action)
+        draws = self.rng.random(n_steps)
+        episodes = self._plan(n_steps)
+        live = episodes
+        while live:
+            rows = np.array([ep.row for ep in live])
+            obs = np.stack([ep.obs for ep in live])
+            masks = np.stack([ep.mask for ep in live])
+            logp = masked_log_probs(mlp_forward(policy, obs[:, None, :])[:, 0], masks)
+            actions = sample_actions(np.exp(logp), draws[rows])
+            obs_buf[rows] = obs
+            mask_buf[rows] = masks
+            act_buf[rows] = actions
+            logp_buf[rows] = logp[np.arange(len(live)), actions]
 
-            obs_buf[t] = obs
-            mask_buf[t] = self.mask
-            act_buf[t] = action
-            rew_buf[t] = result.reward
-            done_buf[t] = result.done
-            logp_buf[t] = logp_all[action]
+            for ep, action in zip(live, actions.tolist()):
+                result = ep.env.step(action)
+                rew_buf[ep.row] = result.reward
+                done_buf[ep.row] = result.done
+                ep.ret += result.reward
+                ep.steps += 1
+                ep.row += 1
+                if result.done != (ep.steps == ep.instance.num_tasks):
+                    state = "ended" if result.done else "still running"
+                    raise EpisodeLengthError(
+                        f"instance {ep.instance.id}: episode {state} after {ep.steps} steps, "
+                        f"but instance.num_tasks is {ep.instance.num_tasks}"
+                    )
+                if result.done:
+                    ep.makespan = result.info["makespan"]
+                else:
+                    ep.obs, ep.mask = result.observation, result.mask
+            live = [ep for ep in live if ep.makespan is None and ep.row < n_steps]
 
-            self._ep_return += result.reward
-            if result.done:
-                self.finished_returns.append(self._ep_return)
-                self.finished_makespans.append(result.info["makespan"])
-                self.env = None
-            else:
-                self.obs, self.mask = result.observation, result.mask
+        for ep in episodes:
+            if ep.makespan is not None:
+                self.finished_returns.append(ep.ret)
+                self.finished_makespans.append(ep.makespan)
+        self.episode = episodes[-1] if episodes[-1].makespan is None else None
 
         val_buf = np.empty(n_steps, dtype=np.float64)
         for lo in range(0, n_steps, _VALUE_ROWS):
             rows = obs_buf[lo : lo + _VALUE_ROWS, None, :]
             val_buf[lo : lo + _VALUE_ROWS] = mlp_forward(value, rows)[:, 0, 0]
-        if self.env is None:
+        if self.episode is None:
             bootstrap = 0.0
         else:
-            bootstrap = float(mlp_forward(value, self.obs)[0])
+            bootstrap = float(mlp_forward(value, self.episode.obs)[0])
         return Trajectory(
             observations=obs_buf,
             masks=mask_buf,

@@ -1,4 +1,6 @@
 import functools
+import itertools
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -6,10 +8,8 @@ import pytest
 from schedlab import dqn, ppo
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
-from schedlab.errors import InstanceSetError
-from schedlab.nn import (
-    greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient, sample_action,
-)
+from schedlab.errors import EpisodeLengthError, InstanceSetError
+from schedlab.nn import greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient
 from schedlab.ppo import PpoConfig, Trajectory, _RolloutCollector, compute_gae, train_ppo
 from schedlab.evaluate import run_episode
 from schedlab.solver import permutation_oracle
@@ -18,6 +18,7 @@ from conftest import build_instance, jssp_config
 from schedlab.instances import generate_instance
 
 DENSE = RewardMode.DENSE_MAKESPAN_DELTA
+SPARSE = RewardMode.SPARSE_TERMINAL
 
 
 def dense_factory(inst):
@@ -150,15 +151,26 @@ def test_train_dqn_matches_list_replay_reference(monkeypatch, replay_capacity):
     ]
 
 
-class PerStepValueCollector(_RolloutCollector):
-    """Reference: the rollout that runs the value network on every step.
+def per_step_sample(probs, rng):
+    """The per-step sampler the lockstep rollout replaced: one draw, Python-float sums."""
+    cum = list(itertools.accumulate(probs.tolist()))
+    return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
+
+
+class PerStepValueCollector:
+    """Reference: the sequential rollout, one episode after another, that runs
+    the policy and the value network on every step with its own draw.
 
     Records each buffer's bootstrap value in ``bootstraps``.
     """
 
     def __init__(self, env_factory, instances, rng, bootstraps):
-        super().__init__(env_factory, instances, rng)
+        self.env_factory, self.instances, self.rng = env_factory, instances, rng
         self.bootstraps = bootstraps
+        self.instance_cursor = 0
+        self.env = self.obs = self.mask = None
+        self.finished_returns, self.finished_makespans = [], []
+        self._ep_return = 0.0
 
     def collect(self, n_steps, policy, value):
         obs_buf, mask_buf = [], []
@@ -169,10 +181,14 @@ class PerStepValueCollector(_RolloutCollector):
         logp_buf = np.empty(n_steps, dtype=np.float64)
         for t in range(n_steps):
             if self.env is None:
-                self._begin_episode()
+                instance = self.instances[self.instance_cursor % len(self.instances)]
+                self.instance_cursor += 1
+                self.env = self.env_factory(instance)
+                self.obs, self.mask = self.env.reset()
+                self._ep_return = 0.0
             obs = self.obs
             logp_all = masked_log_probs(mlp_forward(policy, obs), self.mask)
-            action = sample_action(np.exp(logp_all), self.rng)
+            action = per_step_sample(np.exp(logp_all), self.rng)
             val_buf[t] = mlp_forward(value, obs)[0]
             result = self.env.step(action)
 
@@ -200,51 +216,118 @@ class PerStepValueCollector(_RolloutCollector):
         )
 
 
+def generated(count=2, **shape):
+    return [generate_instance(jssp_config(seed=31, count=count, **shape), i) for i in range(count)]
+
+
 def nine_task_instances(tools):
     """Two 3x3 instances, so every episode takes 9 steps."""
-    cfg = jssp_config(num_jobs=3, tasks_per_job=3, num_machines=3, seed=31, count=2,
-                      with_tools=tools, num_tools=2 if tools else 0)
-    return [generate_instance(cfg, i) for i in range(2)]
+    return generated(num_jobs=3, tasks_per_job=3, num_machines=3, with_tools=tools,
+                     num_tools=2 if tools else 0)
+
+
+def mixed_length_instances():
+    """3-job instances with 2 and with 4 tasks per job: 6- and 12-step episodes."""
+    return [*generated(num_jobs=3, tasks_per_job=2, num_machines=3),
+            *generated(num_jobs=3, tasks_per_job=4, num_machines=3, count=1)]
+
+
+def collectors_of(monkeypatch, make):
+    """Patch ``ppo._RolloutCollector`` with ``make`` and return the collectors built."""
+    built = []
+
+    def record(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    monkeypatch.setattr(ppo, "_RolloutCollector", record)
+    return built
 
 
 @pytest.mark.parametrize(
-    "tools, mode, steps_per_update",
+    "instances, mode, steps_per_update, updates",
     [
-        (False, RewardMode.DENSE_MAKESPAN_DELTA, 37),
-        (False, RewardMode.DENSE_MAKESPAN_DELTA, 300),
-        (True, RewardMode.SPARSE_TERMINAL, 37),
-        (True, RewardMode.SPARSE_TERMINAL, 300),
-        (False, RewardMode.DENSE_MAKESPAN_DELTA, 270),  # 30 whole episodes per buffer
+        pytest.param(False, DENSE, 37, 2, id="False-dense-37"),
+        pytest.param(False, DENSE, 300, 2, id="False-dense-300"),
+        pytest.param(True, SPARSE, 37, 2, id="True-sparse-37"),
+        pytest.param(True, SPARSE, 300, 2, id="True-sparse-300"),
+        pytest.param(False, DENSE, 270, 2, id="False-dense-270"),  # 30 whole episodes
+        pytest.param(False, DENSE, 5, 6, id="False-dense-5"),  # shorter than an episode
+        pytest.param("mixed", DENSE, 41, 4, id="mixed-dense-41"),
+        pytest.param("mixed", SPARSE, 290, 2, id="mixed-sparse-290"),
+        pytest.param("one-task", DENSE, 37, 3, id="one-task-dense-37"),  # 37 episodes
+        pytest.param("6x6", DENSE, 2048, 2, id="6x6-dense-2048"),  # the default_6x6 shape
     ],
 )
-def test_train_ppo_matches_per_step_value_reference(monkeypatch, tools, mode, steps_per_update):
-    """The stacked value pass trains bitwise like a value forward on every step.
+def test_train_ppo_matches_per_step_value_reference(monkeypatch, instances, mode,
+                                                    steps_per_update, updates):
+    """The lockstep rollout and the stacked value pass train bitwise like the
+    sequential rollout with a value forward on every step.
 
-    37 and 300 end each buffer mid-episode, so the bootstrap value counts;
-    300 leaves a partial 44-row slice after one 256-row slice; 270 ends
-    every buffer on an episode boundary, where the bootstrap is 0.
+    ``False``/``True`` are two 3x3 instances without/with tools (9-step
+    episodes), ``mixed`` has 6- and 12-step episodes, ``one-task`` 1-step
+    ones. Most buffers end mid-episode, so an episode carries over and the
+    bootstrap value counts; with 5 rows a 9-step episode spans two or three
+    buffers. 300 leaves a partial 44-row value slice after one 256-row
+    slice; 270 ends every buffer on an episode boundary, where the
+    bootstrap is 0.
     """
-    instances = nine_task_instances(tools)
+    instances = {
+        False: lambda: nine_task_instances(False),
+        True: lambda: nine_task_instances(True),
+        "mixed": mixed_length_instances,
+        "one-task": lambda: generated(count=3, num_jobs=1, tasks_per_job=1, num_machines=1),
+        "6x6": lambda: generated(count=4),
+    }[instances]()
     factory = lambda inst: SchedulingEnv(inst, mode)
-    config = PpoConfig(total_steps=2 * steps_per_update, steps_per_update=steps_per_update,
+    config = PpoConfig(total_steps=updates * steps_per_update, steps_per_update=steps_per_update,
                        epochs=2, minibatch_size=64, discount=0.99, seed=3)
+    collectors = collectors_of(monkeypatch, _RolloutCollector)
     policy, value, events = train_ppo(factory, instances, config)
     bootstraps = []
-    monkeypatch.setattr(ppo, "_RolloutCollector",
-                        functools.partial(PerStepValueCollector, bootstraps=bootstraps))
+    ref_collectors = collectors_of(
+        monkeypatch, functools.partial(PerStepValueCollector, bootstraps=bootstraps))
     ref_policy, ref_value, ref_events = train_ppo(factory, instances, config)
 
-    assert len(bootstraps) == 2
-    if steps_per_update % 9 == 0:
-        assert bootstraps == [0.0, 0.0]
-    else:
-        assert 0.0 not in bootstraps
+    lengths = itertools.cycle([inst.num_tasks for inst in instances])
+    episode_ends = set(itertools.accumulate(next(lengths) for _ in range(config.total_steps)))
+    buffer_ends = [(u + 1) * steps_per_update for u in range(updates)]
+    assert [b == 0.0 for b in bootstraps] == [end in episode_ends for end in buffer_ends]
     for net, ref in ((policy, ref_policy), (value, ref_value)):
         for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
             assert a.tobytes() == b.tobytes()
     assert [(e.step, e.episode, e.scalars) for e in events] == [
         (e.step, e.episode, e.scalars) for e in ref_events
     ]
+    (got,), (ref,) = collectors, ref_collectors
+    assert len(ref.finished_returns) > 0
+    assert np.array(got.finished_returns).tobytes() == np.array(ref.finished_returns).tobytes()
+    assert got.finished_makespans == ref.finished_makespans
+
+
+class ShortEpisodeEnv(SchedulingEnv):
+    """Breaks the factory contract: reports ``done`` one step early or one step late."""
+
+    def __init__(self, instance, shift):
+        super().__init__(instance, DENSE)
+        self.shift, self.steps = shift, 0
+
+    def step(self, action):
+        result = super().step(action)
+        self.steps += 1
+        result.done = self.steps == self.instance.num_tasks + self.shift
+        return result
+
+
+@pytest.mark.parametrize("shift, state", [(-1, "ended after 8"), (1, "still running after 9")])
+def test_rollout_rejects_episode_of_wrong_length(shift, state):
+    instances = nine_task_instances(False)
+    config = PpoConfig(total_steps=64, steps_per_update=32, epochs=1, minibatch_size=16, seed=2)
+    with pytest.raises(EpisodeLengthError) as err:
+        train_ppo(lambda inst: ShortEpisodeEnv(inst, shift), instances, config)
+    assert str(err.value) == (
+        f"instance {instances[0].id}: episode {state} steps, but instance.num_tasks is 9"
+    )
 
 
 def test_ppo_single_action_mdp(single_task_instance):

@@ -1,4 +1,6 @@
 import json
+from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from schedlab.nn import (
     mlp_activations,
     mlp_forward,
     mlp_gradient,
-    sample_action,
+    sample_actions,
     save_model,
 )
 
@@ -47,7 +49,7 @@ def test_dimension_mismatch_raises():
 
 
 @pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1], [13, 64, 64, 1], [9, 7, 5, 1]])
-@pytest.mark.parametrize("k", [1, 255, 256, 257, 2049])
+@pytest.mark.parametrize("k", [1, 2, 57, 255, 256, 257, 2049])
 def test_stacked_forward_rows_equal_single_forwards_bitwise(dims, k):
     """A (k, 1, d) stack runs one gemv per row, the product a single vector takes."""
     rng = rng_(k + dims[0])
@@ -149,9 +151,8 @@ def test_sampling_never_violates_mask():
     params = init_mlp([4, 8, 6], rng)
     obs = rng.standard_normal(4)
     mask = np.array([True, False, True, True, False, False])
-    probs = policy_probs(params, obs, mask)
-    draws = {sample_action(probs, rng) for _ in range(10_000)}
-    assert draws <= {0, 2, 3}
+    probs = np.tile(policy_probs(params, obs, mask), (10_000, 1))
+    assert set(sample_actions(probs, rng.random(10_000)).tolist()) == {0, 2, 3}
 
 
 def test_masked_log_probs_batch():
@@ -221,38 +222,66 @@ def test_adam_matches_per_array_reference_bitwise(dims):
         assert a.tobytes() == b.tobytes()
 
 
-class FixedRng:
-    """Stands in for a Generator whose next ``random()`` is known."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self):
-        return self.value
+def reference_sample_action(probs, u):
+    """The per-row sampler: Python-float running sums and bisect_right."""
+    cum = list(accumulate(probs.tolist()))
+    return min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
 
 
-def reference_sample_action(probs, rng):
+def searchsorted_sample_action(probs, u):
     cum = np.cumsum(probs)
-    return min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")), len(probs) - 1)
+    return min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(probs) - 1)
 
 
 def test_sample_action_matches_cumsum_searchsorted():
+    """``sample_actions`` row i equals the per-row samplers given draw i."""
     gen = rng_(60)
-    rng_a, rng_b = rng_(61), rng_(61)
-    for trial in range(10_000):
-        n = int(gen.integers(1, 13))
-        mask = gen.random(n) < 0.6
-        mask[gen.integers(n)] = True
-        if trial % 2:  # policy probabilities, exactly 0.0 where masked
-            probs = np.exp(masked_log_probs(3.0 * gen.standard_normal(n), mask))
-        else:  # unnormalized weights with zeros
-            probs = np.where(mask, gen.random(n), 0.0)
-        assert sample_action(probs, rng_a) == reference_sample_action(probs, rng_b)
-    assert rng_a.random() == rng_b.random()  # both consumed the same draws
+    for n in range(1, 13):
+        probs = np.empty((1_000, n))
+        for i, row in enumerate(probs):
+            mask = gen.random(n) < 0.6
+            mask[gen.integers(n)] = True
+            if i % 2:  # policy probabilities, exactly 0.0 where masked
+                row[:] = np.exp(masked_log_probs(3.0 * gen.standard_normal(n), mask))
+            else:  # unnormalized weights with zeros
+                row[:] = np.where(mask, gen.random(n), 0.0)
+        draws = gen.random(len(probs))
+        got = sample_actions(probs, draws).tolist()
+        assert got == [reference_sample_action(p, u) for p, u in zip(probs, draws)]
+        assert got == [searchsorted_sample_action(p, u) for p, u in zip(probs, draws)]
     # draws that land exactly on a cut point, where zero-probability entries tie
-    probs = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
-    for u in (0.0, 0.5, 1.0 - 2.0**-53):
-        assert sample_action(probs, FixedRng(u)) == reference_sample_action(probs, FixedRng(u))
+    draws = np.array([0.0, 0.5, 1.0 - 2.0**-53])
+    probs = np.tile([0.0, 0.5, 0.0, 0.5, 0.0], (3, 1))
+    assert sample_actions(probs, draws).tolist() == [
+        reference_sample_action(p, u) for p, u in zip(probs, draws)
+    ] == [1, 3, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 9, 20, 50])
+def test_stacked_masked_log_probs_rows_equal_single_calls_bitwise(n):
+    """Rows of a (k, n) call equal per-row calls, also past numpy's 8-wide
+    pairwise-sum blocks; the lockstep PPO rollout relies on it."""
+    rng = rng_(80 + n)
+    logits = 10.0 ** rng.uniform(-2, 2, (64, 1)) * rng.standard_normal((64, n))
+    masks = rng.random((64, n)) < 0.7
+    masks[:, 0] = True
+    got = masked_log_probs(logits, masks)
+    for row, lg, m in zip(got, logits, masks):
+        assert row.tobytes() == masked_log_probs(lg, m).tobytes()
+    assert np.exp(got).tobytes() == np.stack([np.exp(r) for r in got]).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 57, 2048, 2049])
+def test_philox_bulk_draws_equal_single_draws(k):
+    """``random(k)`` gives the doubles of k ``random()`` calls and leaves the
+    same state; the PPO rollout takes a buffer's draws in one call."""
+    bulk, single = rng_(90), rng_(90)
+    draws = bulk.random(k)
+    assert draws.tobytes() == np.array([single.random() for _ in range(k)]).tobytes()
+    state = lambda g: json.dumps(g.bit_generator.state, default=np.ndarray.tolist)
+    assert state(bulk) == state(single)
+    assert bulk.random() == single.random()
+    assert bulk.permutation(10).tolist() == single.permutation(10).tolist()
 
 
 def reference_masked_log_probs(logits, masks):
