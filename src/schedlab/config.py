@@ -37,7 +37,7 @@ class SplitConfig:
 @dataclass(frozen=True)
 class EvalSettings:
     methods: tuple[str, ...] = ("model", "spt", "lpt", "mtr", "random", "solver")
-    seeds: tuple[int, ...] = bounded((0,), 0)
+    seeds: tuple[int, ...] = bounded((0,), 0, 2**64 - 1)
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -121,8 +121,7 @@ def train_dqn(
             else:
                 action = greedy_action(q_params, obs, mask)
             result = env.step(action)
-            buffer.push((obs, mask, action, result.reward, result.observation, result.mask,
-                         result.done))
+            buffer.push((obs, action, result.reward, result.observation, result.mask, result.done))
             ep_return += result.reward
             obs, mask = result.observation, result.mask
             done = result.done
@@ -153,7 +152,7 @@ def train_dqn(
 
 
 def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, step_count):
-    obs, _, actions, rewards, next_obs, next_masks, dones = buffer.sample(config.batch_size, rng)
+    obs, actions, rewards, next_obs, next_masks, dones = buffer.sample(config.batch_size, rng)
     rows = np.arange(config.batch_size)
 
     next_q = mlp_forward(target_params, next_obs)

@@ -16,7 +16,7 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,12 +38,11 @@ CSV_HEADER = ["method", "instance_id", "seed", "makespan", "return", "gap", "wal
 class EvalRecord:
     method: str
     instance_id: str
-    makespan: float  # integer for single runs, a seed-mean for aggregates
+    makespan: int
     episode_return: float
     gap: float | None
     wall_time_ms: float = 0.0
     seed: int | None = None
-    per_seed: tuple["EvalRecord", ...] = ()
 
 
 @dataclass(frozen=True)
@@ -111,7 +110,7 @@ def _episode_rng(instance: Instance, seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) ^ int(instance.id[:16], 16)))
 
 
-def _gap(makespan: float, instance: Instance) -> float | None:
+def _gap(makespan: int, instance: Instance) -> float | None:
     if instance.optimal_makespan is None or instance.proof_status != PROOF_OPTIMAL:
         return None
     return (makespan - instance.optimal_makespan) / instance.optimal_makespan
@@ -125,10 +124,12 @@ def evaluate(
     model_params: MlpParams | None = None,
     timer: Callable[[], float] | None = None,
 ) -> list[EvalRecord]:
-    """One aggregate record per (method, instance).
+    """One record per run, in method -> instance -> seed order.
 
-    Stochastic methods (random) run once per seed and report the per-seed
-    records alongside their mean; deterministic methods run once.
+    The random method runs once per seed and gives one record per seed; every
+    other method is deterministic and gives one record per instance, with
+    ``seed=None``. Seeds must lie in [0, 2**64): each keys a Philox stream
+    together with the instance id.
     """
     check_instance_set(instances, one_job_count=False)
     for name in methods:
@@ -140,61 +141,40 @@ def evaluate(
         raise ValueError("seeds must be non-empty")
     if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):
         raise ValueError(f"methods and seeds must not repeat, got {list(methods)} and {list(seeds)}")
+    for seed in seeds:
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
     clock = timer if timer is not None else (lambda: 0.0)
 
-    def run(name: str, instance: Instance, seed: int | None) -> tuple[int, float]:
-        """(makespan, return) of one run of a method on an instance."""
+    def score(name: str, instance: Instance, seed: int | None) -> EvalRecord:
+        t0 = clock()
         if name == "solver":
             result = solve_optimal(instance)
             violations = validate_schedule(result.schedule)
             if violations:
                 raise InternalError(f"solver produced an invalid schedule: {violations[0]}")
-            return result.makespan, -result.makespan / instance.total_processing_time
-        if name == "model":
-            policy: Policy = lambda obs, mask: greedy_action(model_params, obs, mask)
-        elif name == "random":
-            policy = rule_policy(DispatchRule.RANDOM, _episode_rng(instance, seed))
+            ms, ret = result.makespan, -result.makespan / instance.total_processing_time
         else:
-            policy = rule_policy(DispatchRule(name))
-        ms, ret, _ = run_episode(policy, instance, mode)
-        return ms, ret
-
-    def score(name: str, instance: Instance, seed: int | None = None) -> EvalRecord:
-        t0 = clock()
-        ms, ret = run(name, instance, seed)
+            if name == "model":
+                policy: Policy = lambda obs, mask: greedy_action(model_params, obs, mask)
+            elif name == "random":
+                policy = rule_policy(DispatchRule.RANDOM, _episode_rng(instance, seed))
+            else:
+                policy = rule_policy(DispatchRule(name))
+            ms, ret, _ = run_episode(policy, instance, mode)
         elapsed = (clock() - t0) * 1000.0
         return EvalRecord(
             method=name, instance_id=instance.id, makespan=ms, episode_return=ret,
             gap=_gap(ms, instance), wall_time_ms=elapsed, seed=seed,
         )
 
-    records: list[EvalRecord] = []
-    for name in methods:
-        for instance in instances:
-            if name != "random":
-                records.append(score(name, instance))
-                continue
-            subs = tuple(score(name, instance, seed) for seed in seeds)
-            mean_ms = sum(r.makespan for r in subs) / len(subs)
-            records.append(
-                EvalRecord(
-                    method=name,
-                    instance_id=instance.id,
-                    makespan=mean_ms,
-                    episode_return=sum(r.episode_return for r in subs) / len(subs),
-                    gap=_gap(mean_ms, instance),
-                    wall_time_ms=sum(r.wall_time_ms for r in subs) / len(subs),
-                    per_seed=subs,
-                )
-            )
-    return records
-
-
-def _runs(records: Sequence[EvalRecord]) -> Iterator[EvalRecord]:
-    """The per-seed sub-records of each aggregate record, or the record itself."""
-    for rec in records:
-        yield from rec.per_seed or (rec,)
+    return [
+        score(name, instance, seed)
+        for name in methods
+        for instance in instances
+        for seed in (seeds if name == "random" else (None,))
+    ]
 
 
 def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
@@ -208,18 +188,17 @@ def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
         by_method.setdefault(rec.method, []).append(rec)
     rows = []
     for method, group in sorted(by_method.items()):
-        flat = list(_runs(group))
-        gaps = [r.gap for r in flat if r.gap is not None]
+        gaps = [r.gap for r in group if r.gap is not None]
         rows.append(
             MethodSummary(
                 method=method,
-                count=len(group),
-                mean_makespan=sum(r.makespan for r in flat) / len(flat),
-                min_makespan=min(r.makespan for r in flat),
-                max_makespan=max(r.makespan for r in flat),
-                mean_return=sum(r.episode_return for r in flat) / len(flat),
+                count=len({r.instance_id for r in group}),
+                mean_makespan=sum(r.makespan for r in group) / len(group),
+                min_makespan=min(r.makespan for r in group),
+                max_makespan=max(r.makespan for r in group),
+                mean_return=sum(r.episode_return for r in group) / len(group),
                 mean_gap=sum(gaps) / len(gaps) if gaps else None,
-                mean_wall_time_ms=sum(r.wall_time_ms for r in flat) / len(flat),
+                mean_wall_time_ms=sum(r.wall_time_ms for r in group) / len(group),
             )
         )
     rows.sort(key=lambda r: (r.mean_makespan, r.method))
@@ -227,15 +206,14 @@ def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
 
 
 def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
-    """CSV with the documented column order; per-seed sub-records become rows."""
+    """CSV with the documented column order, one row per record, as given."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-
-    def row_of(rec: EvalRecord) -> list[str]:
-        return [
+    writer.writerows(
+        [
             rec.method,
             rec.instance_id,
             "" if rec.seed is None else str(rec.seed),
@@ -244,7 +222,6 @@ def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
             "" if rec.gap is None else repr(rec.gap),
             repr(rec.wall_time_ms),
         ]
-
-    for rec in _runs(records):
-        writer.writerow(row_of(rec))
+        for rec in records
+    )
     path.write_text(buf.getvalue(), encoding="utf-8")

@@ -192,7 +192,7 @@ OUT_OF_RANGE = {
         "count": [0], "seed": [-1, 2**64],
     },
     SplitConfig: {"train_count": [0], "test_count": [0]},
-    EvalSettings: {"seeds": [(0, -1)]},
+    EvalSettings: {"seeds": [(0, -1), (0, 2**64)]},
     SolveLimits: {"node_limit": [0], "time_limit_s": [-1.0, NAN]},
 }
 VALID = {PpoConfig: PpoConfig(), DqnConfig: DqnConfig(), GeneratorConfig: jssp_config(),
@@ -218,6 +218,7 @@ def test_range_boundaries_accepted():
     assert PpoConfig(epochs=0, discount=1).epochs == 0
     assert DqnConfig(eps_start=0.3, eps_end=0.3, eps_decay_steps=None).eps_end == 0.3
     assert jssp_config(seed=2**64 - 1).seed == 2**64 - 1
+    assert EvalSettings(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
     assert SolveLimits(time_limit_s=0).time_limit_s == 0
 
 
@@ -473,9 +474,10 @@ def test_cli_solve_reports_zero_job_file(tmp_path, capsys):
     ("eval.seeds", "test", {"eval": {"methods": ["spt", "random"], "seeds": [0, -1]}}),
     ("ppo.seed", "train", {"algo": "ppo", "ppo": {"total_steps": 32, "seed": -1}}),
     ("dqn.seed", "train", {"dqn": {"total_steps": 32, "seed": -1}}),
+    ("eval.seeds", "test", {"eval": {"methods": ["spt", "random"], "seeds": [0, 2**64]}}),
 ])
 def test_cli_negative_seed_exit_2(tmp_path, capsys, field, command, overrides):
-    # instances exist, so without the check the seed reaches Philox and raises
+    # instances exist, so without the check the out-of-range seed reaches Philox and raises
     assert main(["generate", "--config", str(tiny_config(tmp_path))]) == 0
     cfg_path = tiny_config(tmp_path, **overrides)
     assert main([command, "--config", str(cfg_path)]) == 2

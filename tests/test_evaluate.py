@@ -72,14 +72,13 @@ def annotated_set(count=10, seed=100):
 def test_evaluate_counts_and_gap_sign():
     instances = annotated_set(10)
     records = evaluate(["spt", "random"], instances, DENSE, seeds=range(4))
-    assert len(records) == 20
-    for rec in records:
-        assert rec.gap is not None and rec.gap >= 0
-        if rec.method == "random":
-            assert len(rec.per_seed) == 4
-            assert {s.seed for s in rec.per_seed} == set(range(4))
-        else:
-            assert rec.per_seed == ()
+    spt = [r for r in records if r.method == "spt"]
+    rnd = [r for r in records if r.method == "random"]
+    assert len(spt) == 10 and all(r.seed is None for r in spt)
+    assert len(rnd) == 40
+    for inst in instances:
+        assert {r.seed for r in rnd if r.instance_id == inst.id} == set(range(4))
+    assert all(r.gap is not None and r.gap >= 0 for r in records)
 
 
 def test_evaluate_unannotated_has_no_gap():
@@ -160,8 +159,10 @@ def test_csv_header_and_reproducibility(tmp_path):
     assert a == b
     first_line = a.decode().splitlines()[0]
     assert first_line == ",".join(CSV_HEADER)
-    # random rows expanded per seed: 4 inst * (1 spt + 2 random-seeds) + header
+    # one row per run: 4 inst * (1 spt + 2 random seeds) + header
     assert len(a.decode().splitlines()) == 1 + 4 + 8
+    # n counts instances, not runs
+    assert {r.method: r.count for r in summarize(records).rows}["random"] == 4
 
 
 def test_metrics_roundtrip(tmp_path):
@@ -210,3 +211,14 @@ def test_evaluate_rejects_repeated_methods_and_seeds(methods, seeds):
     inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
     with pytest.raises(ValueError, match="repeat"):
         evaluate(methods, [inst], DENSE, seeds=seeds)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_evaluate_rejects_seed_outside_philox_key_range_before_any_run(seed):
+    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
+    runs = []  # the timer is read at the start of every run
+    with pytest.raises(ValueError, match=f"seed {seed} "):
+        evaluate(["spt", "random"], [inst], DENSE, seeds=[0, seed],
+                 timer=lambda: runs.append(1) or 0.0)
+    assert runs == []
+    assert len(evaluate(["random"], [inst], DENSE, seeds=[2**64 - 1])) == 1
