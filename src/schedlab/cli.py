@@ -27,8 +27,8 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _split_paths(config: ExperimentConfig, out_dir: str | None) -> tuple[Path, Path]:
-    base = Path(out_dir) if out_dir is not None else Path(config.paths.instances_dir)
+def _split_paths(config: ExperimentConfig) -> tuple[Path, Path]:
+    base = Path(config.paths.instances_dir)
     return base / "train.jsonl", base / "test.jsonl"
 
 
@@ -37,7 +37,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     batch = generate_batch(config.problem)
     train = batch[: config.split.train_count]
     test = batch[config.split.train_count :]
-    train_path, test_path = _split_paths(config, args.out)
+    train_path, test_path = _split_paths(config)
     write_instances(train, train_path)
     write_instances(test, test_path)
     print(f"wrote {len(train)} train instances to {train_path}")
@@ -88,7 +88,7 @@ def _model_path(config: ExperimentConfig) -> Path:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
-    train_path, _ = _split_paths(config, None)
+    train_path, _ = _split_paths(config)
     if not train_path.exists():
         print(f"error: {train_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -115,7 +115,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
-    _, test_path = _split_paths(config, None)
+    _, test_path = _split_paths(config)
     if not test_path.exists():
         print(f"error: {test_path} not found; run `schedlab generate` first", file=sys.stderr)
         return EXIT_RUNTIME
@@ -177,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate train/test instance files from a config")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="output directory (default: paths.instances_dir)")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="annotate instance files with optimal makespans")

@@ -20,7 +20,7 @@ from pathlib import Path
 from .dqn import DqnConfig
 from .env import RewardMode
 from .errors import ConfigurationError, bounded, check_fields
-from .evaluate import VALID_METHODS
+from .evaluate import EvalSettings
 from .instances import GeneratorConfig
 from .ppo import PpoConfig
 
@@ -32,26 +32,6 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-
-
-@dataclass(frozen=True)
-class EvalSettings:
-    methods: tuple[str, ...] = ("model", "spt", "lpt", "mtr", "random", "solver")
-    seeds: tuple[int, ...] = bounded((0,), 0, 2**64 - 1)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        for name in self.methods:
-            if name not in VALID_METHODS:
-                raise ConfigurationError(
-                    f"methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
-                )
-        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
-            repeated = sorted({v for v in values if values.count(v) > 1})
-            if repeated:
-                raise ConfigurationError(f"{name}: repeated entries {repeated}")
-        if not self.seeds:
-            raise ConfigurationError("seeds: must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -149,10 +129,13 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
     algo = data["algo"]
     if algo not in ("ppo", "dqn"):
         raise ConfigurationError(f"algo: expected 'ppo' or 'dqn', got {algo!r}")
+    # both algo sections are checked, the untrained one too; a missing one takes the defaults
+    algo_configs = {name: _build(cls, data.get(name, {}), name)
+                    for name, cls in (("ppo", PpoConfig), ("dqn", DqnConfig))}
     return ExperimentConfig(
         problem=problem,
         split=split,
-        algo_config=_build(PpoConfig if algo == "ppo" else DqnConfig, data.get(algo, {}), algo),
+        algo_config=algo_configs[algo],
         reward_mode=_value(RewardMode, data["reward_mode"], "reward_mode"),
         eval=_build(EvalSettings, data["eval"], "eval"),
         paths=_build(PathsConfig, data.get("paths", {}), "paths"),

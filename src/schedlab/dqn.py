@@ -33,7 +33,7 @@ class DqnConfig:
     eps_end: float = bounded(0.05, 0, 1)
     eps_decay_steps: int | None = bounded(None, 1)  # defaults to total_steps // 2
     hidden: tuple[int, ...] = bounded((64, 64), 1)
-    seed: int = bounded(0, 0)
+    seed: int = bounded(0, 0, 2**128 - 1)  # the Philox key range
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -104,17 +104,5 @@ class ModelFormatError(SchedlabError):
     """A model file is truncated or structurally invalid."""
 
 
-class UnknownMethodError(SchedlabError):
-    """An evaluation method name is not registered.
-
-    Attributes:
-        valid_names: the accepted method identifiers.
-    """
-
-    def __init__(self, name: str, valid_names):
-        self.valid_names = sorted(valid_names)
-        super().__init__(f"unknown method {name!r}; valid methods: {', '.join(self.valid_names)}")
-
-
 class TrainingDivergedError(SchedlabError):
     """Training produced a non-finite loss; carries diagnostics in the message."""

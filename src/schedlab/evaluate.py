@@ -22,16 +22,37 @@ import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
 from .env import RewardMode, SchedulingEnv
-from .errors import InternalError, InvalidActionError, UnknownMethodError
+from .errors import ConfigurationError, InternalError, InvalidActionError, bounded, check_fields
 from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
 from .schedule import Schedule, validate_schedule
 from .solver import solve_optimal
 
-RULE_METHODS = ("spt", "lpt", "mtr", "random")
-VALID_METHODS = RULE_METHODS + ("model", "solver")
+VALID_METHODS = tuple(rule.value for rule in DispatchRule) + ("model", "solver")
 
 CSV_HEADER = ["method", "instance_id", "seed", "makespan", "return", "gap", "wall_time_ms"]
+
+
+@dataclass(frozen=True)
+class EvalSettings:
+    """The methods and seeds of an evaluation; ``evaluate`` builds one to check its arguments."""
+
+    methods: tuple[str, ...] = ("model", "spt", "lpt", "mtr", "random", "solver")
+    seeds: tuple[int, ...] = bounded((0,), 0, 2**64 - 1)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for name in self.methods:
+            if name not in VALID_METHODS:
+                raise ConfigurationError(
+                    f"methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
+                )
+        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            repeated = sorted({v for v in values if values.count(v) > 1})
+            if repeated:
+                raise ConfigurationError(f"{name}: repeated entries {repeated}")
+        if not self.seeds:
+            raise ConfigurationError("seeds: must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -128,22 +149,17 @@ def evaluate(
 
     The random method runs once per seed and gives one record per seed; every
     other method is deterministic and gives one record per instance, with
-    ``seed=None``. Seeds must lie in [0, 2**64): each keys a Philox stream
-    together with the instance id.
+    ``seed=None``. Each seed keys a Philox stream together with the instance
+    id. Before any run, methods and seeds are checked by building
+    ``EvalSettings``, so a bad entry raises the ``ConfigurationError`` a
+    config file with it gets: an unknown or repeated method, a repeated seed,
+    no seeds, or a seed outside [0, 2**64).
     """
     check_instance_set(instances, one_job_count=False)
-    for name in methods:
-        if name not in VALID_METHODS:
-            raise UnknownMethodError(name, VALID_METHODS)
+    settings = EvalSettings(tuple(methods), tuple(seeds))  # an iterator is read once
+    methods, seeds = settings.methods, settings.seeds
     if "model" in methods and model_params is None:
         raise ValueError("method 'model' requires model_params")
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    if len(set(methods)) < len(methods) or len(set(seeds)) < len(seeds):
-        raise ValueError(f"methods and seeds must not repeat, got {list(methods)} and {list(seeds)}")
-    for seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed {seed} is outside [0, 2**64)")
 
     clock = timer if timer is not None else (lambda: 0.0)
 

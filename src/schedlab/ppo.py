@@ -89,7 +89,7 @@ class PpoConfig:
     entropy_coef: float = 0.01
     learning_rate: float = bounded(3e-4, 0, above=True)
     hidden: tuple[int, ...] = bounded((64, 64), 1)
-    seed: int = bounded(0, 0)
+    seed: int = bounded(0, 0, 2**128 - 1)  # the Philox key range
 
     def __post_init__(self) -> None:
         check_fields(self)

@@ -62,9 +62,6 @@ class Timeline:
         self._starts: list[int] = []
         self._ends: list[int] = []
 
-    def __len__(self) -> int:
-        return len(self._starts)
-
     def intervals(self) -> list[tuple[int, int]]:
         return list(zip(self._starts, self._ends))
 
@@ -179,8 +176,9 @@ class Schedule:
         """Place a task at a feasible start, updating all bookkeeping.
 
         Accepts any feasible start (interval idle on machine and tool, start at
-        or after the job's ready time), so the solver can explore non-greedy
-        placements; the environment always passes the earliest feasible start.
+        or after the job's ready time). The environment and the permutation
+        oracle pass the earliest one; the solver's replay passes the starts
+        its own search found.
         """
         self._check_next_op(task)
         if machine not in task.eligible_machines:
@@ -225,7 +223,7 @@ class Schedule:
         return placement
 
     def remove_last_placement(self, job_id: int) -> Placement:
-        """Undo the most recent placement of a job (solver backtracking).
+        """Undo the most recent placement of a job (permutation-oracle backtracking).
 
         Only the last placed op of a job may be removed, keeping the
         within-job prefix property intact.

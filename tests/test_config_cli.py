@@ -179,13 +179,13 @@ OUT_OF_RANGE = {
     PpoConfig: {
         "total_steps": [0], "steps_per_update": [0], "epochs": [-1], "minibatch_size": [0],
         "clip_ratio": [0.0, 1.0, NAN], "discount": [0.0, 1.5, NAN], "gae_lambda": [0.0, 1.5, NAN],
-        "learning_rate": [0.0, NAN], "hidden": [(64, 0)], "seed": [-1],
+        "learning_rate": [0.0, NAN], "hidden": [(64, 0)], "seed": [-1, 2**128],
     },
     DqnConfig: {
         "total_steps": [0], "replay_capacity": [0], "batch_size": [0],
         "learning_rate": [0.0, NAN], "discount": [0.0, 1.5, NAN], "target_sync_interval": [0],
         "eps_start": [-0.1, 1.5, NAN], "eps_end": [-0.1, 1.5, NAN], "eps_decay_steps": [0],
-        "hidden": [(0, 64)], "seed": [-1],
+        "hidden": [(0, 64)], "seed": [-1, 2**128],
     },
     GeneratorConfig: {
         "num_jobs": [0], "tasks_per_job": [0], "num_machines": [0], "runtime_lo": [0],
@@ -217,9 +217,19 @@ def test_out_of_range_field_rejected_at_construction(cls, field, value):
 def test_range_boundaries_accepted():
     assert PpoConfig(epochs=0, discount=1).epochs == 0
     assert DqnConfig(eps_start=0.3, eps_end=0.3, eps_decay_steps=None).eps_end == 0.3
+    assert PpoConfig(seed=2**128 - 1).seed == DqnConfig(seed=2**128 - 1).seed == 2**128 - 1
     assert jssp_config(seed=2**64 - 1).seed == 2**64 - 1
     assert EvalSettings(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
     assert SolveLimits(time_limit_s=0).time_limit_s == 0
+
+
+@pytest.mark.parametrize("algo, other", [("ppo", "dqn"), ("dqn", "ppo")])
+def test_section_of_the_other_algo_checked(tmp_path, capsys, algo, other):
+    # a section that is not trained is still a section of the file: a typo in it exits 2
+    cfg_path = tiny_config(tmp_path, algo=algo, **{other: {"bogus": 1, "learning_rate": -5}})
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    assert f"{other}.bogus: unknown field" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
 
 
 def test_unknown_root_key_rejected(tmp_path):
@@ -475,6 +485,8 @@ def test_cli_solve_reports_zero_job_file(tmp_path, capsys):
     ("ppo.seed", "train", {"algo": "ppo", "ppo": {"total_steps": 32, "seed": -1}}),
     ("dqn.seed", "train", {"dqn": {"total_steps": 32, "seed": -1}}),
     ("eval.seeds", "test", {"eval": {"methods": ["spt", "random"], "seeds": [0, 2**64]}}),
+    ("ppo.seed", "train", {"algo": "ppo", "ppo": {"total_steps": 32, "seed": 2**128}}),
+    ("dqn.seed", "train", {"dqn": {"total_steps": 32, "seed": 2**128}}),
 ])
 def test_cli_negative_seed_exit_2(tmp_path, capsys, field, command, overrides):
     # instances exist, so without the check the out-of-range seed reaches Philox and raises

@@ -5,10 +5,11 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
-from schedlab.errors import InvalidActionError, UnknownMethodError
+from schedlab.errors import ConfigurationError, InvalidActionError
 from schedlab.evaluate import (
     CSV_HEADER,
     EvalRecord,
+    EvalSettings,
     evaluate,
     run_episode,
     summarize,
@@ -81,6 +82,14 @@ def test_evaluate_counts_and_gap_sign():
     assert all(r.gap is not None and r.gap >= 0 for r in records)
 
 
+def test_evaluate_runs_iterators_it_checked():
+    # the settings are checked on tuples; the run must not see the consumed iterators
+    instances = annotated_set(2, seed=500)
+    expected = evaluate(["spt", "random"], instances, DENSE, seeds=[0, 1])
+    assert evaluate(iter(["spt", "random"]), instances, DENSE, seeds=iter([0, 1])) == expected
+    assert len(expected) == 6
+
+
 def test_evaluate_unannotated_has_no_gap():
     cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, count=3, seed=31)
     instances = [generate_instance(cfg, i) for i in range(3)]
@@ -107,9 +116,10 @@ def test_evaluate_model_method():
 
 def test_evaluate_unknown_method_lists_valid_names():
     instances = annotated_set(2, seed=400)
-    with pytest.raises(UnknownMethodError) as exc:
+    with pytest.raises(ConfigurationError) as exc:
         evaluate(["sptt"], instances, DENSE)
-    assert "spt" in str(exc.value) and "solver" in str(exc.value)
+    assert str(exc.value) == ("methods: unknown method 'sptt'; "
+                              "valid: spt, lpt, mtr, random, model, solver")
 
 
 def test_summarize_single_record():
@@ -209,15 +219,35 @@ def test_concurrent_metrics_files_do_not_interleave(tmp_path):
 ])
 def test_evaluate_rejects_repeated_methods_and_seeds(methods, seeds):
     inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
-    with pytest.raises(ValueError, match="repeat"):
+    with pytest.raises(ConfigurationError, match="repeated entries"):
         evaluate(methods, [inst], DENSE, seeds=seeds)
+
+
+@pytest.mark.parametrize("methods, seeds", [
+    (["spt", "sptt"], [0]),
+    (["spt", "random", "spt"], [0]),
+    (["random"], [3, 1, 3]),
+    (["random"], []),
+    (["random"], [0, -1]),
+    (["random"], [2**64]),
+])
+def test_evaluate_rejects_what_eval_settings_rejects_before_any_run(methods, seeds):
+    # one rule set: a library caller gets the error a config file with these entries gets
+    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
+    with pytest.raises(ConfigurationError) as expected:
+        EvalSettings(tuple(methods), tuple(seeds))
+    runs = []  # the timer is read at the start of every run
+    with pytest.raises(ConfigurationError) as exc:
+        evaluate(methods, [inst], DENSE, seeds=seeds, timer=lambda: runs.append(1) or 0.0)
+    assert str(exc.value) == str(expected.value)
+    assert runs == []
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
 def test_evaluate_rejects_seed_outside_philox_key_range_before_any_run(seed):
     inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=3), 0)
     runs = []  # the timer is read at the start of every run
-    with pytest.raises(ValueError, match=f"seed {seed} "):
+    with pytest.raises(ConfigurationError, match=rf"seeds\[1\]: must be in .*, got {seed}$"):
         evaluate(["spt", "random"], [inst], DENSE, seeds=[0, seed],
                  timer=lambda: runs.append(1) or 0.0)
     assert runs == []

@@ -14,6 +14,7 @@ from schedlab.instances import (
     generate_batch,
     generate_instance,
     instance_digest,
+    instance_from_record,
     instance_to_record,
     read_instances,
     write_instances,
@@ -185,6 +186,35 @@ def test_read_malformed_line(tmp_path):
     path.write_text("{not json\n")
     with pytest.raises(MalformedRecordError):
         read_instances(path)
+
+
+def _set_task(key, value):
+    return lambda record: record["tasks"][0].update({key: value})
+
+
+@pytest.mark.parametrize("tools, edit, fragment", [
+    (False, lambda record: record["tasks"].pop(), "expected 4 tasks, got 3"),
+    (False, _set_task("op", 1), "task 0 has (job=0, op=1), expected (0, 0)"),
+    (False, _set_task("p", 0), "task (0,0) has processing_time 0"),
+    (False, _set_task("machines", []), "task (0,0) has no machines"),
+    (False, _set_task("machines", [0, 1]), "JSSP task (0,0) has 2 eligible machines"),
+    (False, _set_task("machines", [2]), "task (0,0) references machine out of range"),
+    (True, _set_task("tool", 2), "task (0,0) references tool 2 out of range [0, 2)"),
+    (True, lambda record: record["tasks"][0].pop("tool"),
+     "with_tools instance but task (0,0) has no tool"),
+    (False, lambda record: record.update(optimal_makespan=9),
+     "annotated makespan without a valid proof_status"),
+    (False, lambda record: record.update(optimal_makespan=9, proof_status="guessed"),
+     "annotated makespan without a valid proof_status"),
+])
+def test_record_rejected_naming_its_fault(tools, edit, fragment):
+    cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, with_tools=tools,
+                      num_tools=2 if tools else 0, seed=8)
+    record = instance_to_record(generate_instance(cfg, 0))
+    edit(record)
+    with pytest.raises(MalformedRecordError) as exc:
+        instance_from_record(record)
+    assert fragment in str(exc.value)
 
 
 def test_digest_equal_for_equal_instances():

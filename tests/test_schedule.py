@@ -245,6 +245,25 @@ def test_validate_detects_machine_overlap_and_eligibility():
         assert kinds == expected[form], form
 
 
+@pytest.mark.parametrize("edit, kind, detail", [
+    (lambda pls: pls.update({(0, 0): Placement(0, 0, 0, -1, 2)}), "negative-time", "start -1 < 0"),
+    (lambda pls: pls.update({(0, 0): Placement(0, 0, 1, 0, 3)}), "eligibility",
+     "machine 1 not in eligible set (0,)"),
+    (lambda pls: pls.update({(0, 1): Placement(0, 1, 1, 3, 6)}), "negative-time",
+     "duration 3 != processing_time 2"),
+    (lambda pls: pls.pop((0, 0)), "precedence", "op 0 of job 0 unplaced"),
+])
+def test_validate_schedule_names_the_one_edited_fault(edit, kind, detail):
+    # these checks need the instance, so only a Schedule reaches them
+    inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
+    sched = Schedule(inst)
+    for task in inst.tasks:
+        sched.place_task(task, *sched.best_machine(task))
+    assert validate_schedule(sched) == []
+    edit(sched.placements)
+    assert [(v.kind, v.detail) for v in validate_schedule(sched)] == [(kind, detail)]
+
+
 def test_makespan_empty_and_parallel():
     inst = build_instance([[(0, 5, None)], [(1, 7, None)]], num_machines=2)
     sched = Schedule(inst)
