@@ -15,6 +15,7 @@ from .dqn import train_dqn
 from .env import SchedulingEnv, observation_length
 from .errors import ConfigurationError, InstanceSetError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
+from .files import write_text
 from .instances import check_instance_set, generate_batch, read_instances, write_instances
 from .metrics import write_metrics
 from .nn import load_model, save_model
@@ -159,11 +160,8 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    record = read_schedule(args.schedule)
-    svg = gantt.render_svg(record)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    write_text(out, gantt.render_svg(read_schedule(args.schedule)))
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import typing
 from dataclasses import MISSING, dataclass
@@ -21,6 +20,7 @@ from .dqn import DqnConfig
 from .env import RewardMode
 from .errors import ConfigurationError, bounded, check_fields
 from .evaluate import EvalSettings
+from .files import canonical_json, read_json
 from .instances import GeneratorConfig
 from .ppo import PpoConfig
 
@@ -143,14 +143,9 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
+    if not Path(path).exists():
         raise ConfigurationError(f"config file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
-    return experiment_config_from_dict(data)
+    return experiment_config_from_dict(read_json(path, ConfigurationError))
 
 
 def _config_payload(config: ExperimentConfig) -> dict:
@@ -162,8 +157,7 @@ def _config_payload(config: ExperimentConfig) -> dict:
 
 def config_digest(config: ExperimentConfig) -> str:
     """Short digest over the experiment-defining fields (paths excluded)."""
-    blob = json.dumps(_config_payload(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    return hashlib.sha256(canonical_json(_config_payload(config)).encode("utf-8")).hexdigest()[:12]
 
 
 def run_id(config: ExperimentConfig) -> str:

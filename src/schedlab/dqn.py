@@ -142,7 +142,7 @@ def train_dqn(
                 episode=episode,
                 scalars={
                     "return": ep_return,
-                    "makespan": float(env.schedule.makespan),
+                    "makespan": float(result.info["makespan"]),
                     "loss": last_loss if math.isfinite(last_loss) else 0.0,
                     "epsilon": _epsilon(config, step_count),
                 },

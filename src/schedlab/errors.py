@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the config range check."""
+"""Exception hierarchy shared across the toolkit, the config range and record checks."""
 
 import dataclasses
 
@@ -44,6 +44,30 @@ def check_fields(config) -> None:
 
 class MalformedRecordError(SchedlabError):
     """A serialized record (instance, schedule, metrics line) cannot be parsed."""
+
+
+def check_round_trip(read: dict, rebuilt: dict, kind: str) -> None:
+    """Raise MalformedRecordError, naming the first differing field, unless a record
+    read from a file equals the record of what it loaded as. A value the loader
+    coerces (``4.5`` or ``"2"`` for an int) or a key it ignores fails; ``4.0`` and
+    ``true`` pass, since they equal ``4`` and ``1``."""
+    if read != rebuilt:
+        raise MalformedRecordError(f"bad {kind} record: {_difference(read, rebuilt, '')}")
+
+
+def _difference(read, rebuilt, path: str) -> str:
+    if isinstance(read, dict) and isinstance(rebuilt, dict):
+        for key in sorted(read.keys() | rebuilt.keys()):
+            where = f"{path}.{key}" if path else key
+            if key not in rebuilt:
+                return f"{where}: unknown field"
+            if read.get(key) != rebuilt[key]:
+                return _difference(read.get(key), rebuilt[key], where)
+    if isinstance(read, list) and isinstance(rebuilt, list) and len(read) == len(rebuilt):
+        for i, (a, b) in enumerate(zip(read, rebuilt)):
+            if a != b:
+                return _difference(a, b, f"{path}[{i}]")
+    return f"{path}: {read!r} loads as {rebuilt!r}"
 
 
 class DigestMismatchError(SchedlabError):

@@ -21,11 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
-from .env import RewardMode, SchedulingEnv
-from .errors import ConfigurationError, InternalError, InvalidActionError, bounded, check_fields
+from .env import RewardMode, run_episode
+from .errors import ConfigurationError, InternalError, bounded, check_fields
+from .files import write_text
 from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
-from .schedule import Schedule, validate_schedule
+from .schedule import validate_schedule
 from .solver import solve_optimal
 
 VALID_METHODS = tuple(rule.value for rule in DispatchRule) + ("model", "solver")
@@ -103,26 +104,6 @@ class ComparisonTable:
         out = [fmt.format(*header)]
         out.extend(fmt.format(*row) for row in lines)
         return "\n".join(out)
-
-
-def run_episode(policy: Policy, instance: Instance, mode: RewardMode) -> tuple[int, float, Schedule]:
-    """Roll one full episode; returns (makespan, undiscounted return, schedule)."""
-    env = SchedulingEnv(instance, mode)
-    obs, mask = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        action = policy(obs, mask)
-        if not (0 <= action < len(mask)) or not mask[action]:
-            raise InvalidActionError(f"policy chose invalid action {action}")
-        result = env.step(action)
-        total += result.reward
-        obs, mask, done = result.observation, result.mask, result.done
-    schedule = env.schedule
-    violations = validate_schedule(schedule)
-    if violations:
-        raise InternalError(f"episode produced an invalid schedule: {violations[0]}")
-    return schedule.makespan, total, schedule
 
 
 def _episode_rng(instance: Instance, seed: int) -> np.random.Generator:
@@ -223,8 +204,6 @@ def summarize(records: Sequence[EvalRecord]) -> ComparisonTable:
 
 def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
     """CSV with the documented column order, one row per record, as given."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
@@ -240,4 +219,4 @@ def write_records_csv(records: Sequence[EvalRecord], path: str | Path) -> None:
         ]
         for rec in records
     )
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    write_text(path, buf.getvalue())

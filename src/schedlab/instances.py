@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import MISSING, dataclass
 from enum import Enum
 from pathlib import Path
@@ -36,7 +35,9 @@ from .errors import (
     MalformedRecordError,
     bounded,
     check_fields,
+    check_round_trip,
 )
+from .files import canonical_json, read_json_lines, write_text
 
 GENERATOR_VERSION = 1
 
@@ -266,8 +267,7 @@ def instance_digest(instance: Instance) -> str:
     Excludes the stored id and any optimal-makespan annotation, so two
     structurally equal instances share a digest regardless of annotation.
     """
-    payload = json.dumps(_content_payload(instance), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(_content_payload(instance)).encode("utf-8")).hexdigest()
 
 
 def validate_instance(instance: Instance) -> None:
@@ -336,6 +336,7 @@ def instance_to_record(instance: Instance) -> dict:
 
 
 def instance_from_record(record: dict) -> Instance:
+    """The instance a record holds; the record must be exactly its ``instance_to_record``."""
     try:
         problem_type = ProblemType(record["problem_type"])
         tasks = tuple(
@@ -366,9 +367,10 @@ def instance_from_record(record: dict) -> Instance:
             ),
             proof_status=record.get("proof_status"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f"bad instance record: {exc!r}") from exc
     validate_instance(instance)
+    check_round_trip(record, instance_to_record(instance), "instance")
     recomputed = instance_digest(instance)
     if recomputed != instance.id:
         raise DigestMismatchError(
@@ -378,27 +380,8 @@ def instance_from_record(record: dict) -> Instance:
 
 
 def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_record(inst), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    write_text(path, "".join(canonical_json(instance_to_record(inst)) + "\n" for inst in instances))
 
 
 def read_instances(path: str | Path) -> list[Instance]:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"instance file not found: {path}")
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            out.append(instance_from_record(record))
-    return out
+    return [instance_from_record(record) for _, record in read_json_lines(path, MalformedRecordError)]

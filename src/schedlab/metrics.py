@@ -9,11 +9,11 @@ trainer timers are an open item in ROADMAP.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import MalformedRecordError
+from .files import canonical_json, read_json_lines, write_text
 
 
 @dataclass
@@ -26,50 +26,28 @@ class MetricsEvent:
 
 
 def write_metrics(events, path: str | Path, append: bool = False) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "a" if append else "w"
-    with open(path, mode, encoding="utf-8") as fh:
-        for ev in events:
-            for key in sorted(ev.scalars):
-                line = {
-                    "run_id": ev.run_id,
-                    "step": ev.step,
-                    "episode": ev.episode,
-                    "key": key,
-                    "value": float(ev.scalars[key]),
-                    "timestamp": ev.timestamp,
-                }
-                fh.write(json.dumps(line, sort_keys=True, separators=(",", ":")))
-                fh.write("\n")
+    lines = (
+        {"run_id": ev.run_id, "step": ev.step, "episode": ev.episode, "key": key,
+         "value": float(ev.scalars[key]), "timestamp": ev.timestamp}
+        for ev in events
+        for key in sorted(ev.scalars)
+    )
+    write_text(path, "".join(canonical_json(line) + "\n" for line in lines), append)
 
 
 def read_metrics(path: str | Path) -> list[MetricsEvent]:
     """Reassemble events by grouping consecutive lines with the same identity."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"metrics file not found: {path}")
     events: list[MetricsEvent] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                rec = json.loads(raw)
-                identity = (str(rec["run_id"]), int(rec["step"]), int(rec["episode"]),
-                            float(rec["timestamp"]))
-                key, value = str(rec["key"]), float(rec["value"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise MalformedRecordError(f"{path}:{lineno}: bad metrics line: {exc!r}") from exc
-            last = events[-1] if events else None
-            if last is not None and (last.run_id, last.step, last.episode, last.timestamp) == identity:
-                last.scalars[key] = value
-            else:
-                events.append(
-                    MetricsEvent(
-                        run_id=identity[0], step=identity[1], episode=identity[2],
-                        scalars={key: value}, timestamp=identity[3],
-                    )
-                )
+    for lineno, rec in read_json_lines(path, MalformedRecordError):
+        try:
+            identity = (str(rec["run_id"]), int(rec["step"]), int(rec["episode"]),
+                        float(rec["timestamp"]))
+            key, value = str(rec["key"]), float(rec["value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(f"{path}:{lineno}: bad metrics line: {exc!r}") from exc
+        last = events[-1] if events else None
+        if last is None or (last.run_id, last.step, last.episode, last.timestamp) != identity:
+            last = MetricsEvent(identity[0], identity[1], identity[2], {}, identity[3])
+            events.append(last)
+        last.scalars[key] = value
     return events

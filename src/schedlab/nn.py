@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ModelFormatError, ModelVersionError, NoValidActionError
+from .files import read_json, write_text
 
 MODEL_FORMAT_VERSION = 1
 
@@ -224,20 +225,11 @@ def save_model(params: MlpParams, path: str | Path) -> None:
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_text(path, json.dumps(payload))
 
 
 def load_model(path: str | Path) -> MlpParams:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"model file not found: {path}")
-    text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: truncated or corrupt model file: {exc}") from exc
+    payload = read_json(path, ModelFormatError)
     if not isinstance(payload, dict) or payload.get("format") != "mlp-params":
         raise ModelFormatError(f"{path}: not a model file")
     if payload.get("version") != MODEL_FORMAT_VERSION:

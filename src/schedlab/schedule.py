@@ -21,7 +21,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from .errors import ConstraintViolationError, MalformedRecordError
+from .errors import ConstraintViolationError, MalformedRecordError, check_round_trip
+from .files import read_json, write_text
 from .instances import Instance, Task
 
 VIOLATION_PRECEDENCE = "precedence"
@@ -398,6 +399,7 @@ def record_to_dict(record: ScheduleRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> ScheduleRecord:
+    """The record a dict holds; the dict must be exactly its ``record_to_dict``."""
     try:
         placements = tuple(
             Placement(
@@ -417,8 +419,9 @@ def record_from_dict(data: dict) -> ScheduleRecord:
             makespan=int(data["makespan"]),
             placements=placements,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f"bad schedule record: {exc!r}") from exc
+    check_round_trip(data, record_to_dict(record), "schedule")
     # the header must agree with the placements, or a chart drawn from it is wrong
     header = [v for v in validate_schedule(record) if v.kind == VIOLATION_HEADER]
     if header:
@@ -429,19 +432,8 @@ def record_from_dict(data: dict) -> ScheduleRecord:
 def write_schedule(record: ScheduleRecord | Schedule, path: str | Path) -> None:
     if isinstance(record, Schedule):
         record = schedule_to_record(record)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(record_to_dict(record), sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_text(path, json.dumps(record_to_dict(record), sort_keys=True, indent=1) + "\n")
 
 
 def read_schedule(path: str | Path) -> ScheduleRecord:
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"schedule file not found: {path}")
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"{path}: invalid JSON: {exc}") from exc
-    return record_from_dict(data)
+    return record_from_dict(read_json(path, MalformedRecordError))

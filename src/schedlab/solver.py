@@ -32,6 +32,8 @@ import heapq
 import time
 from dataclasses import dataclass
 
+from .baselines import DispatchRule, rule_policy
+from .env import RewardMode, run_episode
 from .errors import InternalError, OracleSizeError, bounded, check_fields
 from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL, validate_instance
 from .schedule import Schedule, Timeline, earliest_start
@@ -206,12 +208,6 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         limits = SolveLimits()
     t_start = time.perf_counter()
     deadline = t_start + limits.time_limit_s
-
-    # The initial incumbent is the SPT rule's episode. evaluate imports this
-    # module, so the imports for it wait until here.
-    from .baselines import DispatchRule, rule_policy
-    from .env import RewardMode
-    from .evaluate import run_episode
 
     _, _, incumbent = run_episode(
         rule_policy(DispatchRule.SPT), instance, RewardMode.DENSE_MAKESPAN_DELTA

@@ -438,6 +438,36 @@ def test_trainers_reject_mixed_job_counts_before_the_first_step():
     assert built == []
 
 
+class ResetStepOnly:
+    """An env with only the reset()/step() surface that the trainers may use."""
+
+    __slots__ = ("_env",)
+
+    def __init__(self, env):
+        self._env = env
+
+    def reset(self):
+        return self._env.reset()
+
+    def step(self, action):
+        return self._env.step(action)
+
+
+@pytest.mark.parametrize("train, config", [
+    (train_ppo, PpoConfig(total_steps=300, steps_per_update=64, epochs=2, minibatch_size=32, seed=3)),
+    (train_dqn, DqnConfig(total_steps=300, batch_size=16, seed=3)),
+], ids=["ppo", "dqn"])
+def test_trainers_use_only_reset_and_step(train, config):
+    instances = nine_task_instances(tools=True)
+    *params, events = train(dense_factory, instances, config)
+    *narrow_params, narrow_events = train(lambda inst: ResetStepOnly(dense_factory(inst)),
+                                          instances, config)
+    assert narrow_events == events
+    for net, narrow_net in zip(params, narrow_params):
+        for a, b in zip(net.weights + net.biases, narrow_net.weights + narrow_net.biases):
+            assert a.tobytes() == b.tobytes()
+
+
 def test_trajectory_length():
     inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2,
                                          seed=29), 0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from schedlab.instances import (
 )
 
 from conftest import fjssp_config, jssp_config
+
+PERFBENCH_DATA = Path(__file__).resolve().parent.parent / "perfbench" / "data"
 
 
 def test_6x6_jssp_each_job_visits_each_machine_once():
@@ -215,6 +218,37 @@ def test_record_rejected_naming_its_fault(tools, edit, fragment):
     with pytest.raises(MalformedRecordError) as exc:
         instance_from_record(record)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("edit, fragment", [
+    (_set_task("p", 4.5), "tasks[0].p: 4.5 loads as 4"),
+    (lambda record: record.update(num_jobs=2.9), "num_jobs: 2.9 loads as 2"),
+    (lambda record: record.update(num_jobs="2"), "num_jobs: '2' loads as 2"),
+    (lambda record: record.update(colour="red"), "colour: unknown field"),
+    (_set_task("due", 9), "tasks[0].due: unknown field"),
+], ids=["fractional-p", "fractional-num-jobs", "string-num-jobs", "unknown-key", "unknown-task-key"])
+def test_record_that_would_load_changed_is_rejected(edit, fragment):
+    cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, runtime_lo=4, runtime_hi=4, seed=8)
+    record = instance_to_record(generate_instance(cfg, 0))
+    edit(record)
+    with pytest.raises(MalformedRecordError) as exc:
+        instance_from_record(record)
+    assert str(exc.value) == f"bad instance record: {fragment}"
+
+
+def test_record_values_equal_to_their_ints_load():
+    inst = generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, seed=8), 0)
+    record = instance_to_record(inst)
+    record["tasks"][0]["p"] = float(record["tasks"][0]["p"])
+    record["meta"]["generator_version"] = True
+    assert instance_from_record(record) == inst
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH_DATA.glob("*.jsonl")), ids=lambda p: p.name)
+def test_committed_bench_sets_round_trip_byte_identical(tmp_path, path):
+    out = tmp_path / path.name
+    write_instances(read_instances(path), out)
+    assert out.read_bytes() == path.read_bytes()
 
 
 def test_digest_equal_for_equal_instances():

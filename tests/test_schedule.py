@@ -425,6 +425,19 @@ def test_read_schedule_rejects_header_contradicting_placements(tmp_path, edit, m
         read_schedule(path)
 
 
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda d: d["placements"][1].update(start=3.5), "placements[1].start: 3.5 loads as 3"),
+    (lambda d: d.update(makespan="5"), "makespan: '5' loads as 5"),
+    (lambda d: d["placements"][0].update(colour="red"), "placements[0].colour: unknown field"),
+], ids=["fractional-start", "string-makespan", "unknown-key"])
+def test_record_from_dict_rejects_what_would_load_changed(edit, fragment):
+    data = two_job_record_dict()
+    edit(data)
+    with pytest.raises(MalformedRecordError) as exc:
+        record_from_dict(data)
+    assert str(exc.value) == f"bad schedule record: {fragment}"
+
+
 def test_mutation_off_by_one_overlap_is_caught(monkeypatch):
     """Mutation smoke test: a placer with an off-by-one in the busy-interval
     boundary produces schedules the independent validator flags."""
