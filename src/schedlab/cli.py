@@ -77,7 +77,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     n_feasible += 1
             write_instances(annotated, path)
         except (SchedlabError, OSError) as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            # read errors and most OSErrors name the file already
+            message = str(exc) if str(path) in str(exc) else f"{path}: {exc}"
+            print(f"error: {message}", file=sys.stderr)
             n_failed += 1
     print(f"solved: {n_optimal} optimal, {n_feasible} feasible, {n_failed} files failed")
     return EXIT_RUNTIME if n_failed else EXIT_OK

@@ -384,4 +384,11 @@ def write_instances(instances: Iterable[Instance], path: str | Path) -> None:
 
 
 def read_instances(path: str | Path) -> list[Instance]:
-    return [instance_from_record(record) for _, record in read_json_lines(path, MalformedRecordError)]
+    """A rejected record's error names ``path:lineno``, as invalid JSON's does."""
+    instances = []
+    for lineno, record in read_json_lines(path, MalformedRecordError):
+        try:
+            instances.append(instance_from_record(record))
+        except (MalformedRecordError, DigestMismatchError) as exc:
+            raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    return instances

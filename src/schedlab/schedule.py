@@ -66,6 +66,10 @@ class Timeline:
     def intervals(self) -> list[tuple[int, int]]:
         return list(zip(self._starts, self._ends))
 
+    def columns(self) -> tuple[list[int], list[int]]:
+        """The sorted start and end lists themselves, not copies; read only."""
+        return self._starts, self._ends
+
     def earliest_fit(self, t: int, duration: int) -> int:
         """Smallest t' >= t such that [t', t'+duration) is idle."""
         starts, ends = self._starts, self._ends

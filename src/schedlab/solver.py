@@ -23,12 +23,17 @@ dispatch orders are pruned through a capped transposition set keyed by the
 exact placement history, which keeps the search sound.
 
 A node is pruned when ``lower_bound``, Jackson's preemptive one-machine bound
-(Carlier 1982; Brucker, Jurisch & Sievers 1994), reaches the incumbent.
+(Carlier 1982; Brucker, Jurisch & Sievers 1994), reaches the incumbent. The
+search only asks whether it does, so the prune test stops at the first term
+that reaches the incumbent, often before any JPS run; below the incumbent it
+yields the exact bound, so the decisions are those of the full bound. The root
+bound reported on an early stop and the public ``lower_bound`` are full.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass
 
@@ -76,7 +81,7 @@ def _tables(instance: Instance) -> tuple[list, list, list, list]:
     return proc, elig, [[t.tool for t in row] for row in tasks], chain
 
 
-def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -> int:
+def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline, cutoff: float) -> int:
     """max(C_i + q_i) of Jackson's preemptive schedule in the timeline's idle time.
 
     ``tasks`` holds (head r_i, processing time p_i, tail q_i). At every
@@ -85,10 +90,13 @@ def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -
     optimal for the preemptive one-machine problem with heads, tails and
     unavailable periods (an exchange of unit slots never hurts), so its
     value bounds every non-preemptive completion from below.
+
+    The running max only grows, so the scan returns it as soon as it reaches
+    ``cutoff``; a result below ``cutoff`` is the full value.
     """
     tasks.sort()
-    busy = timeline.intervals()
-    n, n_busy = len(tasks), len(busy)
+    busy_start, busy_end = timeline.columns()
+    n, n_busy = len(tasks), len(busy_start)
     ready: list[tuple[int, int]] = []  # (-q, remaining work)
     i = b = 0
     t = tasks[0][0]
@@ -100,17 +108,17 @@ def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -
             _, p, q = tasks[i]
             heapq.heappush(ready, (-q, p))
             i += 1
-        while b < n_busy and busy[b][1] <= t:
+        while b < n_busy and busy_end[b] <= t:
             b += 1
-        if b < n_busy and busy[b][0] <= t:
-            t = busy[b][1]
+        if b < n_busy and busy_start[b] <= t:
+            t = busy_end[b]
             continue
         neg_q, rem = ready[0]
         stop = t + rem
         if i < n and tasks[i][0] < stop:
             stop = tasks[i][0]
-        if b < n_busy and busy[b][0] < stop:
-            stop = busy[b][0]
+        if b < n_busy and busy_start[b] < stop:
+            stop = busy_start[b]
         rem -= stop - t
         t = stop
         if rem:
@@ -119,6 +127,8 @@ def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline) -
             heapq.heappop(ready)
             if t - neg_q > value:
                 value = t - neg_q
+                if value >= cutoff:
+                    return value
     return value
 
 
@@ -129,14 +139,19 @@ def _bound(
     machine_tl: list[Timeline],
     tool_tl: list[Timeline],
     makespan: int,
+    cutoff: float,
 ) -> int:
-    """The bound of ``lower_bound`` on the solver's flat state.
+    """The bound of ``lower_bound`` on the solver's flat state, cut off.
 
     ``heads[j]`` is the earliest feasible start of job j's next op (the
     minimum over its eligible machines); entries of finished jobs are unused.
+    Returns as soon as a term reaches ``cutoff``: the result is >= ``cutoff``
+    exactly when the full bound is, and below it the result is the full bound.
     """
     proc, elig, tool_of, chain = tables
     lb = makespan
+    if lb >= cutoff:
+        return lb
     machine_tasks: list[list[tuple[int, int, int]]] = [[] for _ in machine_tl]
     tool_tasks: list[list[tuple[int, int, int]]] = [[] for _ in tool_tl]
     for j, k0 in enumerate(next_op):
@@ -147,6 +162,8 @@ def _bound(
         origin = heads[j] + chain_j[k0]  # head plus the job's remaining work
         if origin > lb:
             lb = origin
+            if lb >= cutoff:
+                return lb
         proc_j, elig_j, tool_j = proc[j], elig[j], tool_of[j]
         for k in range(k0, n_ops):
             task = (origin - chain_j[k], proc_j[k], chain_j[k + 1])
@@ -157,9 +174,11 @@ def _bound(
     for timelines, pinned in ((machine_tl, machine_tasks), (tool_tl, tool_tasks)):
         for timeline, tasks in zip(timelines, pinned):
             if tasks:
-                v = _jackson_preemptive(tasks, timeline)
+                v = _jackson_preemptive(tasks, timeline, cutoff)
                 if v > lb:
                     lb = v
+                    if lb >= cutoff:
+                        return lb
     return lb
 
 
@@ -193,7 +212,7 @@ def lower_bound(schedule: Schedule) -> int:
     ]
     return _bound(
         _tables(instance), heads, schedule.next_op, schedule.machine_timelines,
-        schedule.tool_timelines, schedule.makespan,
+        schedule.tool_timelines, schedule.makespan, math.inf,
     )
 
 
@@ -215,7 +234,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
 
     n_jobs, n_ops, n_machines = instance.num_jobs, instance.tasks_per_job, instance.num_machines
     tables = _tables(instance)
-    proc, elig, tool_of, _ = tables
+    proc, elig, tool_of, chain = tables
 
     uses_tools = any(t is not None for row in tool_of for t in row)
     flexible = any(len(ms) > 1 for row in elig for ms in row)
@@ -239,8 +258,9 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     nodes = 0
     stop_reason = "proved"
 
-    def candidates() -> tuple[list[tuple[int, int, int, int]], list[int]]:
-        """(completion, job, machine, start) of every possible dispatch, and job heads."""
+    def candidates(cutoff: float) -> tuple[list[tuple[int, int, int, int]], list[int]] | None:
+        """(completion, job, machine, start) of every possible dispatch, and job heads;
+        None once a job's head plus its remaining work, a bound term, reaches ``cutoff``."""
         cands = []
         heads = [0] * n_jobs
         for j in range(n_jobs):
@@ -256,6 +276,8 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                 cands.append((s + p, j, m, s))
                 if head is None or s < head:
                     head = s
+            if head + chain[j][k] >= cutoff:
+                return None
             heads[j] = head
         return cands, heads
 
@@ -287,8 +309,8 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
 
     # each frame: [sorted children, index of the next child, makespan of the node]
     stack: list[list] = []
-    root_cands, root_heads = candidates()
-    root_bound = _bound(tables, root_heads, next_op, machine_tl, tool_tl, 0)
+    root_cands, root_heads = candidates(math.inf)
+    root_bound = _bound(tables, root_heads, next_op, machine_tl, tool_tl, 0, math.inf)
     running = open_node(root_cands, 0)
     while running and stack:
         frame = stack[-1]
@@ -319,10 +341,12 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                 if ms_child < best:
                     best = ms_child
                     best_history = [entry[:3] for entry in trail]
-            else:
-                cands, heads = candidates()
-                if _bound(tables, heads, next_op, machine_tl, tool_tl, ms_child) < best:
-                    running = open_node(cands, ms_child)
+            elif ms_child < best:
+                found = candidates(best)
+                if found is not None and _bound(
+                    tables, found[1], next_op, machine_tl, tool_tl, ms_child, best
+                ) < best:
+                    running = open_node(found[0], ms_child)
                     continue
         undo()
 

@@ -544,6 +544,38 @@ def test_cli_solve_reports_bad_file(tmp_path, capsys):
     assert "junk" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["invalid json", "directory"])
+def test_cli_solve_error_names_file_once(tmp_path, capsys, kind):
+    data = tmp_path / "data"
+    data.mkdir()
+    bad = data / "x.jsonl"
+    if kind == "invalid json":
+        bad.write_text("{nope")
+    else:  # reading it raises IsADirectoryError, an OSError
+        bad.mkdir()
+    assert main(["solve", "--instances", str(data)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count(str(bad)) == 1 and "Traceback" not in err
+    if kind == "invalid json":
+        assert err.startswith(f"error: {bad}:1: invalid JSON")
+
+
+def test_cli_test_rejected_record_names_file_and_line(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path, methods=("spt",))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    test_path = split_file(cfg_path, "test")
+    lines = test_path.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["tasks"][0]["p"] = 5.5
+    lines[1] = json.dumps(record)
+    test_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {test_path}:2: bad instance record: tasks[0].p: 5.5 loads as 5")
+    assert "Traceback" not in err
+
+
 def test_cli_plot_rejects_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -1,3 +1,6 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,9 @@ from schedlab.instances import (
 from schedlab.schedule import Schedule, earliest_start, validate_schedule
 from schedlab.solver import (
     SolveLimits,
+    _bound,
+    _jackson_preemptive,
+    _tables,
     lower_bound,
     permutation_oracle,
     solve_optimal,
@@ -248,6 +254,97 @@ def test_lower_bound_admissible_along_random_paths(seed):
         m, s = schedule.best_machine(task)
         schedule.place_task(task, m, s)
     assert lower_bound(schedule) == schedule.makespan
+
+
+def bound_terms(schedule):
+    """The arguments of _bound on a schedule, and the (tasks, timeline) of each JPS run."""
+    inst = schedule.instance
+    tables = _tables(inst)
+    proc, elig, tool_of, chain = tables
+    n_ops, next_op = inst.tasks_per_job, schedule.next_op
+    heads = [schedule.best_machine(inst.task(j, k))[1] if k < n_ops else 0
+             for j, k in enumerate(next_op)]
+    resource = [
+        (schedule.machine_timelines, lambda j, k: elig[j][k][0] if len(elig[j][k]) == 1 else None),
+        (schedule.tool_timelines, lambda j, k: tool_of[j][k]),
+    ]
+    jps_runs = []
+    for timelines, pinned_to in resource:
+        for r, timeline in enumerate(timelines):
+            tasks = [(heads[j] + chain[j][k0] - chain[j][k], proc[j][k], chain[j][k + 1])
+                     for j, k0 in enumerate(next_op) for k in range(k0, n_ops)
+                     if pinned_to(j, k) == r]
+            if tasks:
+                jps_runs.append((tasks, timeline))
+    args = (tables, heads, next_op, schedule.machine_timelines, schedule.tool_timelines,
+            schedule.makespan)
+    return args, jps_runs
+
+
+def assert_cutoff_contract(full, cut):
+    """cut(c) reaches c exactly when full does, and equals full below c."""
+    for c in (0, full - 1, full, full + 1, math.inf):
+        value = cut(c)
+        assert (value >= c) == (full >= c)
+        assert value <= full
+        if full < c:
+            assert value == full
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bound_cutoff_contract_along_random_paths(seed):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    cfg = [
+        jssp_config(seed=seed),
+        jssp_config(num_jobs=4, tasks_per_job=4, num_machines=4, with_tools=True,
+                    num_tools=2, seed=seed),
+        fjssp_config(num_jobs=4, tasks_per_job=3, num_machines=3, seed=seed),
+    ][seed % 3]
+    inst = generate_instance(cfg, 0)
+    schedule = Schedule(inst)
+    while not schedule.complete:
+        args, jps_runs = bound_terms(schedule)
+        full = _bound(*args, math.inf)
+        assert full == lower_bound(schedule)
+        assert_cutoff_contract(full, lambda c: _bound(*args, c))
+        for tasks, timeline in jps_runs:
+            assert_cutoff_contract(_jackson_preemptive(list(tasks), timeline, math.inf),
+                                   lambda c: _jackson_preemptive(list(tasks), timeline, c))
+        jobs = [j for j in range(inst.num_jobs) if schedule.next_op[j] < inst.tasks_per_job]
+        j = jobs[rng.integers(len(jobs))]
+        task = inst.task(j, schedule.next_op[j])
+        schedule.place_task(task, *schedule.best_machine(task))
+
+
+# sha256 of the (makespan, nodes_expanded, lower_bound, stop_reason, placements)
+# rows of search_digest_runs()
+SEARCH_GOLDEN = "9f3ffe2ec2cd99f6f95c0996e0e86b07af5a0cf92f025c35125198806e4055b9"
+
+
+def search_digest_runs():
+    """Instances whose searches prune hard, one row per solve_optimal run."""
+    yield from ((inst, None) for inst in generate_batch(jssp_config(count=8, seed=2024)))
+    yield from ((inst, None) for inst in generate_batch(
+        jssp_config(4, 4, 4, count=5, seed=2024, with_tools=True, num_tools=2)))
+    yield from ((inst, None) for inst in generate_batch(
+        fjssp_config(num_jobs=4, tasks_per_job=3, num_machines=3, count=4, seed=2024)))
+    yield generate_batch(jssp_config(8, 8, 8, seed=2024))[0], SolveLimits(node_limit=5000)
+
+
+def test_search_digest():
+    """Pins the search itself: conflict-set and unrestricted branching, and an
+    early stop whose lower bound is the root bound. A change to pruning or
+    child order moves the node counts even where the optimum stays."""
+    rows = []
+    for inst, limits in search_digest_runs():
+        r = solve_optimal(inst, limits)
+        placements = sorted(
+            (p.job_id, p.op_index, p.machine, p.start, p.end)
+            for p in r.schedule.placements.values()
+        )
+        rows.append((r.makespan, r.nodes_expanded, r.lower_bound, r.stop_reason, placements))
+    assert rows[-1][3] == "node_limit"
+    assert hashlib.sha256(repr(rows).encode("utf-8")).hexdigest() == SEARCH_GOLDEN
 
 
 def test_permutation_oracle_single_task(single_task_instance):
