@@ -1,6 +1,6 @@
 """Priority dispatching rules and the random policy.
 
-SPT/LPT/MTR are deterministic: each is one ``np.argmin``/``np.argmax`` over
+SPT/LPT/MTR are deterministic: each is one ``argmin``/``argmax`` over
 its observation entries with the masked-out jobs set to +/-inf, and both
 return the first extremum, so ties go to the lowest job index. RANDOM
 samples uniformly over the valid jobs.
@@ -51,9 +51,9 @@ def rule_policy(rule: DispatchRule, rng: np.random.Generator | None = None) -> P
             valid = np.flatnonzero(mask)
             return int(valid[rng.integers(len(valid))])
         if rule is DispatchRule.SPT:
-            return int(np.argmin(np.where(mask, obs[1:4 * n:4], np.inf)))
+            return int(np.where(mask, obs[1:4 * n:4], np.inf).argmin())
         if rule is DispatchRule.LPT:
-            return int(np.argmax(np.where(mask, obs[1:4 * n:4], -np.inf)))
-        return int(np.argmin(np.where(mask, obs[0:4 * n:4], np.inf)))
+            return int(np.where(mask, obs[1:4 * n:4], -np.inf).argmax())
+        return int(np.where(mask, obs[0:4 * n:4], np.inf).argmin())
 
     return policy

@@ -16,12 +16,19 @@ sequence.
 A ``SchedulingEnv`` holds one episode; the functions ``reset``, ``step``,
 ``observe`` and ``action_mask`` act on it. ``reset`` computes the observation
 and the action mask in full and keeps them, with one watcher set per machine
-and per tool: the jobs whose next task is eligible on it or uses it. Each
-``step`` updates only what its placement can change: the observation entries
-of the watchers of the machine and tool it used (see ``observe``) and, when
-the placement was a job's last task, that job's mask entry. A step thus
-costs a few earliest-start queries and no pass over all jobs. Both hand out
-fresh arrays, which the caller may keep or mutate.
+and per tool (the jobs whose next task is eligible on it or uses it) and one
+kept slot ``(machine, start, end)`` per unfinished job: where its next task
+goes, the ``Schedule.best_machine`` result. ``step`` places the acting job at
+its kept slot and updates only what its placement can change: the acting
+job's features and slot, the slots of those watchers of the machine and tool
+it used whose kept ``[start, end)`` the placed interval overlaps (see
+``observe``), and, when the placement was a job's last task, that job's mask
+entry. A step thus costs a few earliest-start queries and no pass over all
+jobs. Both hand out fresh arrays, which the caller may keep or mutate.
+
+The kept state assumes that the schedule changes only through ``step`` and
+that no interval is ever removed within an episode: timelines only gain
+intervals, so an earliest start can only move later.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ def observation_length(num_jobs: int) -> int:
     return 4 * num_jobs + 1
 
 
-def _write_job_features(env: SchedulingEnv, obs: np.ndarray, j: int) -> None:
+def _write_job_features(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int) -> None:
+    """Write job j's four entries into ``obs`` and its next task's slot into ``slots``."""
     schedule = env.schedule
     n_ops = env.instance.tasks_per_job
     k = schedule.next_op[j]
@@ -65,10 +73,22 @@ def _write_job_features(env: SchedulingEnv, obs: np.ndarray, j: int) -> None:
     obs[base + 2] = schedule.job_ready[j] / env.ub
     if k < n_ops:
         task = env.instance.task(j, k)
+        machine, start = schedule.best_machine(task)
+        slots[j] = (machine, start, start + task.processing_time)
         obs[base + 1] = task.processing_time / env.p_max
-        obs[base + 3] = schedule.best_machine(task)[1] / env.ub
+        obs[base + 3] = start / env.ub
     else:
+        slots[j] = None
         obs[base + 1] = obs[base + 3] = 0.0
+
+
+def _observe_full(env: SchedulingEnv, slots: list) -> np.ndarray:
+    """The observation computed in full; every job's slot goes into ``slots``."""
+    obs = np.zeros(observation_length(env.instance.num_jobs), dtype=np.float64)
+    for j in range(env.instance.num_jobs):
+        _write_job_features(env, obs, slots, j)
+    obs[-1] = env.schedule.makespan / env.ub
+    return obs
 
 
 def _watch(env: SchedulingEnv, j: int, k: int, add: bool) -> None:
@@ -90,38 +110,46 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
     (0 once done). The final entry is the current makespan / UB.
 
     Without ``placement`` this is a full recompute and leaves ``env``
-    untouched. With the placement that ``step`` just made, it updates the
-    observation kept in ``env.obs`` and returns a copy. A placement of job
-    a on machine m with tool t can only change the four entries of job a,
-    entry 4j+3 of a job whose next task is eligible on m or uses t, and the
-    makespan: any other earliest start depends on timelines and a ready time
-    that the placement left as they were. Those jobs j are the watchers of m
-    and t, so only they are visited; job a first moves from the watcher sets
-    of the task it placed to those of its new next task.
+    untouched: not its observation, mask, watchers or kept slots. With the
+    placement that ``step`` just made, it updates the observation and the
+    slots kept in ``env`` and returns a copy of the observation. A placement
+    of job a on machine m with tool t can only change the four entries and
+    the slot of job a, the makespan, and the slot and entry 4j+3 of a job j
+    whose next task is eligible on m or uses t: any other earliest start
+    depends on timelines and a ready time that the placement left as they
+    were. Those jobs j are the watchers of m and t, so only they are visited;
+    job a first moves from the watcher sets of the task it placed to those of
+    its new next task. A watcher's slot is recomputed only when the placed
+    interval ``[start, end)`` overlaps its kept ``[s_j, e_j)``. That is
+    exact because within an episode timelines only gain intervals: every
+    start can only move later, so a kept slot that is still idle is still
+    the earliest, and still on the lowest machine id among the earliest.
     """
+    if placement is None:
+        return _observe_full(env, [None] * env.instance.num_jobs)
     schedule = env.schedule
     instance = env.instance
-    if placement is None:
-        obs = np.zeros(observation_length(instance.num_jobs), dtype=np.float64)
-        for j in range(instance.num_jobs):
-            _write_job_features(env, obs, j)
-    else:
-        obs = env.obs
-        a, machine, tool = placement.job_id, placement.machine, placement.tool
-        _write_job_features(env, obs, a)
-        _watch(env, a, placement.op_index, add=False)
-        k = schedule.next_op[a]
-        if k < instance.tasks_per_job:
-            _watch(env, a, k, add=True)
-        watchers = env.watchers[machine]
-        if tool is not None:
-            watchers = watchers | env.watchers[instance.num_machines + tool]
-        for j in watchers:
-            if j != a:
+    obs, slots = env.obs, env.slots
+    a, machine, tool = placement.job_id, placement.machine, placement.tool
+    start, end = placement.start, placement.end
+    _write_job_features(env, obs, slots, a)
+    _watch(env, a, placement.op_index, add=False)
+    k = schedule.next_op[a]
+    if k < instance.tasks_per_job:
+        _watch(env, a, k, add=True)
+    watchers = env.watchers[machine]
+    if tool is not None:
+        watchers = watchers | env.watchers[instance.num_machines + tool]
+    for j in watchers:
+        if j != a:
+            _, s_j, e_j = slots[j]
+            if start < e_j and s_j < end:
                 task = instance.task(j, schedule.next_op[j])
-                obs[4 * j + 3] = schedule.best_machine(task)[1] / env.ub
+                m_j, s_j = schedule.best_machine(task)
+                slots[j] = (m_j, s_j, s_j + task.processing_time)
+                obs[4 * j + 3] = s_j / env.ub
     obs[-1] = schedule.makespan / env.ub
-    return obs if placement is None else obs.copy()
+    return obs.copy()
 
 
 def action_mask(env: SchedulingEnv) -> np.ndarray:
@@ -137,7 +165,8 @@ def reset(env: SchedulingEnv) -> tuple[np.ndarray, np.ndarray]:
     env.watchers = [set() for _ in range(instance.num_machines + instance.num_tools)]
     for j in range(instance.num_jobs):
         _watch(env, j, 0, add=True)
-    env.obs = observe(env)
+    env.slots = [None] * instance.num_jobs
+    env.obs = _observe_full(env, env.slots)
     env.mask = action_mask(env)
     return env.obs.copy(), env.mask.copy()
 
@@ -146,10 +175,13 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
     """Place the next unscheduled task of job ``action`` at its earliest start.
 
     Invalid or masked actions, and a step before the first ``reset``, raise
-    InvalidActionError; there is no penalty-reward fallback. The returned
-    observation equals a full ``observe(env)`` bit for bit and the mask
-    equals ``action_mask(env)``; both are updated from the previous ones at
-    the entries the placement can change, and both are fresh arrays.
+    InvalidActionError; there is no penalty-reward fallback. The task goes to
+    the job's kept slot, which equals a fresh ``Schedule.best_machine`` as
+    long as the schedule changes only through ``step`` (see ``observe``);
+    ``place_task`` still checks it. The returned observation equals a full
+    ``observe(env)`` bit for bit and the mask equals ``action_mask(env)``;
+    both are updated from the previous ones at the entries the placement can
+    change, and both are fresh arrays.
     """
     schedule = env.schedule
     if schedule is None:
@@ -162,7 +194,7 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
 
     task = instance.task(action, schedule.next_op[action])
     c_before = schedule.makespan
-    machine, start = schedule.best_machine(task)
+    machine, start, _ = env.slots[action]
     placement = schedule.place_task(task, machine, start)
     c_after = schedule.makespan
     if placement.op_index == instance.tasks_per_job - 1:
@@ -204,6 +236,8 @@ class SchedulingEnv:
         self.mask: np.ndarray | None = None  # last action mask, updated in place by step
         # per machine, then per tool: the jobs whose next task can use it
         self.watchers: list[set[int]] = []
+        # per job: (machine, start, end) of its next task's earliest slot, None once done
+        self.slots: list[tuple[int, int, int] | None] = []
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         return reset(self)

@@ -2,7 +2,8 @@
 
 Canonical JSON is what instance and metrics files hold and what instance ids
 and config digests hash. Writers create missing parent directories; readers
-turn invalid JSON into the caller's error type, naming the file and line.
+turn invalid JSON and bytes that are not UTF-8 into the caller's error type,
+naming the file and, where it is known, the line.
 """
 
 from __future__ import annotations
@@ -27,14 +28,24 @@ def read_json(path: str | Path, error: type[Exception]) -> Any:
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise error(f"{path}: invalid JSON: {exc}") from exc
 
 
 def read_json_lines(path: str | Path, error: type[Exception]) -> Iterator[tuple[int, Any]]:
-    """``(lineno, value)`` per non-blank line, read one line at a time."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """``(lineno, value)`` per non-blank line, read one line at a time.
+
+    Each line, up to its newline byte, is decoded on its own, so bytes that
+    are not UTF-8 are reported with their line.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{lineno}: not UTF-8: {exc}") from exc
             if line.strip():
                 try:
                     yield lineno, json.loads(line)

@@ -21,6 +21,8 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
+
 from .errors import ConstraintViolationError, MalformedRecordError, check_round_trip
 from .files import read_json, write_text
 from .instances import Instance, Task
@@ -33,8 +35,14 @@ VIOLATION_NEGATIVE_TIME = "negative-time"
 VIOLATION_HEADER = "header"
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
+    """One placed task: ``[start, end)`` on ``machine``, and on ``tool`` if any.
+
+    Immutable and hashable, built by keyword or by position in this field
+    order. A named tuple rather than a frozen dataclass because every env
+    step builds one, and a tuple is built in a fraction of the time.
+    """
+
     job_id: int
     op_index: int
     machine: int

@@ -576,6 +576,45 @@ def test_cli_test_rejected_record_names_file_and_line(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+NOT_UTF8 = b"\xff\xfe{\x00}\x00\n"  # starts like a UTF-16 byte-order mark
+
+
+def assert_one_error_line(err, path):
+    assert err.startswith(f"error: {path}:") and "not UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_solve_reports_non_utf8_file(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    bad = data / "x.jsonl"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["solve", "--instances", str(data)]) == 1
+    out, err = capsys.readouterr()
+    assert_one_error_line(err, bad)
+    assert "1 files failed" in out and bad.read_bytes() == NOT_UTF8
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("test", "test")])
+def test_cli_train_and_test_report_non_utf8_split(tmp_path, capsys, command, split):
+    cfg_path = tiny_config(tmp_path, methods=("spt",))
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    path = split_file(cfg_path, split)
+    path.write_bytes(NOT_UTF8)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path)]) == 1
+    assert_one_error_line(capsys.readouterr().err, path)
+
+
+def test_cli_plot_reports_non_utf8_schedule(tmp_path, capsys):
+    bad = tmp_path / "schedule.json"
+    bad.write_bytes(NOT_UTF8)
+    svg = tmp_path / "x.svg"
+    assert main(["plot", "--schedule", str(bad), "--out", str(svg)]) == 1
+    assert_one_error_line(capsys.readouterr().err, bad)
+    assert not svg.exists()
+
+
 def test_cli_plot_rejects_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

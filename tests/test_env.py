@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import (
     RewardMode,
     SchedulingEnv,
@@ -276,3 +277,91 @@ def test_second_reset_mid_episode_starts_afresh(kind):
         assert np.array_equal(result.mask, action_mask(env))
         mask = result.mask
     assert result.done and validate_schedule(env.schedule) == []
+
+
+def assert_slots_fresh(env):
+    # every unfinished job's kept slot is a fresh best_machine of its next task
+    schedule, inst = env.schedule, env.instance
+    for j in range(inst.num_jobs):
+        k = schedule.next_op[j]
+        if k < inst.tasks_per_job:
+            task = inst.task(j, k)
+            machine, start = schedule.best_machine(task)
+            assert env.slots[j] == (machine, start, start + task.processing_time), j
+        else:
+            assert env.slots[j] is None
+
+
+@pytest.mark.parametrize("policy", ["random", "spt", "lpt", "mtr"])
+@pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
+def test_kept_slots_equal_fresh_best_machine(kind, policy):
+    for seed in range(6):
+        inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        choose = rule_policy(DispatchRule(policy), rng)
+        env = SchedulingEnv(inst, DENSE)
+        obs, mask = reset(env)
+        assert_slots_fresh(env)
+        while mask.any():
+            result = step(env, choose(obs, mask))
+            assert_slots_fresh(env)
+            obs, mask = result.observation, result.mask
+
+
+def jobs_queried_by_step(env, action):
+    """The jobs whose next task ``best_machine`` is asked about during one step."""
+    queried = []
+    real = env.schedule.best_machine
+
+    def counting(task):
+        queried.append(task.job_id)
+        return real(task)
+
+    env.schedule.best_machine = counting
+    try:
+        step(env, action)
+    finally:
+        del env.schedule.best_machine
+    return queried
+
+
+# Job 1's first task takes [0, 3) on machine 1, so its kept slot is (0, 3, 5):
+# machine 0 with tool 0 from its ready time 3. Job 0's last listed action then
+# places on machine 0, or on tool 0 only, next to or across that slot.
+HALF_OPEN_CASES = {
+    "ends at the slot start": ([(0, 3, None), (2, 1, None)], [1, 0], (0, 3, 5), False),
+    "starts at the slot end": ([(2, 5, None), (0, 2, None)], [1, 0, 0], (0, 3, 5), False),
+    "one unit on the machine": ([(0, 4, None), (2, 1, None)], [1, 0], (0, 4, 6), True),
+    "one unit on the tool only": ([(2, 4, 0), (2, 1, None)], [1, 0], (0, 4, 6), True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HALF_OPEN_CASES))
+def test_kept_slot_recomputed_only_on_overlap(case):
+    job0, actions, slot, recomputed = HALF_OPEN_CASES[case]
+    inst = build_instance([job0, [(1, 3, None), (0, 2, 0)]], num_machines=3, num_tools=1)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    for a in actions[:-1]:
+        step(env, a)
+    assert env.slots[1] == (0, 3, 5)
+    assert (1 in jobs_queried_by_step(env, actions[-1])) == recomputed
+    assert env.slots[1] == slot
+    assert_slots_fresh(env)
+
+
+def test_full_observe_leaves_env_as_it_was():
+    inst = generate_instance(INCREMENTAL_CONFIGS["fjssp-tools"](2), 0)
+    env = SchedulingEnv(inst, DENSE)
+    reset(env)
+    for a in (0, 1, 2, 0):
+        step(env, a)
+    obs, mask = env.obs.copy(), env.mask.copy()
+    watchers = [set(w) for w in env.watchers]
+    # a sentinel slot shows whether the full recompute writes slots
+    env.slots[3] = sentinel = (-1, -1, -1)
+    slots = list(env.slots)
+    full = observe(env)
+    assert full.tobytes() == obs.tobytes()
+    assert env.obs.tobytes() == obs.tobytes() and env.mask.tobytes() == mask.tobytes()
+    assert env.watchers == watchers and env.slots == slots and env.slots[3] is sentinel

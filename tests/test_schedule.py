@@ -13,6 +13,7 @@ from schedlab.schedule import (
     earliest_start,
     read_schedule,
     record_from_dict,
+    record_to_dict,
     schedule_to_record,
     validate_schedule,
     write_schedule,
@@ -406,6 +407,27 @@ def two_job_record_dict():
             {"job": 1, "op": 0, "machine": 1, "start": 0, "end": 2},
         ],
     }
+
+
+def test_placement_is_an_immutable_hashable_keyword_value():
+    p = Placement(job_id=1, op_index=0, machine=2, start=3, end=5, tool=0)
+    assert (p.job_id, p.op_index, p.machine, p.start, p.end, p.tool) == (1, 0, 2, 3, 5, 0)
+    assert Placement(job_id=1, op_index=0, machine=2, start=3, end=5).tool is None
+    with pytest.raises(AttributeError):
+        p.start = 4
+    twin = Placement(job_id=1, op_index=0, machine=2, start=3, end=5, tool=0)
+    assert twin == p and hash(twin) == hash(p) and len({p, twin}) == 1
+
+
+@pytest.mark.parametrize("with_tool", [False, True])
+def test_record_dict_round_trip_unchanged(with_tool):
+    data = two_job_record_dict()
+    if with_tool:
+        data["placements"][1]["tool"] = 0
+    record = record_from_dict(json.loads(json.dumps(data)))
+    assert all(type(p) is Placement for p in record.placements)
+    assert record_to_dict(record) == data
+    assert record_from_dict(record_to_dict(record)) == record
 
 
 @pytest.mark.parametrize("edit, message", [
