@@ -143,7 +143,7 @@ def experiment_config_from_dict(data: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
-    if not Path(path).exists():
+    if not Path(path).is_file():
         raise ConfigurationError(f"config file not found: {path}")
     return experiment_config_from_dict(read_json(path, ConfigurationError))
 

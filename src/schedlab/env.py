@@ -39,10 +39,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .baselines import Policy
-from .errors import InternalError, InvalidActionError
+from .errors import InvalidActionError
 from .instances import Instance
-from .schedule import Placement, Schedule, validate_schedule
+from .schedule import Placement, Schedule
 
 
 class RewardMode(str, Enum):
@@ -244,26 +243,6 @@ class SchedulingEnv:
 
     def step(self, action: int) -> StepResult:
         return step(self, action)
-
-
-def run_episode(policy: Policy, instance: Instance, mode: RewardMode) -> tuple[int, float, Schedule]:
-    """Roll one full episode; returns (makespan, undiscounted return, schedule)."""
-    env = SchedulingEnv(instance, mode)
-    obs, mask = env.reset()
-    total = 0.0
-    done = False
-    while not done:
-        action = policy(obs, mask)
-        if not (0 <= action < len(mask)) or not mask[action]:
-            raise InvalidActionError(f"policy chose invalid action {action}")
-        result = env.step(action)
-        total += result.reward
-        obs, mask, done = result.observation, result.mask, result.done
-    schedule = env.schedule
-    violations = validate_schedule(schedule)
-    if violations:
-        raise InternalError(f"episode produced an invalid schedule: {violations[0]}")
-    return schedule.makespan, total, schedule
 
 
 # A fresh env per call, whose every episode ends after exactly

@@ -21,12 +21,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
-from .env import RewardMode, run_episode
-from .errors import ConfigurationError, InternalError, bounded, check_fields
+from .env import RewardMode, SchedulingEnv
+from .errors import ConfigurationError, InternalError, InvalidActionError, bounded, check_fields
 from .files import write_text
 from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
-from .schedule import validate_schedule
+from .schedule import Schedule, validate_schedule
 from .solver import solve_optimal
 
 VALID_METHODS = tuple(rule.value for rule in DispatchRule) + ("model", "solver")
@@ -116,6 +116,26 @@ def _gap(makespan: int, instance: Instance) -> float | None:
     if instance.optimal_makespan is None or instance.proof_status != PROOF_OPTIMAL:
         return None
     return (makespan - instance.optimal_makespan) / instance.optimal_makespan
+
+
+def run_episode(policy: Policy, instance: Instance, mode: RewardMode) -> tuple[int, float, Schedule]:
+    """Roll one full episode; returns (makespan, undiscounted return, schedule)."""
+    env = SchedulingEnv(instance, mode)
+    obs, mask = env.reset()
+    total = 0.0
+    done = False
+    while not done:
+        action = policy(obs, mask)
+        if not (0 <= action < len(mask)) or not mask[action]:
+            raise InvalidActionError(f"policy chose invalid action {action}")
+        result = env.step(action)
+        total += result.reward
+        obs, mask, done = result.observation, result.mask, result.done
+    schedule = env.schedule
+    violations = validate_schedule(schedule)
+    if violations:
+        raise InternalError(f"episode produced an invalid schedule: {violations[0]}")
+    return schedule.makespan, total, schedule
 
 
 def evaluate(

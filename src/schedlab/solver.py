@@ -16,7 +16,8 @@ machine being the only shared resource, so tool-constrained and flexible
 instances keep the unrestricted branching.
 
 Children are explored in order of the dispatched task's completion time, so
-the first dive doubles as a greedy rollout that tightens the incumbent early.
+the first dive is a greedy rollout. The search starts with no incumbent, so
+that dive completes unpruned and gives the first one (see ``SolveLimits``).
 The search runs on an explicit stack, so its depth is not limited by Python's
 recursion limit. Identical partial schedules reached through different
 dispatch orders are pruned through a capped transposition set keyed by the
@@ -37,8 +38,6 @@ import math
 import time
 from dataclasses import dataclass
 
-from .baselines import DispatchRule, rule_policy
-from .env import RewardMode, run_episode
 from .errors import InternalError, OracleSizeError, bounded, check_fields
 from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL, validate_instance
 from .schedule import Schedule, Timeline, earliest_start
@@ -49,6 +48,10 @@ _TIME_CHECK_MASK = 1023
 
 @dataclass(frozen=True)
 class SolveLimits:
+    """Checked only once the first dive has completed a schedule, so a stop can
+    overshoot by one dive: 0.10-0.16 s on a 20x20 and 0.7-1.3 s on a 50x20
+    instance of ``perfbench/data`` (shared 2-vCPU machine, Python 3.11)."""
+
     node_limit: int = bounded(10_000_000, 1)
     time_limit_s: float = bounded(60.0, 0)
 
@@ -220,17 +223,13 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     """Branch-and-bound over dispatch permutations with earliest-gap placement.
 
     Returns proof_status "optimal" when the search completes within the
-    limits, otherwise "feasible" with the best incumbent found so far.
+    limits, which apply after the first dive, else "feasible" with the best schedule.
     """
     validate_instance(instance)
     if limits is None:
         limits = SolveLimits()
     t_start = time.perf_counter()
     deadline = t_start + limits.time_limit_s
-
-    _, _, incumbent = run_episode(
-        rule_policy(DispatchRule.SPT), instance, RewardMode.DENSE_MAKESPAN_DELTA
-    )
 
     n_jobs, n_ops, n_machines = instance.num_jobs, instance.tasks_per_job, instance.num_machines
     tables = _tables(instance)
@@ -250,7 +249,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     job_code = [0] * n_jobs
     seen: set[tuple[int, ...]] = set()
 
-    best = incumbent.makespan
+    best = math.inf
     best_history: list[tuple[int, int, int]] | None = None
     # one entry per dispatched task: (job, machine, start, end, tool, prior ready, prior code)
     trail: list[tuple[int, int, int, int, int | None, int, int]] = []
@@ -282,15 +281,16 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         return cands, heads
 
     def open_node(cands: list[tuple[int, int, int, int]], ms_now: int) -> bool:
-        """Count a node and push its children; False once a limit is hit."""
+        """Count a node and push its children; False once a limit is hit past the first dive."""
         nonlocal nodes, stop_reason
         nodes += 1
-        if nodes >= limits.node_limit:
-            stop_reason = "node_limit"
-            return False
-        if (nodes & _TIME_CHECK_MASK) == 0 and time.perf_counter() > deadline:
-            stop_reason = "time_limit"
-            return False
+        if best_history is not None:
+            if nodes >= limits.node_limit:
+                stop_reason = "node_limit"
+                return False
+            if (nodes & _TIME_CHECK_MASK) == 0 and time.perf_counter() > deadline:
+                stop_reason = "time_limit"
+                return False
         if restrict_to_conflict_set:
             c_star, _, m_star, _ = min(cands)
             cands = [c for c in cands if c[2] == m_star and c[3] < c_star]
@@ -350,7 +350,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                     continue
         undo()
 
-    schedule = incumbent if best_history is None else _replay(instance, best_history)
+    schedule = _replay(instance, best_history)
     if schedule.makespan != best:
         raise InternalError(
             f"solver bookkeeping mismatch: replayed makespan {schedule.makespan} != best {best}"

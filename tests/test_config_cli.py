@@ -374,6 +374,13 @@ def test_cli_config_error_exit_2(tmp_path, capsys):
     assert "split" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "train", "test"])
+def test_cli_config_directory_exit_2(tmp_path, capsys, command):
+    assert main([command, "--config", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"config error: config file not found: {tmp_path}\n" and out == ""
+
+
 def test_cli_test_without_model_fails(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["generate", "--config", str(cfg_path)]) == 0
@@ -510,15 +517,21 @@ def test_cli_repeated_eval_entry_exit_2(tmp_path, capsys, field, methods, seeds)
     assert not (tmp_path / "results").exists()
 
 
-def test_cli_solve_node_limit_one_all_feasible(tmp_path, capsys):
+def test_cli_solve_node_limit_one_reports_every_bound(tmp_path, capsys):
+    # the limit applies after the first dive, which can already prove a tiny instance
     cfg_path = tiny_config(tmp_path)
     assert main(["generate", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
     assert main(["solve", "--instances", str(tmp_path / "data"), "--node-limit", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "7 feasible" in out and "0 optimal" in out
-    stopped = [line for line in out.splitlines() if "status=feasible" in line]
-    assert len(stopped) == 7 and all(" lb=" in line and " gap=" in line for line in stopped)
+    lines = capsys.readouterr().out.splitlines()
+    solved = [line for line in lines if " status=" in line]
+    assert len(solved) == 7 and all(" lb=" in line and " gap=" in line for line in solved)
+    optimal = sum(" status=optimal " in line for line in solved)
+    feasible = sum(" status=feasible " in line for line in solved)
+    assert lines[-1] == f"solved: {optimal} optimal, {feasible} feasible, 0 files failed"
+    assert optimal + feasible == 7 and feasible > 0
+    # 2x2 instances: a stopped search counts the 4 tasks' dive and one node more
+    assert all(" nodes=5 " in line for line in solved if " status=feasible " in line)
 
 
 @pytest.mark.parametrize("flag,value", [("--node-limit", "-5"), ("--node-limit", "0"),

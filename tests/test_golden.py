@@ -44,13 +44,13 @@ GOLDEN = {
     "jssp": {
         "train.jsonl": "2e3d7fbf325d18d3f87327fb4f736b2d017bdf8eb626be75e45aeb2e59210387",
         "test.jsonl": "f4a8ea008bceea8fbbf0e23fdcec8f5a68097d145ac9f739d3aa975ab6364ed1",
-        "solve.stdout": "38caa5d7eb1b09a1b2d5a971c377066323c57ab06125d9bc906382fef4460639",
+        "solve.stdout": "7d9d0e1011c4b8ff62c3d0706034ed5f46390ffec7bf294dd8eec519c0c721c1",
         "eval.csv": "041f8fb3ec4792ba8012a1be4d6ea7256ab5226341ddac19ebbd3ce9c81b0825",
     },
     "tools": {
         "train.jsonl": "df0456baa98a649f244e84a9c9d97775ee8cbb1384f548ad108aabf4cc02c95f",
         "test.jsonl": "2c90f4ff27929d5e9fce4eba43db1d1b9071babb6cf50640ded88c48f7b1c97e",
-        "solve.stdout": "e9e5c1cfed30cffca478f68568837ec24b104a75bdc8981b2fc3abed619c1829",
+        "solve.stdout": "ef87c2ab56e8317e4a61b4bc655e7b4b8fc519fbec45f6b3ac3af5181cb402be",
         "eval.csv": "472e9ec2c3e6080dfa43187bc8d49abacbdd167a1ca8fd039bd340a3eab666b7",
     },
 }

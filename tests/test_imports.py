@@ -33,3 +33,35 @@ def test_imports_are_module_level_and_used(path):
         if (alias.asname or alias.name.split(".")[0]) not in used
     ]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _imported_modules(tree):
+    """The last component of every module a file imports from (``from .env`` gives ``env``)."""
+    names = set()
+    for node in _imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[-1])
+        else:
+            names.update(alias.name.split(".")[-1] for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize(
+    "name,upper",
+    [("solver.py", {"env", "baselines", "evaluate"}), ("env.py", {"baselines", "evaluate"})],
+)
+def test_lower_layers_import_no_upper_layer(name, upper):
+    # the solver is the reference behind every gap and the env the one episode
+    # layer; neither may reach up to the code that compares policies with them
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    assert not _imported_modules(tree) & upper
+
+
+def test_run_episode_lives_beside_evaluate():
+    defined = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name == "run_episode"
+    }
+    assert defined == {"evaluate.py"}
