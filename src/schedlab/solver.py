@@ -8,20 +8,26 @@ nondecreasing start order reproduces it), so for regular objectives the
 family contains an optimum; ``timing_oracle`` certifies the same under tool
 constraints by exhausting all integer start assignments on small instances.
 
-For plain JSSP the children are further restricted to the classic
-conflict set: among all candidates, take the machine on which the earliest
-completion c* occurs and branch only on candidates for that machine starting
-before c*. That restriction preserves all active schedules. It leans on the
-machine being the only shared resource, so tool-constrained and flexible
-instances keep the unrestricted branching.
+Except on FJSSP, where a machine choice breaks the argument, the children
+form a conflict set over two resources (Giffler & Thompson 1960): with o*
+the candidate of least earliest completion c*, on machine m* and tool t*,
+only candidates that start before c* and use m* or t* are branched on. Take
+any active completion S; let x be the candidate on m* or t* first in S. x
+starts before c*, or o* could move left to its earliest start. Every other
+candidate ends at or after its earliest completion, so at or after c*, and
+every later op of a job starts after its job's candidate ends; so no unplaced
+task comes before x on either of x's resources, x sits at its earliest start
+and is a child. Induction on the number of placed tasks completes it.
 
 Children are explored in order of the dispatched task's completion time, so
 the first dive is a greedy rollout. The search starts with no incumbent, so
 that dive completes unpruned and gives the first one (see ``SolveLimits``).
 The search runs on an explicit stack, so its depth is not limited by Python's
-recursion limit. Identical partial schedules reached through different
-dispatch orders are pruned through a capped transposition set keyed by the
-exact placement history, which keeps the search sound.
+recursion limit. Where two dispatch orders can reach the same placements,
+under unrestricted branching (FJSSP) and the tool conflict set, a capped
+transposition set keyed by the exact placement history prunes the repeats,
+which keeps the search sound. On plain JSSP every child covers m* just
+before c*, so two children always overlap and two branch orders never meet.
 
 A node is pruned when ``lower_bound``, Jackson's preemptive one-machine bound
 (Carlier 1982; Brucker, Jurisch & Sievers 1994), reaches the incumbent. The
@@ -237,7 +243,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
 
     uses_tools = any(t is not None for row in tool_of for t in row)
     flexible = any(len(ms) > 1 for row in elig for ms in row)
-    restrict_to_conflict_set = not uses_tools and not flexible
+    dedupe = uses_tools or flexible
 
     machine_tl = [Timeline() for _ in range(n_machines)]
     tool_tl = [Timeline() for _ in range(instance.num_tools)]
@@ -291,9 +297,11 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
             if (nodes & _TIME_CHECK_MASK) == 0 and time.perf_counter() > deadline:
                 stop_reason = "time_limit"
                 return False
-        if restrict_to_conflict_set:
-            c_star, _, m_star, _ = min(cands)
-            cands = [c for c in cands if c[2] == m_star and c[3] < c_star]
+        if not flexible:
+            c_star, j_star, m_star, _ = min(cands)
+            t_star = tool_of[j_star][next_op[j_star]]
+            cands = [c for c in cands if c[3] < c_star and (c[2] == m_star or (
+                t_star is not None and tool_of[c[1]][next_op[c[1]]] == t_star))]
         cands.sort()
         stack.append([cands, 0, ms_now])
         return True
@@ -330,24 +338,26 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         trail.append((j, m, s, end, tool, job_ready[j], job_code[j]))
         job_ready[j] = end
         next_op[j] = k + 1
-        job_code[j] = job_code[j] * encode_base + (m * horizon + s + 1)
-
-        key = tuple(job_code)
-        if key not in seen:
+        if dedupe:
+            job_code[j] = job_code[j] * encode_base + (m * horizon + s + 1)
+            key = tuple(job_code)
+            if key in seen:
+                undo()
+                continue
             if len(seen) < _TRANSPOSITION_CAP:
                 seen.add(key)
-            ms_child = end if end > ms_now else ms_now
-            if len(trail) == n_tasks:
-                if ms_child < best:
-                    best = ms_child
-                    best_history = [entry[:3] for entry in trail]
-            elif ms_child < best:
-                found = candidates(best)
-                if found is not None and _bound(
-                    tables, found[1], next_op, machine_tl, tool_tl, ms_child, best
-                ) < best:
-                    running = open_node(found[0], ms_child)
-                    continue
+        ms_child = end if end > ms_now else ms_now
+        if len(trail) == n_tasks:
+            if ms_child < best:
+                best = ms_child
+                best_history = [entry[:3] for entry in trail]
+        elif ms_child < best:
+            found = candidates(best)
+            if found is not None and _bound(
+                tables, found[1], next_op, machine_tl, tool_tl, ms_child, best
+            ) < best:
+                running = open_node(found[0], ms_child)
+                continue
         undo()
 
     schedule = _replay(instance, best_history)

@@ -50,7 +50,7 @@ GOLDEN = {
     "tools": {
         "train.jsonl": "df0456baa98a649f244e84a9c9d97775ee8cbb1384f548ad108aabf4cc02c95f",
         "test.jsonl": "2c90f4ff27929d5e9fce4eba43db1d1b9071babb6cf50640ded88c48f7b1c97e",
-        "solve.stdout": "ef87c2ab56e8317e4a61b4bc655e7b4b8fc519fbec45f6b3ac3af5181cb402be",
+        "solve.stdout": "f5447b8a5c6a2adb8fed52627f5ee3d0b975248eb81339db09244903dd9a1ba5",
         "eval.csv": "472e9ec2c3e6080dfa43187bc8d49abacbdd167a1ca8fd039bd340a3eab666b7",
     },
 }

@@ -310,7 +310,7 @@ def test_bound_cutoff_contract_along_random_paths(seed):
 
 # sha256 of the (makespan, nodes_expanded, lower_bound, stop_reason, placements)
 # rows of search_digest_runs()
-SEARCH_GOLDEN = "a5550052b968fa362c70efc5552384b8f81ffda0ee619e9c5a9122ebb5941464"
+SEARCH_GOLDEN = "2f1f533ae225cc8920f263ed9e7f5b194ed49bc95dfd9cab69ea14b4ae375f39"
 
 
 def search_digest_runs():
@@ -324,9 +324,10 @@ def search_digest_runs():
 
 
 def test_search_digest():
-    """Pins the search itself: conflict-set and unrestricted branching, and an
-    early stop whose lower bound is the root bound. A change to pruning or
-    child order moves the node counts even where the optimum stays."""
+    """Pins the search itself: the conflict set with and without tools,
+    unrestricted branching, and an early stop whose lower bound is the root
+    bound. A change to pruning or child order moves the node counts even
+    where the optimum stays."""
     rows = []
     for inst, limits in search_digest_runs():
         r = solve_optimal(inst, limits)
@@ -380,6 +381,25 @@ def test_oracles_agree_with_tools(seed):
                       num_tools=2, seed=seed + 400)
     inst = generate_instance(cfg, 0)
     assert timing_oracle(inst) == permutation_oracle(inst) == solve_optimal(inst).makespan
+
+
+# (jobs, ops per job, machines, tools): a job can revisit a machine where ops !=
+# machines, and a tool wherever tools < ops
+TOOL_REVISIT_SHAPES = [(2, 4, 2, 1), (2, 4, 2, 2), (4, 2, 2, 1), (2, 3, 3, 1), (3, 2, 3, 2),
+                       (3, 2, 2, 1), (2, 3, 2, 2)]
+
+
+@pytest.mark.parametrize("shape", TOOL_REVISIT_SHAPES, ids=lambda s: "%dx%d-m%d-t%d" % s)
+def test_tool_conflict_set_matches_oracles(shape):
+    """The two-resource conflict set keeps an optimum where jobs share machines and tools."""
+    n_jobs, n_ops, n_machines, n_tools = shape
+    cfg = jssp_config(n_jobs, n_ops, n_machines, count=40, seed=9000,
+                      with_tools=True, num_tools=n_tools)
+    for inst in generate_batch(cfg):
+        expected = permutation_oracle(inst)
+        assert solve_optimal(inst).makespan == expected, inst.id
+        if inst.num_tasks <= 6:
+            assert timing_oracle(inst) == expected, inst.id
 
 
 @pytest.mark.parametrize("seed", range(10))
