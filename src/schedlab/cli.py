@@ -12,7 +12,7 @@ from pathlib import Path
 from . import gantt
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
-from .env import SchedulingEnv, observation_length
+from .env import SchedulingEnv
 from .errors import ConfigurationError, InstanceSetError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
 from .files import write_text
@@ -125,7 +125,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     instances = read_instances(test_path)
     check_instance_set(instances, test_path, one_job_count=False)
 
-    model_params = None
+    model_params = model_path = None
     if "model" in config.eval.methods:
         model_path = Path(args.model) if args.model else _model_path(config)
         if not model_path.exists():
@@ -135,23 +135,17 @@ def cmd_test(args: argparse.Namespace) -> int:
             )
             return EXIT_RUNTIME
         model_params = load_model(model_path)
-        dims = model_params.dims()
-        for n in sorted({inst.num_jobs for inst in instances}):
-            if (dims[0], dims[-1]) != (observation_length(n), n):
-                print(
-                    f"error: model {model_path} maps {dims[0]} inputs to {dims[-1]} actions, but "
-                    f"{n}-job test instances need {observation_length(n)} inputs and {n} actions",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
 
-    records = evaluate(
-        config.eval.methods,
-        instances,
-        config.reward_mode,
-        seeds=config.eval.seeds,
-        model_params=model_params,
-    )
+    try:
+        records = evaluate(
+            config.eval.methods,
+            instances,
+            config.reward_mode,
+            seeds=config.eval.seeds,
+            model_params=model_params,
+        )
+    except InstanceSetError as exc:  # the set passed above, so the model does not fit it
+        raise InstanceSetError(f"{model_path}: {exc}") from exc
     rid = run_id(config)
     csv_path = Path(config.paths.results_dir) / f"{rid}.eval.csv"
     write_records_csv(records, csv_path)

@@ -142,7 +142,7 @@ def train_dqn(
                 episode=episode,
                 scalars={
                     "return": ep_return,
-                    "makespan": float(result.info["makespan"]),
+                    "makespan": float(result.makespan),
                     "loss": last_loss if math.isfinite(last_loss) else 0.0,
                     "epsilon": _epsilon(config, step_count),
                 },
@@ -173,6 +173,6 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
         )
     upstream = np.zeros_like(q)
     upstream[rows, actions] = 2.0 * td_error / config.batch_size
-    grad_w, grad_b = mlp_gradient(q_params, obs, upstream, q_acts)
+    grad_w, grad_b = mlp_gradient(q_params, q_acts, upstream)
     optimizer.step(grad_w, grad_b)
     return loss

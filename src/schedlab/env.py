@@ -33,9 +33,9 @@ intervals, so an earliest start can only move later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class StepResult:
     reward: float
     done: bool
     mask: np.ndarray
-    info: dict[str, Any] = field(default_factory=dict)
+    makespan: int
 
 
 def observation_length(num_jobs: int) -> int:
@@ -210,7 +210,7 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
         reward=reward,
         done=done,
         mask=env.mask.copy(),
-        info={"makespan": c_after},
+        makespan=c_after,
     )
 
 

@@ -21,8 +21,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
-from .env import RewardMode, SchedulingEnv
-from .errors import ConfigurationError, InternalError, InvalidActionError, bounded, check_fields
+from .env import RewardMode, SchedulingEnv, observation_length
+from .errors import (
+    ConfigurationError, InstanceSetError, InternalError, InvalidActionError, bounded, check_fields,
+)
 from .files import write_text
 from .instances import Instance, PROOF_OPTIMAL, check_instance_set
 from .nn import MlpParams, greedy_action
@@ -154,13 +156,23 @@ def evaluate(
     id. Before any run, methods and seeds are checked by building
     ``EvalSettings``, so a bad entry raises the ``ConfigurationError`` a
     config file with it gets: an unknown or repeated method, a repeated seed,
-    no seeds, or a seed outside [0, 2**64).
+    no seeds, or a seed outside [0, 2**64). With method "model", a
+    ``model_params`` whose input and output widths do not fit the job count
+    of every instance raises ``InstanceSetError``, also before any run.
     """
     check_instance_set(instances, one_job_count=False)
     settings = EvalSettings(tuple(methods), tuple(seeds))  # an iterator is read once
     methods, seeds = settings.methods, settings.seeds
-    if "model" in methods and model_params is None:
-        raise ValueError("method 'model' requires model_params")
+    if "model" in methods:
+        if model_params is None:
+            raise ValueError("method 'model' requires model_params")
+        dims = model_params.dims()
+        for n in sorted({inst.num_jobs for inst in instances}):
+            if (dims[0], dims[-1]) != (observation_length(n), n):
+                raise InstanceSetError(
+                    f"the model maps {dims[0]} inputs to {dims[-1]} actions, but "
+                    f"{n}-job instances need {observation_length(n)} inputs and {n} actions"
+                )
 
     clock = timer if timer is not None else (lambda: 0.0)
 

@@ -4,6 +4,8 @@ An instance is an immutable description of a scheduling problem: ``num_jobs``
 jobs, each an ordered chain of ``tasks_per_job`` tasks. Every task carries a
 positive integer processing time, a non-empty set of eligible machines
 (exactly one for JSSP) and, for tool-constrained problems, a required tool id.
+``Instance.with_tools`` is derived, ``num_tools > 0``; instance records still
+carry it, and a record whose flag disagrees with ``num_tools`` is rejected.
 
 Instances are identified by a SHA-256 digest over their canonical JSON
 serialization (sorted keys, compact separators, UTF-8), excluding the id
@@ -73,7 +75,6 @@ class Instance:
 
     id: str
     problem_type: ProblemType
-    with_tools: bool
     num_jobs: int
     tasks_per_job: int
     num_machines: int
@@ -85,6 +86,10 @@ class Instance:
 
     def task(self, job_id: int, op_index: int) -> Task:
         return self.tasks[job_id * self.tasks_per_job + op_index]
+
+    @property
+    def with_tools(self) -> bool:
+        return self.num_tools > 0
 
     @property
     def num_tasks(self) -> int:
@@ -195,7 +200,6 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
     inst = Instance(
         id="",
         problem_type=config.problem_type,
-        with_tools=config.with_tools,
         num_jobs=n_jobs,
         tasks_per_job=n_ops,
         num_machines=n_machines,
@@ -352,7 +356,6 @@ def instance_from_record(record: dict) -> Instance:
         instance = Instance(
             id=str(record["id"]),
             problem_type=problem_type,
-            with_tools=bool(record["with_tools"]),
             num_jobs=int(record["num_jobs"]),
             tasks_per_job=int(record["tasks_per_job"]),
             num_machines=int(record["num_machines"]),

@@ -25,14 +25,14 @@ class MetricsEvent:
     timestamp: float = 0.0
 
 
-def write_metrics(events, path: str | Path, append: bool = False) -> None:
+def write_metrics(events, path: str | Path) -> None:
     lines = (
         {"run_id": ev.run_id, "step": ev.step, "episode": ev.episode, "key": key,
          "value": float(ev.scalars[key]), "timestamp": ev.timestamp}
         for ev in events
         for key in sorted(ev.scalars)
     )
-    write_text(path, "".join(canonical_json(line) + "\n" for line in lines), append)
+    write_text(path, "".join(canonical_json(line) + "\n" for line in lines))
 
 
 def read_metrics(path: str | Path) -> list[MetricsEvent]:

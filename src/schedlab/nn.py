@@ -69,8 +69,8 @@ def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
 def mlp_activations(params: MlpParams, x: np.ndarray) -> list[np.ndarray]:
     """Forward pass keeping every layer's output: [x, h_1, ..., output].
 
-    The last entry is ``mlp_forward(params, x)``; pass the list to
-    ``mlp_gradient`` to skip running the same forward pass again.
+    The last entry is ``mlp_forward(params, x)``; for a ``(b, d)`` batch,
+    the list is what ``mlp_gradient`` takes.
 
     ``x`` may have any leading shape. The stacking rule: a ``(k, 1, d)``
     stack runs k gemv products, so row i is bit-equal to the forward of
@@ -99,41 +99,29 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_gradient(
-    params: MlpParams,
-    x: np.ndarray,
-    upstream: np.ndarray,
-    activations: list[np.ndarray] | None = None,
+    params: MlpParams, activations: list[np.ndarray], upstream: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Parameter gradients by reverse accumulation.
 
-    ``upstream`` is dLoss/dOutput with the same shape as the forward output
-    (any batch scaling belongs to the caller). ``activations``, if given, is
-    ``mlp_activations(params, x)`` for the same x; otherwise the forward pass
-    runs here. Returns (weight grads, bias grads) shaped like the parameters.
+    ``activations`` is ``mlp_activations(params, x)`` for a ``(b, d)`` batch
+    ``x``, its first entry. ``upstream`` is dLoss/dOutput, shaped like the
+    last entry (any batch scaling belongs to the caller). Returns (weight
+    grads, bias grads) shaped like the parameters.
     """
-    x = _check_input(params, x)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[None, :]
-        upstream = upstream[None, :]
-    if activations is None:
-        acts = mlp_activations(params, x)
-    else:
-        acts = [a[None, :] for a in activations] if squeeze else activations
-    if upstream.shape != acts[-1].shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match output {acts[-1].shape}")
+    output = activations[-1]
+    if upstream.shape != output.shape:
+        raise ValueError(f"upstream shape {upstream.shape} does not match output {output.shape}")
 
     n_layers = params.num_layers()
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
     delta = upstream
     for i in range(n_layers - 1, -1, -1):
-        grad_w[i] = acts[i].T @ delta
+        grad_w[i] = activations[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
         if i > 0:
             delta = delta @ params.weights[i].T
-            delta *= 1.0 - acts[i] ** 2
+            delta *= 1.0 - activations[i] ** 2
     return grad_w, grad_b
 
 

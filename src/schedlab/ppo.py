@@ -231,7 +231,7 @@ class _RolloutCollector:
                         f"but instance.num_tasks is {ep.instance.num_tasks}"
                     )
                 if result.done:
-                    ep.makespan = result.info["makespan"]
+                    ep.makespan = result.makespan
                 else:
                     ep.obs, ep.mask = result.observation, result.mask
             live = [ep for ep in live if ep.makespan is None and ep.row < n_steps]
@@ -361,11 +361,11 @@ def _ppo_update(
                     f"value {value_loss}, entropy {entropy_mean}"
                 )
 
-            gw, gb = mlp_gradient(policy, obs, upstream, policy_acts)
+            gw, gb = mlp_gradient(policy, policy_acts, upstream)
             policy_opt.step(gw, gb)
 
             v_up = (2.0 * config.value_coef / b) * verr[:, None]
-            gw, gb = mlp_gradient(value, obs, v_up, value_acts)
+            gw, gb = mlp_gradient(value, value_acts, v_up)
             value_opt.step(gw, gb)
 
             policy_losses.append(policy_loss)

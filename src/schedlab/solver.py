@@ -241,9 +241,8 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     tables = _tables(instance)
     proc, elig, tool_of, chain = tables
 
-    uses_tools = any(t is not None for row in tool_of for t in row)
     flexible = any(len(ms) > 1 for row in elig for ms in row)
-    dedupe = uses_tools or flexible
+    dedupe = instance.with_tools or flexible
 
     machine_tl = [Timeline() for _ in range(n_machines)]
     tool_tl = [Timeline() for _ in range(instance.num_tools)]

@@ -18,13 +18,10 @@ def build_instance(job_specs, num_machines, num_tools=0, problem_type=ProblemTyp
     tasks_per_job = len(job_specs[0])
     assert all(len(spec) == tasks_per_job for spec in job_specs)
     tasks = []
-    with_tools = False
     for j, spec in enumerate(job_specs):
         for k, (machines, p, tool) in enumerate(spec):
             if isinstance(machines, int):
                 machines = (machines,)
-            if tool is not None:
-                with_tools = True
             tasks.append(
                 Task(
                     job_id=j,
@@ -37,7 +34,6 @@ def build_instance(job_specs, num_machines, num_tools=0, problem_type=ProblemTyp
     inst = Instance(
         id="",
         problem_type=problem_type,
-        with_tools=with_tools,
         num_jobs=len(job_specs),
         tasks_per_job=tasks_per_job,
         num_machines=num_machines,

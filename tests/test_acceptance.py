@@ -24,7 +24,7 @@ from schedlab.env import RewardMode, SchedulingEnv, reset, step
 from schedlab.evaluate import _episode_rng, evaluate, run_episode
 from schedlab.gantt import render_svg
 from schedlab.instances import generate_batch, generate_instance
-from schedlab.nn import init_mlp, mlp_forward, mlp_gradient
+from schedlab.nn import init_mlp, mlp_activations, mlp_forward, mlp_gradient
 from schedlab.ppo import train_ppo
 from schedlab.schedule import validate_schedule
 from schedlab.solver import permutation_oracle, solve_and_annotate, solve_optimal, timing_oracle
@@ -281,7 +281,7 @@ def test_criterion_5_gradient_check():
         batch = int(rng.integers(1, 6))
         x = rng.standard_normal((batch, dims[0]))
         upstream = rng.standard_normal((batch, dims[-1]))
-        gw, gb = mlp_gradient(params, x, upstream)
+        gw, gb = mlp_gradient(params, mlp_activations(params, x), upstream)
 
         def loss():
             return float(np.sum(mlp_forward(params, x) * upstream))

@@ -9,7 +9,9 @@ from schedlab import dqn, ppo
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
 from schedlab.errors import EpisodeLengthError, InstanceSetError
-from schedlab.nn import greedy_action, init_mlp, masked_log_probs, mlp_forward, mlp_gradient
+from schedlab.nn import (
+    greedy_action, init_mlp, masked_log_probs, mlp_activations, mlp_forward, mlp_gradient,
+)
 from schedlab.ppo import PpoConfig, Trajectory, _RolloutCollector, compute_gae, train_ppo
 from schedlab.evaluate import run_episode
 from schedlab.solver import permutation_oracle
@@ -202,7 +204,7 @@ class PerStepValueCollector:
             self._ep_return += result.reward
             if result.done:
                 self.finished_returns.append(self._ep_return)
-                self.finished_makespans.append(result.info["makespan"])
+                self.finished_makespans.append(result.makespan)
                 self.env = None
             else:
                 self.obs, self.mask = result.observation, result.mask
@@ -545,7 +547,7 @@ def test_dqn_td_loss_gradient_matches_finite_differences():
     td = q[np.arange(b), actions] - targets
     upstream = np.zeros_like(q)
     upstream[np.arange(b), actions] = 2.0 * td / b
-    gw, gb = mlp_gradient(params, obs, upstream)
+    gw, gb = mlp_gradient(params, mlp_activations(params, obs), upstream)
 
     h = 1e-6
     worst = 0.0

@@ -478,7 +478,7 @@ def test_cli_solve_rejects_missing_or_file_path(tmp_path, capsys, target):
 
 def test_cli_solve_reports_zero_job_file(tmp_path, capsys):
     data = tmp_path / "data"
-    inst = Instance(id="", problem_type=ProblemType.JSSP, with_tools=False, num_jobs=0,
+    inst = Instance(id="", problem_type=ProblemType.JSSP, num_jobs=0,
                     tasks_per_job=3, num_machines=2, num_tools=0, tasks=(),
                     meta=InstanceMeta(seed=0))
     write_instances([dataclasses.replace(inst, id=instance_digest(inst))], data / "empty.jsonl")

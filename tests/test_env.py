@@ -50,7 +50,7 @@ def test_single_task_dense_reward(single_task_instance):
     result = step(env, 0)
     assert result.reward == -1.0
     assert result.done
-    assert result.info["makespan"] == 5
+    assert result.makespan == 5
     assert result.mask.tolist() == [False]
 
 
@@ -70,7 +70,7 @@ def test_two_job_dense_rewards_hand_rolled():
     assert r0.reward == pytest.approx(-3 / 7)
     r1 = step(env, 1)
     assert r1.reward == pytest.approx(-(4 - 3) / 7)
-    assert r1.done and r1.info["makespan"] == 4
+    assert r1.done and r1.makespan == 4
 
 
 def test_step_on_completed_job_raises():
@@ -183,7 +183,7 @@ def test_env_class_wrapper():
     obs, mask = env.reset()
     assert len(obs) == 9 and mask.all()
     result = env.step(0)
-    assert result.info["makespan"] > 0
+    assert result.makespan > 0
     env2 = SchedulingEnv(inst, DENSE)
     with pytest.raises(InvalidActionError):
         env2.step(0)  # before reset

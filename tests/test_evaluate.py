@@ -5,7 +5,7 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
-from schedlab.errors import ConfigurationError, InvalidActionError
+from schedlab.errors import ConfigurationError, InstanceSetError, InvalidActionError
 from schedlab.evaluate import (
     CSV_HEADER,
     EvalRecord,
@@ -114,6 +114,22 @@ def test_evaluate_model_method():
         evaluate(["model"], instances, DENSE)
 
 
+@pytest.mark.parametrize("dims, fragment", [
+    ([13, 8, 8, 1], "maps 13 inputs to 1 actions, but 3-job instances need 13 inputs and 3 actions"),
+    ([25, 8, 8, 6], "maps 25 inputs to 6 actions, but 3-job instances need 13 inputs and 3 actions"),
+], ids=["one-output", "other-job-count"])
+def test_evaluate_rejects_model_of_wrong_width_before_any_run(dims, fragment):
+    # a 1-output net, such as a value network, would broadcast through greedy_action
+    instances = annotated_set(3, seed=300)
+    params = init_mlp(dims, np.random.Generator(np.random.Philox(key=0)))
+    runs = []  # the timer is read at the start of every run
+    with pytest.raises(InstanceSetError, match=fragment):
+        evaluate(["spt", "model"], instances, DENSE, model_params=params,
+                 timer=lambda: runs.append(1) or 0.0)
+    assert runs == []
+    assert len(evaluate(["spt"], instances, DENSE, model_params=params)) == 3
+
+
 def test_evaluate_unknown_method_lists_valid_names():
     instances = annotated_set(2, seed=400)
     with pytest.raises(ConfigurationError) as exc:
@@ -183,15 +199,6 @@ def test_metrics_roundtrip(tmp_path):
     path = tmp_path / "metrics.jsonl"
     write_metrics(events, path)
     assert read_metrics(path) == events
-
-
-def test_metrics_append_safe(tmp_path):
-    path = tmp_path / "metrics.jsonl"
-    first = [MetricsEvent("r", 1, 1, {"a": 1.0})]
-    second = [MetricsEvent("r", 2, 2, {"a": 2.0})]
-    write_metrics(first, path)
-    write_metrics(second, path, append=True)
-    assert read_metrics(path) == first + second
 
 
 def test_concurrent_metrics_files_do_not_interleave(tmp_path):

@@ -220,15 +220,19 @@ def test_record_rejected_naming_its_fault(tools, edit, fragment):
     assert fragment in str(exc.value)
 
 
-@pytest.mark.parametrize("edit, fragment", [
-    (_set_task("p", 4.5), "tasks[0].p: 4.5 loads as 4"),
-    (lambda record: record.update(num_jobs=2.9), "num_jobs: 2.9 loads as 2"),
-    (lambda record: record.update(num_jobs="2"), "num_jobs: '2' loads as 2"),
-    (lambda record: record.update(colour="red"), "colour: unknown field"),
-    (_set_task("due", 9), "tasks[0].due: unknown field"),
-], ids=["fractional-p", "fractional-num-jobs", "string-num-jobs", "unknown-key", "unknown-task-key"])
-def test_record_that_would_load_changed_is_rejected(edit, fragment):
-    cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, runtime_lo=4, runtime_hi=4, seed=8)
+@pytest.mark.parametrize("tools, edit, fragment", [
+    (False, _set_task("p", 4.5), "tasks[0].p: 4.5 loads as 4"),
+    (False, lambda record: record.update(num_jobs=2.9), "num_jobs: 2.9 loads as 2"),
+    (False, lambda record: record.update(num_jobs="2"), "num_jobs: '2' loads as 2"),
+    (False, lambda record: record.update(colour="red"), "colour: unknown field"),
+    (False, _set_task("due", 9), "tasks[0].due: unknown field"),
+    (True, lambda record: record.update(with_tools=False), "with_tools: False loads as True"),
+], ids=["fractional-p", "fractional-num-jobs", "string-num-jobs", "unknown-key", "unknown-task-key",
+        "with-tools-flipped"])
+def test_record_that_would_load_changed_is_rejected(tools, edit, fragment):
+    # with_tools follows from num_tools, so a record whose flag disagrees loads changed
+    cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, runtime_lo=4, runtime_hi=4, seed=8,
+                      with_tools=tools, num_tools=2 if tools else 0)
     record = instance_to_record(generate_instance(cfg, 0))
     edit(record)
     with pytest.raises(MalformedRecordError) as exc:

@@ -413,7 +413,7 @@ def test_oracles_agree_fjssp(seed):
 @pytest.mark.parametrize("problem_type", [ProblemType.JSSP, ProblemType.FJSSP])
 def test_solve_rejects_empty_dimensions(field, problem_type):
     dims = {"num_jobs": 2, "tasks_per_job": 2, "num_machines": 2, field: 0}
-    inst = Instance(id="0" * 64, problem_type=problem_type, with_tools=False, num_tools=0,
+    inst = Instance(id="0" * 64, problem_type=problem_type, num_tools=0,
                     tasks=(), meta=InstanceMeta(seed=0), **dims)
     with pytest.raises(MalformedRecordError, match=field):
         solve_optimal(inst)
