@@ -9,7 +9,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import gantt
+from . import gantt, solver
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
 from .env import SchedulingEnv
@@ -21,7 +21,6 @@ from .metrics import write_metrics
 from .nn import load_model, save_model
 from .ppo import train_ppo
 from .schedule import read_schedule
-from .solver import SolveLimits, solve_and_annotate
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -51,7 +50,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_solve(args: argparse.Namespace) -> int:
     # checked here, before any file is read or rewritten
-    limits = SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
+    limits = solver.SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
     directory = Path(args.instances)
     if not directory.is_dir():
         print(f"error: {directory} is not a directory of instance files", file=sys.stderr)
@@ -63,8 +62,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
             instances = read_instances(path)
             annotated = []
             for inst in instances:
-                new_inst, result = solve_and_annotate(inst, limits)
-                annotated.append(new_inst)
+                # through the module, so the tracer of perfbench/tracing.py sees the call
+                result = solver.solve_optimal(inst, limits)
+                annotated.append(inst.annotated(result.makespan, result.proof_status))
                 gap = (result.makespan - result.lower_bound) / result.makespan
                 print(
                     f"{path.name} {inst.id[:12]} makespan={result.makespan} "
@@ -175,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="annotate instance files with optimal makespans")
     p.add_argument("--instances", required=True, help="directory of .jsonl instance files")
-    p.add_argument("--node-limit", type=int, default=SolveLimits.node_limit)
-    p.add_argument("--time-limit", type=float, default=SolveLimits.time_limit_s)
+    p.add_argument("--node-limit", type=int, default=solver.SolveLimits.node_limit)
+    p.add_argument("--time-limit", type=float, default=solver.SolveLimits.time_limit_s)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("train", help="train the configured algorithm on the train split")

@@ -105,7 +105,6 @@ def train_dqn(
     step_count = 0
     episode = 0
     last_loss = math.nan
-    gamma = config.discount
 
     while step_count < config.total_steps:
         instance = instances[episode % len(instances)]
@@ -128,9 +127,7 @@ def train_dqn(
             step_count += 1
 
             if len(buffer) >= config.batch_size:
-                last_loss = _learn_step(
-                    buffer, config, q_params, target_params, optimizer, rng, gamma, step_count
-                )
+                last_loss = _learn_step(buffer, config, q_params, target_params, optimizer, rng, step_count)
             if step_count % config.target_sync_interval == 0:
                 target_params = q_params.copy()
 
@@ -151,7 +148,7 @@ def train_dqn(
     return q_params, events
 
 
-def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, step_count):
+def _learn_step(buffer, config, q_params, target_params, optimizer, rng, step_count):
     obs, actions, rewards, next_obs, next_masks, dones = buffer.sample(config.batch_size, rng)
     rows = np.arange(config.batch_size)
 
@@ -159,7 +156,7 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, gamma, 
     next_q = np.where(next_masks, next_q, -np.inf)
     # terminal next states have an all-false mask; their bootstrap term is zero
     next_best = np.where(dones, 0.0, np.max(next_q, axis=1, initial=-np.inf))
-    targets = rewards + gamma * next_best
+    targets = rewards + config.discount * next_best
 
     q_acts = mlp_activations(q_params, obs)
     q = q_acts[-1]

@@ -33,7 +33,6 @@ from .errors import (
     ConfigurationError,
     DigestMismatchError,
     InstanceSetError,
-    InternalError,
     MalformedRecordError,
     bounded,
     check_fields,
@@ -211,11 +210,19 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
 
 
 def generate_batch(config: GeneratorConfig) -> list[Instance]:
-    """Generate ``config.count`` instances for stream indices 0..count-1."""
+    """Generate ``config.count`` instances for stream indices 0..count-1.
+
+    Raises ConfigurationError if two streams give the same instance, which a
+    config with too few distinct instances (one runtime, say) makes likely."""
     batch = [generate_instance(config, i) for i in range(config.count)]
-    ids = {inst.id for inst in batch}
-    if len(ids) != len(batch):
-        raise InternalError("duplicate instance digest within a batch; identical instances generated")
+    first: dict[str, int] = {}
+    for i, inst in enumerate(batch):
+        j = first.setdefault(inst.id, i)
+        if j != i:
+            raise ConfigurationError(
+                f"streams {j} and {i} generate the same instance {inst.id[:12]}; "
+                "widen the runtime range or the instance size, or lower count"
+            )
     return batch
 
 

@@ -7,9 +7,10 @@ between existing intervals (gap insertion).
 
 A Schedule is a single-owner mutable value. The environment and the
 dispatching rules build schedules exclusively through ``place_task``, which
-preserves every invariant by construction. The solver searches on its own
-timelines through the shared ``earliest_start`` and only replays its result
-through ``place_task``.
+preserves every invariant by construction and is the one place that checks a
+placement. The solver searches on its own timelines through the shared
+``earliest_start`` and adds its intervals unchecked; replaying its result
+through ``place_task`` checks them.
 ``validate_schedule`` re-derives the invariants from the placements alone and
 is the independent check used by tests, the evaluation harness and the Gantt
 renderer.
@@ -32,6 +33,7 @@ VIOLATION_MACHINE_OVERLAP = "machine-overlap"
 VIOLATION_TOOL_OVERLAP = "tool-overlap"
 VIOLATION_ELIGIBILITY = "eligibility"
 VIOLATION_NEGATIVE_TIME = "negative-time"
+VIOLATION_DURATION = "duration"
 VIOLATION_HEADER = "header"
 
 
@@ -102,16 +104,7 @@ class Timeline:
             return (starts[i], ends[i])
         return None
 
-    def insert(self, start: int, end: int) -> None:
-        conflict = self.first_conflict(start, end)
-        if conflict is not None:
-            raise ConstraintViolationError(
-                f"interval [{start},{end}) overlaps busy [{conflict[0]},{conflict[1]})",
-                interval=conflict,
-            )
-        self._add(start, end)
-
-    def _add(self, start: int, end: int) -> None:
+    def add(self, start: int, end: int) -> None:
         """Insert [start, end) unchecked; the caller has found it idle."""
         i = bisect_right(self._starts, start)
         self._starts.insert(i, start)
@@ -225,9 +218,9 @@ class Schedule:
             end=end,
             tool=task.tool,
         )
-        machine_tl._add(start, end)
+        machine_tl.add(start, end)
         if tool_tl is not None:
-            tool_tl._add(start, end)
+            tool_tl.add(start, end)
         self.placements[(task.job_id, task.op_index)] = placement
         self.job_ready[task.job_id] = end
         self.next_op[task.job_id] += 1
@@ -296,9 +289,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
             seen.add((job, op))
             if pl.end <= pl.start:
                 violations.append(
-                    Violation(
-                        VIOLATION_NEGATIVE_TIME, ((job, op),), f"empty interval [{pl.start},{pl.end})"
-                    )
+                    Violation(VIOLATION_DURATION, ((job, op),), f"empty interval [{pl.start},{pl.end})")
                 )
         else:
             task = instance.task(job, op)
@@ -313,7 +304,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
             if pl.end - pl.start != task.processing_time:
                 violations.append(
                     Violation(
-                        VIOLATION_NEGATIVE_TIME,
+                        VIOLATION_DURATION,
                         ((job, op),),
                         f"duration {pl.end - pl.start} != processing_time {task.processing_time}",
                     )

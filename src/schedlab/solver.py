@@ -331,9 +331,10 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         end, j, m, s = children[i]
         k = next_op[j]
         tool = tool_of[j][k]
-        machine_tl[m].insert(s, end)
+        # idle: s is earliest_start on these timelines; _replay checks it through place_task
+        machine_tl[m].add(s, end)
         if tool is not None:
-            tool_tl[tool].insert(s, end)
+            tool_tl[tool].add(s, end)
         trail.append((j, m, s, end, tool, job_ready[j], job_code[j]))
         job_ready[j] = end
         next_op[j] = k + 1
@@ -385,13 +386,6 @@ def _replay(instance: Instance, history: list[tuple[int, int, int]]) -> Schedule
     return schedule
 
 
-def solve_and_annotate(
-    instance: Instance, limits: SolveLimits | None = None
-) -> tuple[Instance, SolveResult]:
-    result = solve_optimal(instance, limits)
-    return instance.annotated(result.makespan, result.proof_status), result
-
-
 # ---------------------------------------------------------------------------
 # Verification oracles
 # ---------------------------------------------------------------------------
@@ -435,24 +429,21 @@ def permutation_oracle(instance: Instance) -> int:
     return best
 
 
-def timing_oracle(instance: Instance, horizon: int | None = None) -> int:
-    """Minimum makespan over all integer start-time assignments up to a horizon.
+def timing_oracle(instance: Instance) -> int:
+    """Minimum makespan over all integer start-time assignments.
 
     Independent of the dispatch/earliest-gap machinery: tasks get explicit
     integer starts checked directly against precedence, machine and tool
     disjointness. Runs the feasibility decision for increasing target
-    makespans, which is equivalent to exhausting all assignments within the
-    horizon and taking the minimum. Certifies on small instances that the
-    solver's schedule family contains a true optimum.
+    makespans up to the total processing time, where the serial schedule
+    fits, which is equivalent to exhausting all assignments and taking the
+    minimum. Certifies on small instances that the solver's schedule family
+    contains a true optimum.
     """
     validate_instance(instance)
     if instance.num_tasks > 6:
         raise OracleSizeError(f"timing_oracle is limited to 6 tasks, got {instance.num_tasks}")
     ub = instance.total_processing_time
-    if horizon is None:
-        horizon = ub
-    if horizon < ub:
-        raise ValueError(f"horizon {horizon} below the trivial upper bound {ub}")
 
     n_jobs, n_ops = instance.num_jobs, instance.tasks_per_job
     tasks = [instance.task(j, k) for j in range(n_jobs) for k in range(n_ops)]
@@ -475,10 +466,10 @@ def timing_oracle(instance: Instance, horizon: int | None = None) -> int:
             tool_load[t.tool] += t.processing_time
     lb = max([lb, *machine_load, *tool_load])
 
-    for target in range(lb, horizon + 1):
+    for target in range(lb, ub + 1):
         if _feasible_within(instance, tasks, tail, target):
             return target
-    raise InternalError("no feasible assignment within the horizon; serial schedule should fit")
+    raise InternalError(f"no feasible assignment by makespan {ub}; the serial schedule should fit")
 
 
 def _feasible_within(instance, tasks, tail, target: int) -> bool:

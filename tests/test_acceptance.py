@@ -27,7 +27,7 @@ from schedlab.instances import generate_batch, generate_instance
 from schedlab.nn import init_mlp, mlp_activations, mlp_forward, mlp_gradient
 from schedlab.ppo import train_ppo
 from schedlab.schedule import validate_schedule
-from schedlab.solver import permutation_oracle, solve_and_annotate, solve_optimal, timing_oracle
+from schedlab.solver import permutation_oracle, solve_optimal, timing_oracle
 
 from conftest import fjssp_config, jssp_config
 
@@ -177,8 +177,7 @@ def test_criterion_3_telescoping():
 def annotated_6x6_hundred():
     cfg = jssp_config(num_jobs=6, tasks_per_job=6, num_machines=6, count=100, seed=1234)
     instances = generate_batch(cfg)
-    annotated = [solve_and_annotate(inst)[0] for inst in instances]
-    return annotated
+    return [i.annotated(r.makespan, r.proof_status) for i, r in zip(instances, map(solve_optimal, instances))]
 
 
 def non_delay(rule, rng=None):
@@ -312,7 +311,7 @@ def run_learning_pipeline(config_path):
     batch = generate_batch(config.problem)
     train = batch[: config.split.train_count]
     test = batch[config.split.train_count :]
-    annotated = [solve_and_annotate(inst)[0] for inst in test]
+    annotated = [i.annotated(r.makespan, r.proof_status) for i, r in zip(test, map(solve_optimal, test))]
     n_optimal = sum(1 for a in annotated if a.proof_status == "optimal")
     env_factory = lambda inst: SchedulingEnv(inst, config.reward_mode)
     policy, _value, events = train_ppo(env_factory, train, config.algo_config)

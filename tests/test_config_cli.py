@@ -232,6 +232,28 @@ def test_section_of_the_other_algo_checked(tmp_path, capsys, algo, other):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("dotted, value, message", [
+    ("algo", "sac", "algo: expected 'ppo' or 'dqn', got 'sac'"),
+    ("problem.count", 5, "problem.count: must equal train_count + test_count (7), got 5"),
+], ids=["unknown-algo", "count-not-the-split-total"])
+def test_cli_root_rule_error_exit_2(tmp_path, capsys, dotted, value, message):
+    assert main(["generate", "--config", str(config_with(tmp_path, dotted, value))]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "data").exists()
+
+
+def test_cli_generate_of_identical_instances_exit_2(tmp_path, capsys):
+    # one machine, one task and one runtime: every stream gives the same instance
+    problem = {"problem_type": "jssp", "num_jobs": 1, "tasks_per_job": 1, "num_machines": 1,
+               "runtime_lo": 5, "runtime_hi": 5, "seed": 5}
+    cfg_path = tiny_config(tmp_path, problem=problem)
+    prefix = generate_instance(load_experiment_config(cfg_path).problem, 0).id[:12]
+    assert main(["generate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"config error: streams 0 and 1 generate the same instance {prefix}; ")
+    assert out == "" and not (tmp_path / "data").exists()
+
+
 def test_unknown_root_key_rejected(tmp_path):
     with pytest.raises(ConfigurationError, match=r"<root>\.path: unknown field"):
         load_experiment_config(tiny_config(tmp_path, path={"models_dir": "m"}))
@@ -415,6 +437,14 @@ def test_cli_test_malformed_model_exit_1(tmp_path, capsys, arrays):
     assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model_path}: dims") and "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_cli_test_without_instances_fails(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    assert main(["test", "--config", str(cfg_path)]) == 1
+    test_path = split_file(cfg_path, "test")
+    assert capsys.readouterr().err == f"error: {test_path} not found; run `schedlab generate` first\n"
     assert not (tmp_path / "results").exists()
 
 
@@ -626,6 +656,21 @@ def test_cli_plot_reports_non_utf8_schedule(tmp_path, capsys):
     assert main(["plot", "--schedule", str(bad), "--out", str(svg)]) == 1
     assert_one_error_line(capsys.readouterr().err, bad)
     assert not svg.exists()
+
+
+def test_cli_plot_out_is_a_directory_exit_1(tmp_path, capsys):
+    # the OSError of the write reaches main, which reports it in one line
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({
+        "instance_id": "x", "num_jobs": 1, "num_machines": 1, "makespan": 3,
+        "placements": [{"job": 0, "op": 0, "machine": 0, "start": 0, "end": 3}],
+    }))
+    out_dir = tmp_path / "charts"
+    out_dir.mkdir()
+    assert main(["plot", "--schedule", str(schedule), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: [Errno") and str(out_dir) in err and err.count("\n") == 1
+    assert out == "" and list(out_dir.iterdir()) == []
 
 
 def test_cli_plot_rejects_corrupt_file(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode
-from schedlab.errors import ConfigurationError, InstanceSetError, InvalidActionError
+from schedlab.errors import ConfigurationError, InstanceSetError, InvalidActionError, MalformedRecordError
 from schedlab.evaluate import (
     CSV_HEADER,
     EvalRecord,
@@ -18,7 +19,7 @@ from schedlab.evaluate import (
 from schedlab.instances import generate_instance
 from schedlab.metrics import MetricsEvent, read_metrics, write_metrics
 from schedlab.nn import init_mlp
-from schedlab.solver import solve_and_annotate
+from schedlab.solver import solve_optimal
 
 from conftest import jssp_config
 
@@ -67,7 +68,8 @@ def test_run_episode_invalid_policy_blamed():
 
 def annotated_set(count=10, seed=100):
     cfg = jssp_config(num_jobs=3, tasks_per_job=2, num_machines=2, count=count, seed=seed)
-    return [solve_and_annotate(generate_instance(cfg, i))[0] for i in range(count)]
+    instances = [generate_instance(cfg, i) for i in range(count)]
+    return [i.annotated(r.makespan, r.proof_status) for i, r in zip(instances, map(solve_optimal, instances))]
 
 
 def test_evaluate_counts_and_gap_sign():
@@ -199,6 +201,21 @@ def test_metrics_roundtrip(tmp_path):
     path = tmp_path / "metrics.jsonl"
     write_metrics(events, path)
     assert read_metrics(path) == events
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda line: line.pop("value"), "KeyError('value')"),
+    (lambda line: line.update(step="ten"), "ValueError"),
+], ids=["missing-value", "word-for-step"])
+def test_read_metrics_names_the_bad_line(tmp_path, edit, fault):
+    path = tmp_path / "metrics.jsonl"
+    write_metrics([MetricsEvent(run_id="r1", step=10, episode=1, scalars={"a": 1.0, "b": 2.0})], path)
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    edit(lines[1])
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(MalformedRecordError) as exc:
+        read_metrics(path)
+    assert str(exc.value).startswith(f"{path}:2: bad metrics line: {fault}")
 
 
 def test_concurrent_metrics_files_do_not_interleave(tmp_path):

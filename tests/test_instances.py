@@ -8,7 +8,6 @@ import pytest
 from schedlab.errors import (
     ConfigurationError,
     DigestMismatchError,
-    InternalError,
     MalformedRecordError,
 )
 from schedlab.instances import (
@@ -122,6 +121,8 @@ def test_stream_independent_of_count():
         ("runtime_hi", 0, "runtime_hi"),
         ("count", 0, "count"),
         ("num_tools", 5, "num_tools"),
+        ("problem_type", "jssp", r"^problem_type: expected one of \['jssp', 'fjssp'\]$"),
+        ("with_tools", True, "^num_tools: must be >= 1 when with_tools, got 0$"),
     ],
 )
 def test_invalid_config_names_field(field, value, fragment):
@@ -135,12 +136,13 @@ def test_stream_index_out_of_range():
         generate_instance(cfg, 2)
 
 
-def test_duplicate_digest_raises_internal_error():
+def test_duplicate_digest_raises_configuration_error():
     # runtime_lo == runtime_hi with a 1x1x1 shape leaves no randomness, so
-    # distinct streams yield byte-identical content
+    # distinct streams yield byte-identical content: the config's fault
     cfg = jssp_config(num_jobs=1, tasks_per_job=1, num_machines=1, runtime_lo=5,
-                      runtime_hi=5, count=2, seed=0)
-    with pytest.raises(InternalError, match="duplicate"):
+                      runtime_hi=5, count=3, seed=0)
+    prefix = generate_instance(cfg, 0).id[:12]
+    with pytest.raises(ConfigurationError, match=f"^streams 0 and 1 generate the same instance {prefix}; "):
         generate_batch(cfg)
 
 
@@ -161,6 +163,11 @@ def test_roundtrip_preserves_annotation(tmp_path):
     back = read_instances(path)[0]
     assert back.optimal_makespan == 55 and back.proof_status == "optimal"
     assert back == inst
+
+
+def test_annotation_with_unknown_proof_status_rejected():
+    with pytest.raises(ValueError, match="^bad proof_status 'proved'$"):
+        generate_instance(jssp_config(seed=3), 0).annotated(55, "proved")
 
 
 def test_read_detects_tampered_runtime(tmp_path):
@@ -238,6 +245,16 @@ def test_record_that_would_load_changed_is_rejected(tools, edit, fragment):
     with pytest.raises(MalformedRecordError) as exc:
         instance_from_record(record)
     assert str(exc.value) == f"bad instance record: {fragment}"
+
+
+@pytest.mark.parametrize("key", ["num_machines", "meta"])
+def test_record_missing_a_key_names_its_line(tmp_path, key):
+    record = instance_to_record(generate_instance(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2), 0))
+    path = tmp_path / "missing.jsonl"
+    path.write_text(json.dumps(record) + "\n" + json.dumps({k: v for k, v in record.items() if k != key}) + "\n")
+    with pytest.raises(MalformedRecordError) as exc:
+        read_instances(path)
+    assert str(exc.value) == f"{path}:2: bad instance record: KeyError('{key}')"
 
 
 def test_record_values_equal_to_their_ints_load():

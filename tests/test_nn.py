@@ -344,6 +344,22 @@ def test_model_malformed_shapes_rejected(tmp_path, name):
         load_model(path)
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "not a model file"),
+    ({"format": "csv", "version": 1}, "not a model file"),
+    ({"format": "mlp-params", "version": 1, "weights": [], "biases": []},
+     "malformed model payload: KeyError('dims')"),
+    ({"format": "mlp-params", "version": 1, "dims": ["nine", 2], "weights": [], "biases": []},
+     "malformed model payload: ValueError"),
+], ids=["list", "other-format", "no-dims", "word-in-dims"])
+def test_model_file_that_is_no_model_rejected(tmp_path, payload, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
+
+
 def test_model_version_mismatch(tmp_path):
     params = init_mlp([3, 4, 2], rng_())
     path = tmp_path / "model.json"

@@ -1,5 +1,4 @@
 import json
-from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -87,7 +86,7 @@ def random_timeline(rng, horizon=40):
     t = int(rng.integers(0, 3))
     while t < horizon:
         length = int(rng.integers(1, 5))
-        tl.insert(t, t + length)
+        tl.add(t, t + length)
         t += length + int(rng.integers(0, 4))
     return tl
 
@@ -178,6 +177,39 @@ def test_tool_conflict_names_tool_and_inserts_nothing():
     assert list(sched.placements) == [(0, 0)] and sched.next_op == [1, 0]
 
 
+def test_placement_overlapping_the_next_busy_interval_is_rejected():
+    # [3, 6) starts in the idle gap before [5, 9) and runs into it
+    inst = build_instance([[(0, 4, None)], [(0, 3, None)]], num_machines=1)
+    sched = Schedule(inst)
+    sched.place_task(inst.task(0, 0), 0, 5)
+    with pytest.raises(ConstraintViolationError) as exc:
+        sched.place_task(inst.task(1, 0), 0, 3)
+    assert (exc.value.resource, exc.value.interval) == ("machine 0", (5, 9))
+    assert sched.machine_timelines[0].intervals() == [(5, 9)]
+
+
+@pytest.mark.parametrize("machine, start, message", [
+    (1, 0, "machine 1 not eligible for task \\(0,0\\)"),
+    (0, -1, "negative start -1"),
+], ids=["ineligible-machine", "negative-start"])
+def test_place_rejects_ineligible_machine_and_negative_start(machine, start, message):
+    inst = build_instance([[(0, 3, None)]], num_machines=2)
+    sched = Schedule(inst)
+    with pytest.raises(ConstraintViolationError, match=message) as exc:
+        sched.place_task(inst.task(0, 0), machine, start)
+    assert exc.value.resource == f"machine {machine}"
+    assert sched.placements == {} and sched.machine_timelines[machine].intervals() == []
+
+
+def test_remove_last_placement_of_unplaced_job_raises():
+    inst = build_instance([[(0, 3, None)], [(0, 2, None)]], num_machines=1)
+    sched = Schedule(inst)
+    sched.place_task(inst.task(0, 0), 0, 0)
+    with pytest.raises(ValueError, match="job 1 has no placements to remove"):
+        sched.remove_last_placement(1)
+    assert list(sched.placements) == [(0, 0)]
+
+
 def test_place_rejects_start_before_job_ready():
     inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
     sched = Schedule(inst)
@@ -250,7 +282,7 @@ def test_validate_detects_machine_overlap_and_eligibility():
     (lambda pls: pls.update({(0, 0): Placement(0, 0, 0, -1, 2)}), "negative-time", "start -1 < 0"),
     (lambda pls: pls.update({(0, 0): Placement(0, 0, 1, 0, 3)}), "eligibility",
      "machine 1 not in eligible set (0,)"),
-    (lambda pls: pls.update({(0, 1): Placement(0, 1, 1, 3, 6)}), "negative-time",
+    (lambda pls: pls.update({(0, 1): Placement(0, 1, 1, 3, 6)}), "duration",
      "duration 3 != processing_time 2"),
     (lambda pls: pls.pop((0, 0)), "precedence", "op 0 of job 0 unplaced"),
 ])
@@ -364,8 +396,8 @@ def test_remove_last_placement_restores_state():
 
 def test_timeline_operations():
     tl = Timeline()
-    tl.insert(5, 9)
-    tl.insert(0, 3)
+    tl.add(5, 9)
+    tl.add(0, 3)
     assert tl.intervals() == [(0, 3), (5, 9)]
     assert tl.earliest_fit(0, 2) == 3
     assert tl.earliest_fit(0, 3) == 9
@@ -373,8 +405,7 @@ def test_timeline_operations():
     assert sum(e - s for s, e in tl.intervals()) == 7
     assert tl.first_conflict(2, 4) == (0, 3)
     assert tl.first_conflict(3, 5) is None
-    with pytest.raises(ConstraintViolationError):
-        tl.insert(2, 4)
+    assert tl.first_conflict(3, 6) == (5, 9)
     tl.remove(0, 3)
     assert tl.intervals() == [(5, 9)]
     with pytest.raises(ValueError):
@@ -460,6 +491,29 @@ def test_record_from_dict_rejects_what_would_load_changed(edit, fragment):
     assert str(exc.value) == f"bad schedule record: {fragment}"
 
 
+@pytest.mark.parametrize("edit, fragment", [
+    (lambda d: d.pop("num_jobs"), "KeyError('num_jobs')"),
+    (lambda d: d["placements"][0].update(start="soon"), "ValueError"),
+    (lambda d: d.update(placements=None), "TypeError"),
+], ids=["missing-key", "non-integer-start", "placements-not-a-list"])
+def test_record_from_dict_rejects_malformed_record(edit, fragment):
+    data = two_job_record_dict()
+    edit(data)
+    with pytest.raises(MalformedRecordError, match="^bad schedule record: ") as exc:
+        record_from_dict(data)
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("start, end, kind, detail", [
+    (3, 3, "duration", "empty interval [3,3)"),
+    (-1, 2, "negative-time", "start -1 < 0"),
+], ids=["empty-interval", "negative-start"])
+def test_validate_record_names_duration_and_negative_time_apart(start, end, kind, detail):
+    data = two_job_record_dict()
+    data["placements"][2].update(start=start, end=end)
+    assert [(v.kind, v.detail) for v in validate_schedule(record_from_dict(data))] == [(kind, detail)]
+
+
 def test_mutation_off_by_one_overlap_is_caught(monkeypatch):
     """Mutation smoke test: a placer with an off-by-one in the busy-interval
     boundary produces schedules the independent validator flags."""
@@ -471,14 +525,8 @@ def test_mutation_off_by_one_overlap_is_caught(monkeypatch):
         fit = real_fit(self, t, duration)
         return fit - 1 if fit > t else fit  # shifts one unit into the previous interval
 
-    def unchecked_insert(self, start, end):
-        i = bisect_right(self._starts, start)
-        self._starts.insert(i, start)
-        self._ends.insert(i, end)
-
     monkeypatch.setattr(Timeline, "earliest_fit", buggy_fit)
     monkeypatch.setattr(Timeline, "first_conflict", lambda self, s, e: None)
-    monkeypatch.setattr(Timeline, "insert", unchecked_insert)
 
     inst = build_instance([[(0, 3, None)], [(0, 2, None)]], num_machines=1)
     sched = Schedule(inst)

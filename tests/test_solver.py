@@ -370,11 +370,6 @@ def test_timing_oracle_guard():
         timing_oracle(inst)
 
 
-def test_timing_oracle_rejects_small_horizon(single_task_instance):
-    with pytest.raises(ValueError):
-        timing_oracle(single_task_instance, horizon=4)
-
-
 @pytest.mark.parametrize("seed", range(20))
 def test_oracles_agree_with_tools(seed):
     cfg = jssp_config(num_jobs=3, tasks_per_job=2, num_machines=2, with_tools=True,
