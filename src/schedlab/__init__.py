@@ -10,7 +10,7 @@ from .evaluate import (
     summarize,
     write_records_csv,
 )
-from .gantt import GanttOptions, render_svg
+from .gantt import render_svg
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -52,7 +52,6 @@ __all__ = [
     "DispatchRule",
     "DqnConfig",
     "EvalRecord",
-    "GanttOptions",
     "GeneratorConfig",
     "Instance",
     "MetricsEvent",

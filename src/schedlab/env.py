@@ -26,9 +26,9 @@ it used whose kept ``[start, end)`` the placed interval overlaps (see
 entry. A step thus costs a few earliest-start queries and no pass over all
 jobs. Both hand out fresh arrays, which the caller may keep or mutate.
 
-The kept state assumes that the schedule changes only through ``step`` and
-that no interval is ever removed within an episode: timelines only gain
-intervals, so an earliest start can only move later.
+The kept state assumes that the schedule changes only through ``step``. No
+interval ever leaves it, since a ``Schedule`` has no removal: timelines only
+gain intervals, so an earliest start can only move later.
 """
 
 from __future__ import annotations
@@ -119,10 +119,10 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
     were. Those jobs j are the watchers of m and t, so only they are visited;
     job a first moves from the watcher sets of the task it placed to those of
     its new next task. A watcher's slot is recomputed only when the placed
-    interval ``[start, end)`` overlaps its kept ``[s_j, e_j)``. That is
-    exact because within an episode timelines only gain intervals: every
-    start can only move later, so a kept slot that is still idle is still
-    the earliest, and still on the lowest machine id among the earliest.
+    interval ``[start, end)`` overlaps its kept ``[s_j, e_j)``. Intervals
+    never leave a ``Schedule``, which has no removal, so every start only
+    moves later, and a kept slot still idle is still the earliest, and still
+    on the lowest machine id among the earliest.
     """
     if placement is None:
         return _observe_full(env, [None] * env.instance.num_jobs)

@@ -165,7 +165,7 @@ def evaluate(
     methods, seeds = settings.methods, settings.seeds
     if "model" in methods:
         if model_params is None:
-            raise ValueError("method 'model' requires model_params")
+            raise ConfigurationError("method 'model' requires model_params")
         dims = model_params.dims()
         for n in sorted({inst.num_jobs for inst in instances}):
             if (dims[0], dims[-1]) != (observation_length(n), n):

@@ -9,22 +9,15 @@ start to crowd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidScheduleError
 from .schedule import Schedule, ScheduleRecord, schedule_to_record, validate_schedule
 
+_WIDTH = 900
+_ROW_HEIGHT = 30
 _MARGIN_LEFT = 70
 _MARGIN_RIGHT = 20
 _MARGIN_TOP = 16
 _AXIS_HEIGHT = 34
-
-
-@dataclass(frozen=True)
-class GanttOptions:
-    width_px: int = 900
-    row_height_px: int = 30
-    show_labels: bool = True
 
 
 def _fmt(x: float) -> str:
@@ -45,7 +38,7 @@ def _tick_step(makespan: int) -> int:
     return step
 
 
-def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None = None) -> str:
+def render_svg(schedule: Schedule | ScheduleRecord) -> str:
     """Render a (possibly partial) schedule. Refuses invalid input."""
     violations = validate_schedule(schedule)
     if violations:
@@ -54,26 +47,24 @@ def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None
             f"cannot render invalid schedule: {first.kind}: {first.detail}", violations
         )
     record = schedule_to_record(schedule) if isinstance(schedule, Schedule) else schedule
-    if options is None:
-        options = GanttOptions()
 
     n_machines = record.num_machines
     span = max(record.makespan, 1)
-    plot_width = options.width_px - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_width = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     scale = plot_width / span
-    height = _MARGIN_TOP + n_machines * options.row_height_px + _AXIS_HEIGHT
+    height = _MARGIN_TOP + n_machines * _ROW_HEIGHT + _AXIS_HEIGHT
 
     def x_of(t: int) -> float:
         return _MARGIN_LEFT + t * scale
 
     def y_of(machine: int) -> float:
-        return _MARGIN_TOP + machine * options.row_height_px
+        return _MARGIN_TOP + machine * _ROW_HEIGHT
 
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{options.width_px}" height="{height}" '
-        f'viewBox="0 0 {options.width_px} {height}">'
+        f'width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">'
     )
     parts.append(
         '<style>text{font-family:monospace;font-size:10px}.row{fill:none;stroke:#ddd}'
@@ -84,14 +75,12 @@ def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None
         y = y_of(m)
         parts.append(
             f'<rect class="row" x="{_MARGIN_LEFT}" y="{_fmt(y)}" '
-            f'width="{plot_width}" height="{options.row_height_px}"/>'
+            f'width="{plot_width}" height="{_ROW_HEIGHT}"/>'
         )
-        parts.append(
-            f'<text x="4" y="{_fmt(y + options.row_height_px / 2 + 3)}">M{m}</text>'
-        )
+        parts.append(f'<text x="4" y="{_fmt(y + _ROW_HEIGHT / 2 + 3)}">M{m}</text>')
 
     bar_pad = 3
-    bar_height = options.row_height_px - 2 * bar_pad
+    bar_height = _ROW_HEIGHT - 2 * bar_pad
     for pl in sorted(record.placements, key=lambda p: (p.machine, p.start)):
         x = x_of(pl.start)
         w = (pl.end - pl.start) * scale
@@ -101,16 +90,12 @@ def render_svg(schedule: Schedule | ScheduleRecord, options: GanttOptions | None
             f'<rect class="bar" x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
             f'height="{bar_height}" fill="{color}"/>'
         )
-        if options.show_labels:
-            label = f"J{pl.job_id}.{pl.op_index} p={pl.end - pl.start}"
-            if pl.tool is not None:
-                label += f" t={pl.tool}"
-            parts.append(
-                f'<text x="{_fmt(x + 2)}" y="{_fmt(y + bar_height / 2 + 3)}">'
-                f"{label}</text>"
-            )
+        label = f"J{pl.job_id}.{pl.op_index} p={pl.end - pl.start}"
+        if pl.tool is not None:
+            label += f" t={pl.tool}"
+        parts.append(f'<text x="{_fmt(x + 2)}" y="{_fmt(y + bar_height / 2 + 3)}">{label}</text>')
 
-    axis_y = _MARGIN_TOP + n_machines * options.row_height_px
+    axis_y = _MARGIN_TOP + n_machines * _ROW_HEIGHT
     parts.append(
         f'<line class="axis" x1="{_MARGIN_LEFT}" y1="{_fmt(axis_y)}" '
         f'x2="{_fmt(x_of(record.makespan))}" y2="{_fmt(axis_y)}"/>'

@@ -106,7 +106,7 @@ class Instance:
     def annotated(self, optimal_makespan: int, proof_status: str) -> "Instance":
         """Return a copy carrying a solver annotation. The id is unchanged."""
         if proof_status not in (PROOF_OPTIMAL, PROOF_FEASIBLE):
-            raise ValueError(f"bad proof_status {proof_status!r}")
+            raise MalformedRecordError(f"bad proof_status {proof_status!r}")
         return dataclasses.replace(
             self, optimal_makespan=int(optimal_makespan), proof_status=proof_status
         )

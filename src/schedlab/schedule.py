@@ -5,12 +5,14 @@ ending at t never conflicts with one starting at t. Placement never moves an
 existing interval; the earliest feasible start may fall into an idle gap
 between existing intervals (gap insertion).
 
-A Schedule is a single-owner mutable value. The environment and the
-dispatching rules build schedules exclusively through ``place_task``, which
+A Schedule is a single-owner mutable value that only grows: ``place_task``
+is its only mutation, so no placement or interval ever leaves it. The
+environment and the dispatching rules build schedules through it; it
 preserves every invariant by construction and is the one place that checks a
-placement. The solver searches on its own timelines through the shared
-``earliest_start`` and adds its intervals unchecked; replaying its result
-through ``place_task`` checks them.
+placement. The solver and ``permutation_oracle`` search on timelines of
+their own through the shared ``earliest_start``, adding and removing
+intervals unchecked; replaying the solver's result through ``place_task``
+checks it.
 ``validate_schedule`` re-derives the invariants from the placements alone and
 is the independent check used by tests, the evaluation harness and the Gantt
 renderer.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ConstraintViolationError, MalformedRecordError, check_round_trip
+from .errors import ConstraintViolationError, InternalError, MalformedRecordError, check_round_trip
 from .files import read_json, write_text
 from .instances import Instance, Task
 
@@ -64,7 +66,8 @@ class Timeline:
     """Sorted disjoint busy intervals on one resource.
 
     Touching intervals ([0,3) next to [3,5)) stay separate so that removal by
-    exact interval remains possible for solver backtracking.
+    exact interval remains possible for the backtracking of the solver and
+    ``permutation_oracle``.
     """
 
     __slots__ = ("_starts", "_ends")
@@ -113,7 +116,7 @@ class Timeline:
     def remove(self, start: int, end: int) -> None:
         i = bisect_right(self._starts, start) - 1
         if i < 0 or self._starts[i] != start or self._ends[i] != end:
-            raise ValueError(f"interval [{start},{end}) not present")
+            raise InternalError(f"interval [{start},{end}) not present")
         del self._starts[i]
         del self._ends[i]
 
@@ -159,9 +162,10 @@ class Schedule:
     def _check_next_op(self, task: Task) -> None:
         expected = self.next_op[task.job_id]
         if task.op_index != expected:
-            raise ValueError(
+            raise ConstraintViolationError(
                 f"task ({task.job_id},{task.op_index}) is not the next unscheduled op "
-                f"of job {task.job_id} (expected op {expected})"
+                f"of job {task.job_id} (expected op {expected})",
+                resource=f"job {task.job_id}",
             )
 
     def best_machine(self, task: Task) -> tuple[int, int]:
@@ -182,9 +186,8 @@ class Schedule:
         """Place a task at a feasible start, updating all bookkeeping.
 
         Accepts any feasible start (interval idle on machine and tool, start at
-        or after the job's ready time). The environment and the permutation
-        oracle pass the earliest one; the solver's replay passes the starts
-        its own search found.
+        or after the job's ready time). The environment passes the earliest
+        one; the solver's replay passes the starts its own search found.
         """
         self._check_next_op(task)
         if machine not in task.eligible_machines:
@@ -226,25 +229,6 @@ class Schedule:
         self.next_op[task.job_id] += 1
         if end > self._makespan:
             self._makespan = end
-        return placement
-
-    def remove_last_placement(self, job_id: int) -> Placement:
-        """Undo the most recent placement of a job (permutation-oracle backtracking).
-
-        Only the last placed op of a job may be removed, keeping the
-        within-job prefix property intact.
-        """
-        k = self.next_op[job_id] - 1
-        if k < 0:
-            raise ValueError(f"job {job_id} has no placements to remove")
-        placement = self.placements.pop((job_id, k))
-        self.machine_timelines[placement.machine].remove(placement.start, placement.end)
-        if placement.tool is not None:
-            self.tool_timelines[placement.tool].remove(placement.start, placement.end)
-        self.next_op[job_id] = k
-        self.job_ready[job_id] = self.placements[(job_id, k - 1)].end if k > 0 else 0
-        if placement.end == self._makespan:
-            self._makespan = max((p.end for p in self.placements.values()), default=0)
         return placement
 
 

@@ -396,36 +396,47 @@ def permutation_oracle(instance: Instance) -> int:
     Exhaustive, unpruned enumeration of the same schedule family the solver
     searches: every interleaving of the job sequences, and for FJSSP every
     eligible machine at every dispatch, built with earliest-gap placement.
+    It keeps its own timelines, ready times and next ops, backtracked with
+    ``Timeline.add`` and ``remove``, and shares only ``Timeline`` and
+    ``earliest_start`` with the search.
     """
     validate_instance(instance)
     if instance.num_tasks > 8:
         raise OracleSizeError(
             f"permutation_oracle is limited to 8 tasks, got {instance.num_tasks}"
         )
-    schedule = Schedule(instance)
     n_jobs, n_ops, n_tasks = instance.num_jobs, instance.tasks_per_job, instance.num_tasks
+    machine_tl = [Timeline() for _ in range(instance.num_machines)]
+    tool_tl = [Timeline() for _ in range(instance.num_tools)]
+    job_ready = [0] * n_jobs
+    next_op = [0] * n_jobs
     best = instance.total_processing_time  # serial schedule is always reachable
 
-    def rec(placed: int) -> None:
+    def rec(placed: int, makespan: int) -> None:
         nonlocal best
         if placed == n_tasks:
-            if schedule.makespan < best:
-                best = schedule.makespan
+            best = min(best, makespan)
             return
         for j in range(n_jobs):
-            k = schedule.next_op[j]
+            k = next_op[j]
             if k >= n_ops:
                 continue
             task = instance.task(j, k)
-            p = task.processing_time
-            tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
+            p, ready = task.processing_time, job_ready[j]
+            ttl = tool_tl[task.tool] if task.tool is not None else None
             for m in task.eligible_machines:
-                s = earliest_start(schedule.machine_timelines[m], tool_tl, schedule.job_ready[j], p)
-                schedule.place_task(task, m, s)
-                rec(placed + 1)
-                schedule.remove_last_placement(j)
+                s = earliest_start(machine_tl[m], ttl, ready, p)
+                machine_tl[m].add(s, s + p)
+                if ttl is not None:
+                    ttl.add(s, s + p)
+                job_ready[j], next_op[j] = s + p, k + 1
+                rec(placed + 1, max(makespan, s + p))
+                job_ready[j], next_op[j] = ready, k
+                machine_tl[m].remove(s, s + p)
+                if ttl is not None:
+                    ttl.remove(s, s + p)
 
-    rec(0)
+    rec(0, 0)
     return best
 
 

@@ -112,7 +112,7 @@ def test_evaluate_model_method():
     params = init_mlp([13, 8, 8, 3], rng, output_gain=0.01)
     records = evaluate(["model"], instances, DENSE, model_params=params)
     assert len(records) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="^method 'model' requires model_params$"):
         evaluate(["model"], instances, DENSE)
 
 

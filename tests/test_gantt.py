@@ -5,7 +5,7 @@ import pytest
 
 from schedlab.env import RewardMode, SchedulingEnv, reset, step
 from schedlab.errors import InvalidScheduleError
-from schedlab.gantt import GanttOptions, job_color, render_svg
+from schedlab.gantt import job_color, render_svg
 from schedlab.instances import generate_instance
 from schedlab.schedule import Placement, Schedule, ScheduleRecord, schedule_to_record
 
@@ -146,12 +146,3 @@ def test_renders_up_to_8x8():
 def test_job_colors_distinct():
     colors = {job_color(j, 8) for j in range(8)}
     assert len(colors) == 8
-
-
-def test_options_affect_geometry():
-    schedule = complete_schedule(cfg_seed=3, num_jobs=2, tasks_per_job=2, num_machines=2)
-    wide = render_svg(schedule, GanttOptions(width_px=1200))
-    narrow = render_svg(schedule, GanttOptions(width_px=600))
-    assert wide != narrow
-    no_labels = render_svg(schedule, GanttOptions(show_labels=False))
-    assert "p=" not in no_labels

@@ -166,7 +166,7 @@ def test_roundtrip_preserves_annotation(tmp_path):
 
 
 def test_annotation_with_unknown_proof_status_rejected():
-    with pytest.raises(ValueError, match="^bad proof_status 'proved'$"):
+    with pytest.raises(MalformedRecordError, match="^bad proof_status 'proved'$"):
         generate_instance(jssp_config(seed=3), 0).annotated(55, "proved")
 
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 
@@ -210,31 +211,23 @@ def test_lower_bound_admissible_along_random_paths(seed):
 
     def best_completion(schedule):
         # exhaustive completion of the residual problem (oracle of the node)
-        best = inst.total_processing_time
         if schedule.complete:
             return schedule.makespan
-
-        def rec():
-            nonlocal best
-            if schedule.complete:
-                best = min(best, schedule.makespan)
-                return
-            for j in range(inst.num_jobs):
-                k = schedule.next_op[j]
-                if k >= inst.tasks_per_job:
-                    continue
-                task = inst.task(j, k)
-                tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
-                for m in task.eligible_machines:
-                    s = earliest_start(
-                        schedule.machine_timelines[m], tool_tl, schedule.job_ready[j],
-                        task.processing_time,
-                    )
-                    schedule.place_task(task, m, s)
-                    rec()
-                    schedule.remove_last_placement(j)
-
-        rec()
+        best = inst.total_processing_time
+        for j in range(inst.num_jobs):
+            k = schedule.next_op[j]
+            if k >= inst.tasks_per_job:
+                continue
+            task = inst.task(j, k)
+            tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
+            for m in task.eligible_machines:
+                s = earliest_start(
+                    schedule.machine_timelines[m], tool_tl, schedule.job_ready[j],
+                    task.processing_time,
+                )
+                child = copy.deepcopy(schedule, {id(inst): inst})  # the instance is shared
+                child.place_task(task, m, s)
+                best = min(best, best_completion(child))
         return best
 
     schedule = Schedule(inst)
