@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoValidActionError
+from .errors import InvalidArgumentError, NoValidActionError
 
 
 class DispatchRule(str, Enum):
@@ -40,7 +40,7 @@ def rule_policy(rule: DispatchRule, rng: np.random.Generator | None = None) -> P
     of job j already scheduled (so the max-remaining job has the minimum).
     """
     if rule is DispatchRule.RANDOM and rng is None:
-        raise ValueError("RANDOM rule needs an rng")
+        raise InvalidArgumentError("RANDOM rule needs an rng")
 
     def policy(obs: np.ndarray, mask: np.ndarray) -> int:
         mask = np.asarray(mask, dtype=bool)

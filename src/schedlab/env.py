@@ -26,9 +26,11 @@ it used whose kept ``[start, end)`` the placed interval overlaps (see
 entry. A step thus costs a few earliest-start queries and no pass over all
 jobs. Both hand out fresh arrays, which the caller may keep or mutate.
 
-The kept state assumes that the schedule changes only through ``step``. No
-interval ever leaves it, since a ``Schedule`` has no removal: timelines only
-gain intervals, so an earliest start can only move later.
+The kept state assumes that the schedule changes only through ``step``. The
+``Schedule`` API keeps the rest: its timelines are private (``busy()`` hands
+out copies) and ``place_task`` is its only mutation, so no caller can remove
+an interval, timelines only gain intervals, and an earliest start can only
+move later.
 """
 
 from __future__ import annotations
@@ -118,11 +120,12 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
     depends on timelines and a ready time that the placement left as they
     were. Those jobs j are the watchers of m and t, so only they are visited;
     job a first moves from the watcher sets of the task it placed to those of
-    its new next task. A watcher's slot is recomputed only when the placed
-    interval ``[start, end)`` overlaps its kept ``[s_j, e_j)``. Intervals
-    never leave a ``Schedule``, which has no removal, so every start only
-    moves later, and a kept slot still idle is still the earliest, and still
-    on the lowest machine id among the earliest.
+    its new next task. A watcher's slot and entries are rewritten, as job
+    a's are, only when the placed interval ``[start, end)`` overlaps its kept
+    ``[s_j, e_j)``; of its entries only 4j+3 can change. Intervals never
+    leave a ``Schedule``, whose timelines are private and which has no
+    removal, so every start only moves later, and a kept slot still idle is
+    still the earliest, and still on the lowest machine id among the earliest.
     """
     if placement is None:
         return _observe_full(env, [None] * env.instance.num_jobs)
@@ -143,10 +146,7 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
         if j != a:
             _, s_j, e_j = slots[j]
             if start < e_j and s_j < end:
-                task = instance.task(j, schedule.next_op[j])
-                m_j, s_j = schedule.best_machine(task)
-                slots[j] = (m_j, s_j, s_j + task.processing_time)
-                obs[4 * j + 3] = s_j / env.ub
+                _write_job_features(env, obs, slots, j)
     obs[-1] = schedule.makespan / env.ub
     return obs.copy()
 

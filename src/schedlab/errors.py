@@ -78,6 +78,10 @@ class InstanceSetError(SchedlabError, ValueError):
     """An instance set a run cannot take: empty, or mixing job counts for one model."""
 
 
+class InvalidArgumentError(SchedlabError, ValueError):
+    """A caller passed an argument the function cannot take, e.g. of the wrong shape."""
+
+
 class InternalError(SchedlabError):
     """An invariant the library itself guarantees was violated (likely a bug)."""
 

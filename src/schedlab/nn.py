@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ModelFormatError, ModelVersionError, NoValidActionError
+from .errors import InvalidArgumentError, ModelFormatError, ModelVersionError, NoValidActionError
 from .files import read_json, write_text
 
 MODEL_FORMAT_VERSION = 1
@@ -60,7 +60,7 @@ def init_mlp(dims: list[int], rng: np.random.Generator, output_gain: float = 1.0
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != params.weights[0].shape[0]:
-        raise ValueError(
+        raise InvalidArgumentError(
             f"input dim {x.shape[-1]} does not match network input {params.weights[0].shape[0]}"
         )
     return x
@@ -110,7 +110,7 @@ def mlp_gradient(
     """
     output = activations[-1]
     if upstream.shape != output.shape:
-        raise ValueError(f"upstream shape {upstream.shape} does not match output {output.shape}")
+        raise InvalidArgumentError(f"upstream shape {upstream.shape} does not match output {output.shape}")
 
     n_layers = params.num_layers()
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
@@ -224,6 +224,9 @@ def load_model(path: str | Path) -> MlpParams:
         raise ModelVersionError(
             f"{path}: format version {payload.get('version')!r}, expected {MODEL_FORMAT_VERSION}"
         )
+    unknown = sorted(payload.keys() - {"format", "version", "dims", "weights", "biases"})
+    if unknown:
+        raise ModelFormatError(f"{path}: unknown key {unknown[0]!r}")
     try:
         dims = [int(d) for d in payload["dims"]]
         weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]

@@ -6,13 +6,15 @@ existing interval; the earliest feasible start may fall into an idle gap
 between existing intervals (gap insertion).
 
 A Schedule is a single-owner mutable value that only grows: ``place_task``
-is its only mutation, so no placement or interval ever leaves it. The
-environment and the dispatching rules build schedules through it; it
-preserves every invariant by construction and is the one place that checks a
-placement. The solver and ``permutation_oracle`` search on timelines of
-their own through the shared ``earliest_start``, adding and removing
-intervals unchecked; replaying the solver's result through ``place_task``
-checks it.
+is its only mutation, so no placement or interval ever leaves it. Its
+timelines are private; ``busy()`` hands out tuple copies of their intervals,
+one per resource (machines, then tools), so no caller can add or remove an
+interval around ``place_task``. The environment and the dispatching rules
+build schedules through it; it preserves every invariant by construction and
+is the one place that checks a placement. The solver and
+``permutation_oracle`` search on timelines of their own through the shared
+``earliest_start``, adding and removing intervals unchecked; replaying the
+solver's result through ``place_task`` checks it.
 ``validate_schedule`` re-derives the invariants from the placements alone and
 is the independent check used by tests, the evaluation harness and the Gantt
 renderer.
@@ -75,9 +77,6 @@ class Timeline:
     def __init__(self):
         self._starts: list[int] = []
         self._ends: list[int] = []
-
-    def intervals(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
 
     def columns(self) -> tuple[list[int], list[int]]:
         """The sorted start and end lists themselves, not copies; read only."""
@@ -145,8 +144,8 @@ class Schedule:
     def __init__(self, instance: Instance):
         self.instance = instance
         self.placements: dict[tuple[int, int], Placement] = {}
-        self.machine_timelines = [Timeline() for _ in range(instance.num_machines)]
-        self.tool_timelines = [Timeline() for _ in range(instance.num_tools)]
+        self._machine_timelines = [Timeline() for _ in range(instance.num_machines)]
+        self._tool_timelines = [Timeline() for _ in range(instance.num_tools)]
         self.job_ready = [0] * instance.num_jobs
         self.next_op = [0] * instance.num_jobs
         self._makespan = 0
@@ -158,6 +157,12 @@ class Schedule:
     @property
     def complete(self) -> bool:
         return len(self.placements) == self.instance.num_tasks
+
+    def busy(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        """Per resource, machine m at m and tool t at ``num_machines + t``: copies
+        of the sorted (starts, ends) of its busy intervals."""
+        timelines = (*self._machine_timelines, *self._tool_timelines)
+        return tuple(tuple(map(tuple, tl.columns())) for tl in timelines)
 
     def _check_next_op(self, task: Task) -> None:
         expected = self.next_op[task.job_id]
@@ -172,11 +177,11 @@ class Schedule:
         """(machine, start) minimizing the earliest feasible start; ties to the lowest id."""
         self._check_next_op(task)
         p = task.processing_time
-        tool_tl = self.tool_timelines[task.tool] if task.tool is not None else None
+        tool_tl = self._tool_timelines[task.tool] if task.tool is not None else None
         ready = self.job_ready[task.job_id]
         best: tuple[int, int] | None = None
         for m in task.eligible_machines:
-            start = earliest_start(self.machine_timelines[m], tool_tl, ready, p)
+            start = earliest_start(self._machine_timelines[m], tool_tl, ready, p)
             if best is None or start < best[1]:
                 best = (m, start)
         assert best is not None  # eligible_machines is non-empty
@@ -203,8 +208,8 @@ class Schedule:
                 resource=f"job {task.job_id}",
             )
         end = start + task.processing_time
-        machine_tl = self.machine_timelines[machine]
-        tool_tl = self.tool_timelines[task.tool] if task.tool is not None else None
+        machine_tl = self._machine_timelines[machine]
+        tool_tl = self._tool_timelines[task.tool] if task.tool is not None else None
         for kind, r, timeline in (("machine", machine, machine_tl), ("tool", task.tool, tool_tl)):
             conflict = timeline.first_conflict(start, end) if timeline is not None else None
             if conflict is not None:

@@ -29,6 +29,10 @@ transposition set keyed by the exact placement history prunes the repeats,
 which keeps the search sound. On plain JSSP every child covers m* just
 before c*, so two children always overlap and two branch orders never meet.
 
+Machines and tools share one resource index, machine r at r and tool t at
+``num_machines + t``: ``_tables`` gives each tool as its resource, and the
+search's timelines and the bound's JPS runs (machines first) follow it.
+
 A node is pruned when ``lower_bound``, Jackson's preemptive one-machine bound
 (Carlier 1982; Brucker, Jurisch & Sievers 1994), reaches the incumbent. The
 search only asks whether it does, so the prune test stops at the first term
@@ -81,30 +85,31 @@ class SolveResult:
 
 
 def _tables(instance: Instance) -> tuple[list, list, list, list]:
-    """Per-(job, op) times, eligible machines, tools; chain[j][k]: work from op k on."""
-    n_ops = instance.tasks_per_job
+    """Per-(job, op) times, eligible machines, tool resources; chain[j][k]: work from op k on."""
+    n_ops, n_machines = instance.tasks_per_job, instance.num_machines
     tasks = [[instance.task(j, k) for k in range(n_ops)] for j in range(instance.num_jobs)]
     proc = [[t.processing_time for t in row] for row in tasks]
     chain = [[sum(row[k:]) for k in range(n_ops + 1)] for row in proc]
     elig = [[list(t.eligible_machines) for t in row] for row in tasks]
-    return proc, elig, [[t.tool for t in row] for row in tasks], chain
+    tool_of = [[None if t.tool is None else n_machines + t.tool for t in row] for row in tasks]
+    return proc, elig, tool_of, chain
 
 
-def _jackson_preemptive(tasks: list[tuple[int, int, int]], timeline: Timeline, cutoff: float) -> int:
-    """max(C_i + q_i) of Jackson's preemptive schedule in the timeline's idle time.
+def _jackson_preemptive(tasks: list[tuple[int, int, int]], busy: tuple, cutoff: float) -> int:
+    """max(C_i + q_i) of Jackson's preemptive schedule in a resource's idle time.
 
-    ``tasks`` holds (head r_i, processing time p_i, tail q_i). At every
-    moment the released task with the largest tail runs, pre-empted by a
-    release or by a busy interval already on the timeline. This schedule is
-    optimal for the preemptive one-machine problem with heads, tails and
-    unavailable periods (an exchange of unit slots never hurts), so its
-    value bounds every non-preemptive completion from below.
+    ``tasks`` holds (head r_i, processing time p_i, tail q_i), ``busy`` the
+    resource's sorted (starts, ends). At every moment the released task with
+    the largest tail runs, pre-empted by a release or by a busy interval.
+    This schedule is optimal for the preemptive one-machine problem with
+    heads, tails and unavailable periods (an exchange of unit slots never
+    hurts), so its value bounds every non-preemptive completion from below.
 
     The running max only grows, so the scan returns it as soon as it reaches
     ``cutoff``; a result below ``cutoff`` is the full value.
     """
     tasks.sort()
-    busy_start, busy_end = timeline.columns()
+    busy_start, busy_end = busy
     n, n_busy = len(tasks), len(busy_start)
     ready: list[tuple[int, int]] = []  # (-q, remaining work)
     i = b = 0
@@ -145,8 +150,7 @@ def _bound(
     tables: tuple[list, list, list, list],
     heads: list[int],
     next_op: list[int],
-    machine_tl: list[Timeline],
-    tool_tl: list[Timeline],
+    busy: list,
     makespan: int,
     cutoff: float,
 ) -> int:
@@ -154,6 +158,7 @@ def _bound(
 
     ``heads[j]`` is the earliest feasible start of job j's next op (the
     minimum over its eligible machines); entries of finished jobs are unused.
+    ``busy[r]`` is the sorted (starts, ends) of resource r.
     Returns as soon as a term reaches ``cutoff``: the result is >= ``cutoff``
     exactly when the full bound is, and below it the result is the full bound.
     """
@@ -161,8 +166,7 @@ def _bound(
     lb = makespan
     if lb >= cutoff:
         return lb
-    machine_tasks: list[list[tuple[int, int, int]]] = [[] for _ in machine_tl]
-    tool_tasks: list[list[tuple[int, int, int]]] = [[] for _ in tool_tl]
+    pinned: list[list[tuple[int, int, int]]] = [[] for _ in busy]
     for j, k0 in enumerate(next_op):
         chain_j = chain[j]
         n_ops = len(chain_j) - 1
@@ -177,17 +181,16 @@ def _bound(
         for k in range(k0, n_ops):
             task = (origin - chain_j[k], proc_j[k], chain_j[k + 1])
             if len(elig_j[k]) == 1:
-                machine_tasks[elig_j[k][0]].append(task)
+                pinned[elig_j[k][0]].append(task)
             if tool_j[k] is not None:
-                tool_tasks[tool_j[k]].append(task)
-    for timelines, pinned in ((machine_tl, machine_tasks), (tool_tl, tool_tasks)):
-        for timeline, tasks in zip(timelines, pinned):
-            if tasks:
-                v = _jackson_preemptive(tasks, timeline, cutoff)
-                if v > lb:
-                    lb = v
-                    if lb >= cutoff:
-                        return lb
+                pinned[tool_j[k]].append(task)
+    for columns, tasks in zip(busy, pinned):
+        if tasks:
+            v = _jackson_preemptive(tasks, columns, cutoff)
+            if v > lb:
+                lb = v
+                if lb >= cutoff:
+                    return lb
     return lb
 
 
@@ -220,8 +223,7 @@ def lower_bound(schedule: Schedule) -> int:
         for j, k in enumerate(schedule.next_op)
     ]
     return _bound(
-        _tables(instance), heads, schedule.next_op, schedule.machine_timelines,
-        schedule.tool_timelines, schedule.makespan, math.inf,
+        _tables(instance), heads, schedule.next_op, schedule.busy(), schedule.makespan, math.inf
     )
 
 
@@ -244,8 +246,8 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     flexible = any(len(ms) > 1 for row in elig for ms in row)
     dedupe = instance.with_tools or flexible
 
-    machine_tl = [Timeline() for _ in range(n_machines)]
-    tool_tl = [Timeline() for _ in range(instance.num_tools)]
+    timelines = [Timeline() for _ in range(n_machines + instance.num_tools)]
+    busy = [tl.columns() for tl in timelines]  # live: a Timeline never rebinds its lists
     job_ready = [0] * n_jobs
     next_op = [0] * n_jobs
 
@@ -256,7 +258,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
 
     best = math.inf
     best_history: list[tuple[int, int, int]] | None = None
-    # one entry per dispatched task: (job, machine, start, end, tool, prior ready, prior code)
+    # per dispatched task: (job, machine, start, end, tool resource, prior ready, prior code)
     trail: list[tuple[int, int, int, int, int | None, int, int]] = []
     n_tasks = instance.num_tasks
     nodes = 0
@@ -273,10 +275,10 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                 continue
             p = proc[j][k]
             tool = tool_of[j][k]
-            ttl = tool_tl[tool] if tool is not None else None
+            ttl = timelines[tool] if tool is not None else None
             head = None
             for m in elig[j][k]:
-                s = earliest_start(machine_tl[m], ttl, job_ready[j], p)
+                s = earliest_start(timelines[m], ttl, job_ready[j], p)
                 cands.append((s + p, j, m, s))
                 if head is None or s < head:
                     head = s
@@ -310,14 +312,14 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         job_code[j] = prev_code
         next_op[j] -= 1
         job_ready[j] = prev_ready
-        machine_tl[m].remove(s, end)
+        timelines[m].remove(s, end)
         if tool is not None:
-            tool_tl[tool].remove(s, end)
+            timelines[tool].remove(s, end)
 
     # each frame: [sorted children, index of the next child, makespan of the node]
     stack: list[list] = []
     root_cands, root_heads = candidates(math.inf)
-    root_bound = _bound(tables, root_heads, next_op, machine_tl, tool_tl, 0, math.inf)
+    root_bound = _bound(tables, root_heads, next_op, busy, 0, math.inf)
     running = open_node(root_cands, 0)
     while running and stack:
         frame = stack[-1]
@@ -332,9 +334,9 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
         k = next_op[j]
         tool = tool_of[j][k]
         # idle: s is earliest_start on these timelines; _replay checks it through place_task
-        machine_tl[m].add(s, end)
+        timelines[m].add(s, end)
         if tool is not None:
-            tool_tl[tool].add(s, end)
+            timelines[tool].add(s, end)
         trail.append((j, m, s, end, tool, job_ready[j], job_code[j]))
         job_ready[j] = end
         next_op[j] = k + 1
@@ -353,9 +355,7 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
                 best_history = [entry[:3] for entry in trail]
         elif ms_child < best:
             found = candidates(best)
-            if found is not None and _bound(
-                tables, found[1], next_op, machine_tl, tool_tl, ms_child, best
-            ) < best:
+            if found is not None and _bound(tables, found[1], next_op, busy, ms_child, best) < best:
                 running = open_node(found[0], ms_child)
                 continue
         undo()
@@ -406,8 +406,7 @@ def permutation_oracle(instance: Instance) -> int:
             f"permutation_oracle is limited to 8 tasks, got {instance.num_tasks}"
         )
     n_jobs, n_ops, n_tasks = instance.num_jobs, instance.tasks_per_job, instance.num_tasks
-    machine_tl = [Timeline() for _ in range(instance.num_machines)]
-    tool_tl = [Timeline() for _ in range(instance.num_tools)]
+    timelines = [Timeline() for _ in range(instance.num_machines + instance.num_tools)]
     job_ready = [0] * n_jobs
     next_op = [0] * n_jobs
     best = instance.total_processing_time  # serial schedule is always reachable
@@ -423,16 +422,16 @@ def permutation_oracle(instance: Instance) -> int:
                 continue
             task = instance.task(j, k)
             p, ready = task.processing_time, job_ready[j]
-            ttl = tool_tl[task.tool] if task.tool is not None else None
+            ttl = timelines[instance.num_machines + task.tool] if task.tool is not None else None
             for m in task.eligible_machines:
-                s = earliest_start(machine_tl[m], ttl, ready, p)
-                machine_tl[m].add(s, s + p)
+                s = earliest_start(timelines[m], ttl, ready, p)
+                timelines[m].add(s, s + p)
                 if ttl is not None:
                     ttl.add(s, s + p)
                 job_ready[j], next_op[j] = s + p, k + 1
                 rec(placed + 1, max(makespan, s + p))
                 job_ready[j], next_op[j] = ready, k
-                machine_tl[m].remove(s, s + p)
+                timelines[m].remove(s, s + p)
                 if ttl is not None:
                     ttl.remove(s, s + p)
 
@@ -458,24 +457,18 @@ def timing_oracle(instance: Instance) -> int:
 
     n_jobs, n_ops = instance.num_jobs, instance.tasks_per_job
     tasks = [instance.task(j, k) for j in range(n_jobs) for k in range(n_ops)]
+    times = [[instance.task(j, k).processing_time for k in range(n_ops)] for j in range(n_jobs)]
     # tail[i]: processing time of the ops after task i within its job
-    tail = []
-    for j in range(n_jobs):
-        times = [instance.task(j, k).processing_time for k in range(n_ops)]
-        for k in range(n_ops):
-            tail.append(sum(times[k + 1 :]))
+    tail = [sum(row[k + 1 :]) for row in times for k in range(n_ops)]
 
-    lb = 0
-    for j in range(n_jobs):
-        lb = max(lb, sum(instance.task(j, k).processing_time for k in range(n_ops)))
-    machine_load = [0] * instance.num_machines
-    tool_load = [0] * instance.num_tools
+    # per resource, machines then tools: the work pinned to it
+    load = [0] * (instance.num_machines + instance.num_tools)
     for t in tasks:
         if len(t.eligible_machines) == 1:
-            machine_load[t.eligible_machines[0]] += t.processing_time
+            load[t.eligible_machines[0]] += t.processing_time
         if t.tool is not None:
-            tool_load[t.tool] += t.processing_time
-    lb = max([lb, *machine_load, *tool_load])
+            load[instance.num_machines + t.tool] += t.processing_time
+    lb = max([*map(sum, times), *load])  # one job's work, or one resource's
 
     for target in range(lb, ub + 1):
         if _feasible_within(instance, tasks, tail, target):
@@ -484,8 +477,9 @@ def timing_oracle(instance: Instance) -> int:
 
 
 def _feasible_within(instance, tasks, tail, target: int) -> bool:
-    machine_busy: list[list[tuple[int, int]]] = [[] for _ in range(instance.num_machines)]
-    tool_busy: list[list[tuple[int, int]]] = [[] for _ in range(instance.num_tools)]
+    n_machines = instance.num_machines
+    # per resource, machines then tools: the (start, end) placed on it
+    busy: list[list[tuple[int, int]]] = [[] for _ in range(n_machines + instance.num_tools)]
     job_end = [0] * instance.num_jobs
     n = len(tasks)
 
@@ -496,34 +490,27 @@ def _feasible_within(instance, tasks, tail, target: int) -> bool:
         p = task.processing_time
         lo = job_end[task.job_id]
         hi = target - p - tail[i]
-        tool_list = tool_busy[task.tool] if task.tool is not None else None
         for m in task.eligible_machines:
-            busy = machine_busy[m]
+            used = [busy[m]] if task.tool is None else [busy[m], busy[n_machines + task.tool]]
             s = lo
             while s <= hi:
                 # jump past every interval overlapping [s, s+p)
                 bump = -1
-                for a, b in busy:
-                    if s < b and s + p > a and b > bump:
-                        bump = b
-                if tool_list is not None:
-                    for a, b in tool_list:
+                for lst in used:
+                    for a, b in lst:
                         if s < b and s + p > a and b > bump:
                             bump = b
                 if bump >= 0:
                     s = bump
                     continue
-                busy.append((s, s + p))
-                if tool_list is not None:
-                    tool_list.append((s, s + p))
-                prev_end = job_end[task.job_id]
+                for lst in used:
+                    lst.append((s, s + p))
                 job_end[task.job_id] = s + p
                 if rec(i + 1):
                     return True
-                job_end[task.job_id] = prev_end
-                busy.pop()
-                if tool_list is not None:
-                    tool_list.pop()
+                job_end[task.job_id] = lo
+                for lst in used:
+                    lst.pop()
                 s += 1
         return False
 

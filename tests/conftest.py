@@ -11,6 +11,7 @@ from schedlab.instances import (
     generate_instance,
     instance_digest,
 )
+from schedlab.schedule import Timeline
 
 
 def build_instance(job_specs, num_machines, num_tools=0, problem_type=ProblemType.JSSP, seed=0):
@@ -42,6 +43,14 @@ def build_instance(job_specs, num_machines, num_tools=0, problem_type=ProblemTyp
         meta=InstanceMeta(seed=seed),
     )
     return dataclasses.replace(inst, id=instance_digest(inst))
+
+
+def timeline_of(columns):
+    """A fresh Timeline holding one resource's (starts, ends), as ``Schedule.busy()`` gives them."""
+    timeline = Timeline()
+    for start, end in zip(*columns):
+        timeline.add(start, end)
+    return timeline
 
 
 def jssp_config(num_jobs=6, tasks_per_job=6, num_machines=6, runtime_lo=1, runtime_hi=10,

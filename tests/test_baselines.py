@@ -3,7 +3,7 @@ import pytest
 
 from schedlab.baselines import DispatchRule, rule_policy
 from schedlab.env import RewardMode, SchedulingEnv, reset, step
-from schedlab.errors import NoValidActionError
+from schedlab.errors import InvalidArgumentError, NoValidActionError
 from schedlab.instances import generate_instance
 from schedlab.schedule import validate_schedule
 
@@ -41,6 +41,11 @@ def test_mtr_tie_breaks_to_lowest_index():
     obs = step(env, 2).observation
     mask = np.array([True, True, True])
     assert rule_policy(DispatchRule.MTR)(obs, mask) == 0
+
+
+def test_random_without_rng_is_a_typed_caller_error():
+    with pytest.raises(InvalidArgumentError, match="^RANDOM rule needs an rng$"):
+        rule_policy(DispatchRule.RANDOM)
 
 
 def test_random_frequencies():

@@ -65,3 +65,15 @@ def test_run_episode_lives_beside_evaluate():
         if isinstance(node, ast.FunctionDef) and node.name == "run_episode"
     }
     assert defined == {"evaluate.py"}
+
+
+def test_schedule_timelines_are_named_only_in_schedule():
+    # place_task must stay the only code that adds an interval to a Schedule
+    private = {"_machine_timelines", "_tool_timelines"}
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    }
+    assert naming == {"schedule.py"}

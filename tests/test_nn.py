@@ -5,7 +5,13 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-from schedlab.errors import ModelFormatError, ModelVersionError, NoValidActionError
+from schedlab.errors import (
+    InvalidArgumentError,
+    ModelFormatError,
+    ModelVersionError,
+    NoValidActionError,
+    SchedlabError,
+)
 from schedlab.nn import (
     Adam,
     MlpParams,
@@ -45,6 +51,16 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         mlp_forward(params, np.zeros(5))
     with pytest.raises(ValueError):
+        mlp_gradient(params, mlp_activations(params, np.zeros((3, 4))), np.zeros((3, 3)))
+
+
+def test_dimension_mismatch_is_a_typed_caller_error():
+    params = init_mlp([4, 8, 2], rng_())
+    assert issubclass(InvalidArgumentError, SchedlabError)
+    with pytest.raises(InvalidArgumentError, match="^input dim 5 does not match network input 4$"):
+        mlp_forward(params, np.zeros(5))
+    with pytest.raises(InvalidArgumentError,
+                       match=r"^upstream shape \(3, 3\) does not match output \(3, 2\)$"):
         mlp_gradient(params, mlp_activations(params, np.zeros((3, 4))), np.zeros((3, 3)))
 
 
@@ -358,6 +374,19 @@ def test_model_file_that_is_no_model_rejected(tmp_path, payload, message):
     with pytest.raises(ModelFormatError) as exc:
         load_model(path)
     assert str(exc.value).startswith(f"{path}: {message}")
+
+
+def test_model_unknown_key_rejected(tmp_path):
+    # a saved model has exactly these five keys; one more, such as an
+    # architecture tag, must not load silently as a plain MLP
+    path = tmp_path / "model.json"
+    save_model(init_mlp([3, 4, 2], rng_()), path)
+    payload = json.loads(path.read_text())
+    assert sorted(payload) == ["biases", "dims", "format", "version", "weights"]
+    path.write_text(json.dumps({**payload, "arch": "equivariant"}))
+    with pytest.raises(ModelFormatError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: unknown key 'arch'"
 
 
 def test_model_version_mismatch(tmp_path):

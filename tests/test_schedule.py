@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 
+from schedlab.baselines import DispatchRule, rule_policy
+from schedlab.env import SchedulingEnv
 from schedlab.errors import ConstraintViolationError, InternalError, MalformedRecordError
 from schedlab.instances import ProblemType, generate_instance
 from schedlab.schedule import (
@@ -18,7 +20,7 @@ from schedlab.schedule import (
     write_schedule,
 )
 
-from conftest import build_instance, fjssp_config, jssp_config
+from conftest import build_instance, fjssp_config, jssp_config, timeline_of
 
 
 def brute_force_earliest(busy_lists, ready, p, limit=10_000):
@@ -34,7 +36,7 @@ def brute_force_earliest(busy_lists, ready, p, limit=10_000):
 def test_earliest_start_empty_schedule():
     inst = build_instance([[(0, 3, None)]], num_machines=1)
     sched = Schedule(inst)
-    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[0], 3) == 0
+    assert earliest_start(timeline_of(sched.busy()[0]), None, sched.job_ready[0], 3) == 0
 
 
 def test_earliest_start_gap_insertion():
@@ -45,9 +47,10 @@ def test_earliest_start_gap_insertion():
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)  # [0,3)
     sched.place_task(inst.task(1, 0), 0, 5)  # [5,9)
-    expected = brute_force_earliest([sched.machine_timelines[0].intervals()], 0, 2)
+    machine = sched.busy()[0]
+    expected = brute_force_earliest([list(zip(*machine))], 0, 2)
     assert expected == 3
-    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[2], 2) == 3
+    assert earliest_start(timeline_of(machine), None, sched.job_ready[2], 2) == 3
 
 
 def test_earliest_start_tool_blocks_gap():
@@ -66,10 +69,11 @@ def test_earliest_start_tool_blocks_gap():
     sched.place_task(inst.task(0, 0), 0, 0)  # machine0 [0,3)
     sched.place_task(inst.task(1, 0), 0, 5)  # machine0 [5,9)
     sched.place_task(inst.task(2, 0), 1, 3)  # tool0 [3,6) on machine1
-    machine_tl, tool_tl = sched.machine_timelines[0], sched.tool_timelines[0]
-    expected = brute_force_earliest([machine_tl.intervals(), tool_tl.intervals()], 0, 2)
+    busy = sched.busy()
+    machine, tool = busy[0], busy[inst.num_machines + 0]
+    expected = brute_force_earliest([list(zip(*machine)), list(zip(*tool))], 0, 2)
     assert expected == 9
-    assert earliest_start(machine_tl, tool_tl, sched.job_ready[3], 2) == 9
+    assert earliest_start(timeline_of(machine), timeline_of(tool), sched.job_ready[3], 2) == 9
 
 
 def test_earliest_start_precedence_dominates():
@@ -77,7 +81,7 @@ def test_earliest_start_precedence_dominates():
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)
     assert sched.job_ready[0] == 7
-    assert earliest_start(sched.machine_timelines[0], None, sched.job_ready[0], 2) == 7
+    assert earliest_start(timeline_of(sched.busy()[0]), None, sched.job_ready[0], 2) == 7
 
 
 def random_timeline(rng, horizon=40):
@@ -99,7 +103,7 @@ def test_earliest_start_matches_brute_force(seed, with_tool):
     rng = np.random.Generator(np.random.Philox(key=seed))
     machine_tl = random_timeline(rng)
     tool_tl = random_timeline(rng) if with_tool else None
-    busy = [tl.intervals() for tl in (machine_tl, tool_tl) if tl is not None]
+    busy = [list(zip(*tl.columns())) for tl in (machine_tl, tool_tl) if tl is not None]
     for ready in range(0, 45, 3):
         for p in (1, 2, 3, 5, 8):
             assert earliest_start(machine_tl, tool_tl, ready, p) == brute_force_earliest(busy, ready, p)
@@ -172,8 +176,8 @@ def test_tool_conflict_names_tool_and_inserts_nothing():
         sched.place_task(inst.task(1, 0), 1, 3)
     assert exc.value.resource == "tool 0"
     assert exc.value.interval == (0, 5)
-    assert sched.machine_timelines[1].intervals() == []
-    assert sched.tool_timelines[0].intervals() == [(0, 5)]
+    # machine 0, machine 1, tool 0
+    assert sched.busy() == (((0,), (5,)), ((), ()), ((0,), (5,)))
     assert list(sched.placements) == [(0, 0)] and sched.next_op == [1, 0]
 
 
@@ -185,7 +189,7 @@ def test_placement_overlapping_the_next_busy_interval_is_rejected():
     with pytest.raises(ConstraintViolationError) as exc:
         sched.place_task(inst.task(1, 0), 0, 3)
     assert (exc.value.resource, exc.value.interval) == ("machine 0", (5, 9))
-    assert sched.machine_timelines[0].intervals() == [(5, 9)]
+    assert sched.busy() == (((5,), (9,)),)
 
 
 @pytest.mark.parametrize("machine, start, message", [
@@ -198,7 +202,7 @@ def test_place_rejects_ineligible_machine_and_negative_start(machine, start, mes
     with pytest.raises(ConstraintViolationError, match=message) as exc:
         sched.place_task(inst.task(0, 0), machine, start)
     assert exc.value.resource == f"machine {machine}"
-    assert sched.placements == {} and sched.machine_timelines[machine].intervals() == []
+    assert sched.placements == {} and sched.busy()[machine] == ((), ())
 
 
 def test_place_rejects_start_before_job_ready():
@@ -319,9 +323,9 @@ def test_constructive_validity_fuzz(seed):
             m, s = sched.best_machine(task)
             # left-shift optimality: one step earlier must be infeasible
             if s > sched.job_ready[j]:
-                busy = [sched.machine_timelines[m].intervals()]
+                busy = [list(zip(*sched.busy()[m]))]
                 if task.tool is not None:
-                    busy.append(sched.tool_timelines[task.tool].intervals())
+                    busy.append(list(zip(*sched.busy()[inst.num_machines + task.tool])))
                 assert any(
                     s - 1 < e and s - 1 + task.processing_time > b
                     for lst in busy
@@ -345,26 +349,72 @@ def test_constructive_validity_fuzz(seed):
                     remaining.remove(p)
                     progress = True
             assert progress
-        for m in range(inst.num_machines):
-            assert rebuilt.machine_timelines[m].intervals() == sched.machine_timelines[m].intervals()
-        for t in range(inst.num_tools):
-            assert rebuilt.tool_timelines[t].intervals() == sched.tool_timelines[t].intervals()
+        assert rebuilt.busy() == sched.busy()
+
+
+def test_no_public_handle_can_free_an_interval():
+    # a caller once freed [0, 3) through the live machine timeline, after which
+    # place_task accepted job 1 on [0, 2) and validate_schedule found an overlap
+    inst = build_instance([[(0, 3, None)], [(0, 2, None)]], num_machines=1)
+    sched = Schedule(inst)
+    sched.place_task(inst.task(0, 0), 0, 0)
+    for name, value in vars(sched).items():
+        if not name.startswith("_"):
+            values = value if isinstance(value, (list, tuple)) else [value]
+            assert not any(isinstance(v, Timeline) for v in values), name
+    busy = sched.busy()
+    assert busy == (((0,), (3,)),)
+    assert type(busy) is tuple and all(type(c) is tuple for columns in busy for c in columns)
+    with pytest.raises(ConstraintViolationError) as exc:
+        sched.place_task(inst.task(1, 0), 0, 0)
+    assert (exc.value.resource, exc.value.interval) == ("machine 0", (0, 3))
+    assert validate_schedule(sched) == []
+
+
+@pytest.mark.parametrize("rule", list(DispatchRule), ids=lambda rule: rule.value)
+@pytest.mark.parametrize("seed", range(3))
+def test_busy_matches_placements_along_rule_rollouts(seed, rule):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    shapes = [
+        jssp_config(num_jobs=4, tasks_per_job=3, num_machines=3, seed=seed),
+        jssp_config(num_jobs=4, tasks_per_job=3, num_machines=3, with_tools=True,
+                    num_tools=2, seed=seed),
+        fjssp_config(num_jobs=4, tasks_per_job=3, num_machines=3, seed=seed),
+    ]
+    for cfg in shapes:
+        inst = generate_instance(cfg, 0)
+        env = SchedulingEnv(inst)
+        obs, mask = env.reset()
+        policy = rule_policy(rule, rng)
+        done = False
+        while not done:
+            result = env.step(policy(obs, mask))
+            obs, mask, done = result.observation, result.mask, result.done
+            # machine m at m, tool t at num_machines + t
+            expected = [[] for _ in range(inst.num_machines + inst.num_tools)]
+            for pl in env.schedule.placements.values():
+                expected[pl.machine].append((pl.start, pl.end))
+                if pl.tool is not None:
+                    expected[inst.num_machines + pl.tool].append((pl.start, pl.end))
+            busy = env.schedule.busy()
+            assert [list(zip(*columns)) for columns in busy] == [sorted(r) for r in expected]
+            assert all(type(c) is tuple for columns in busy for c in columns)
 
 
 def test_timeline_operations():
     tl = Timeline()
     tl.add(5, 9)
     tl.add(0, 3)
-    assert tl.intervals() == [(0, 3), (5, 9)]
+    assert tl.columns() == ([0, 5], [3, 9])
     assert tl.earliest_fit(0, 2) == 3
     assert tl.earliest_fit(0, 3) == 9
     assert tl.earliest_fit(9, 1) == 9
-    assert sum(e - s for s, e in tl.intervals()) == 7
+    assert sum(e - s for s, e in zip(*tl.columns())) == 7
     assert tl.first_conflict(2, 4) == (0, 3)
     assert tl.first_conflict(3, 5) is None
     assert tl.first_conflict(3, 6) == (5, 9)
     tl.remove(0, 3)
-    assert tl.intervals() == [(5, 9)]
+    assert tl.columns() == ([5], [9])
     with pytest.raises(InternalError, match=r"^interval \[0,3\) not present$"):
         tl.remove(0, 3)
 

@@ -29,7 +29,7 @@ from schedlab.solver import (
     timing_oracle,
 )
 
-from conftest import build_instance, fjssp_config, four_problem_kinds, jssp_config
+from conftest import build_instance, fjssp_config, four_problem_kinds, jssp_config, timeline_of
 
 
 def interleave_instance():
@@ -214,17 +214,15 @@ def test_lower_bound_admissible_along_random_paths(seed):
         if schedule.complete:
             return schedule.makespan
         best = inst.total_processing_time
+        timelines = [timeline_of(columns) for columns in schedule.busy()]
         for j in range(inst.num_jobs):
             k = schedule.next_op[j]
             if k >= inst.tasks_per_job:
                 continue
             task = inst.task(j, k)
-            tool_tl = schedule.tool_timelines[task.tool] if task.tool is not None else None
+            tool_tl = timelines[inst.num_machines + task.tool] if task.tool is not None else None
             for m in task.eligible_machines:
-                s = earliest_start(
-                    schedule.machine_timelines[m], tool_tl, schedule.job_ready[j],
-                    task.processing_time,
-                )
+                s = earliest_start(timelines[m], tool_tl, schedule.job_ready[j], task.processing_time)
                 child = copy.deepcopy(schedule, {id(inst): inst})  # the instance is shared
                 child.place_task(task, m, s)
                 best = min(best, best_completion(child))
@@ -242,27 +240,27 @@ def test_lower_bound_admissible_along_random_paths(seed):
 
 
 def bound_terms(schedule):
-    """The arguments of _bound on a schedule, and the (tasks, timeline) of each JPS run."""
+    """The arguments of _bound on a schedule, and the (tasks, busy columns) of each JPS run."""
     inst = schedule.instance
     tables = _tables(inst)
     proc, elig, tool_of, chain = tables
     n_ops, next_op = inst.tasks_per_job, schedule.next_op
     heads = [schedule.best_machine(inst.task(j, k))[1] if k < n_ops else 0
              for j, k in enumerate(next_op)]
-    resource = [
-        (schedule.machine_timelines, lambda j, k: elig[j][k][0] if len(elig[j][k]) == 1 else None),
-        (schedule.tool_timelines, lambda j, k: tool_of[j][k]),
-    ]
+    busy = schedule.busy()
+
+    def pinned_to(j, k):
+        # resource r < num_machines is machine r; _tables already gives tools as resources
+        return ([elig[j][k][0]] if len(elig[j][k]) == 1 else []) + [tool_of[j][k]]
+
     jps_runs = []
-    for timelines, pinned_to in resource:
-        for r, timeline in enumerate(timelines):
-            tasks = [(heads[j] + chain[j][k0] - chain[j][k], proc[j][k], chain[j][k + 1])
-                     for j, k0 in enumerate(next_op) for k in range(k0, n_ops)
-                     if pinned_to(j, k) == r]
-            if tasks:
-                jps_runs.append((tasks, timeline))
-    args = (tables, heads, next_op, schedule.machine_timelines, schedule.tool_timelines,
-            schedule.makespan)
+    for r, columns in enumerate(busy):
+        tasks = [(heads[j] + chain[j][k0] - chain[j][k], proc[j][k], chain[j][k + 1])
+                 for j, k0 in enumerate(next_op) for k in range(k0, n_ops)
+                 if r in pinned_to(j, k)]
+        if tasks:
+            jps_runs.append((tasks, columns))
+    args = (tables, heads, next_op, busy, schedule.makespan)
     return args, jps_runs
 
 
@@ -292,9 +290,9 @@ def test_bound_cutoff_contract_along_random_paths(seed):
         full = _bound(*args, math.inf)
         assert full == lower_bound(schedule)
         assert_cutoff_contract(full, lambda c: _bound(*args, c))
-        for tasks, timeline in jps_runs:
-            assert_cutoff_contract(_jackson_preemptive(list(tasks), timeline, math.inf),
-                                   lambda c: _jackson_preemptive(list(tasks), timeline, c))
+        for tasks, columns in jps_runs:
+            assert_cutoff_contract(_jackson_preemptive(list(tasks), columns, math.inf),
+                                   lambda c: _jackson_preemptive(list(tasks), columns, c))
         jobs = [j for j in range(inst.num_jobs) if schedule.next_op[j] < inst.tasks_per_job]
         j = jobs[rng.integers(len(jobs))]
         task = inst.task(j, schedule.next_op[j])
