@@ -13,7 +13,7 @@ from . import gantt, solver
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
 from .env import SchedulingEnv
-from .errors import ConfigurationError, InstanceSetError, SchedlabError
+from .errors import ConfigurationError, InstanceSetError, ModelVersionError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
 from .files import write_text
 from .instances import check_instance_set, generate_batch, read_instances, write_instances
@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InstanceSetError as exc:
+    except (InstanceSetError, ModelVersionError) as exc:  # an input this run cannot take
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except SchedlabError as exc:

@@ -2,8 +2,8 @@
 
 Epsilon-greedy exploration over masked Q-values, a uniform replay buffer,
 TD targets bootstrapped through a periodically synced target network, and
-squared TD-error loss. Everything runs in float64 and is deterministic for a
-fixed seed.
+squared TD-error loss. The network and the replay observations are float32,
+the rewards and the logged scalars float64; deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def train_dqn(
     obs, mask = probe.reset()
     obs_dim, n_actions = len(obs), len(mask)
     dims = [obs_dim, *config.hidden, n_actions]
-    q_params = init_mlp(dims, rng, output_gain=1.0)
+    q_params = init_mlp(dims, rng, output_gain=1.0).astype(np.float32)
     target_params = q_params.copy()
     optimizer = Adam(q_params, lr=config.learning_rate)
     # the last episode runs past total_steps, so no more than this many pushes
@@ -110,6 +110,7 @@ def train_dqn(
         instance = instances[episode % len(instances)]
         env = env_factory(instance)
         obs, mask = env.reset()
+        obs = obs.astype(np.float32)  # the network's dtype, stored in the replay buffer
         ep_return = 0.0
         done = False
         while not done:
@@ -120,9 +121,10 @@ def train_dqn(
             else:
                 action = greedy_action(q_params, obs, mask)
             result = env.step(action)
-            buffer.push((obs, action, result.reward, result.observation, result.mask, result.done))
+            next_obs = result.observation.astype(np.float32)
+            buffer.push((obs, action, result.reward, next_obs, result.mask, result.done))
             ep_return += result.reward
-            obs, mask = result.observation, result.mask
+            obs, mask = next_obs, result.mask
             done = result.done
             step_count += 1
 

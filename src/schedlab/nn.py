@@ -1,10 +1,12 @@
-"""Small feed-forward networks with hand-written gradients, in float64.
+"""Small feed-forward networks with hand-written gradients, trained in float32.
 
 The policy/value networks are plain affine->tanh stacks with an identity
 output layer. Forward and backward passes are pure functions of the
-parameters; the backward pass is reverse accumulation and is checked against
-central finite differences in the test suite. Double precision keeps that
-check tight.
+parameters and run in the parameters' dtype: an input, an upstream gradient
+and Adam's buffers take it. ``init_mlp`` returns float64 weights, which the
+trainers cast to float32 once; the test suite checks the backward pass
+against central finite differences on float64 networks, where double
+precision keeps that check tight. Model files hold float32 networks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from .errors import InvalidArgumentError, ModelFormatError, ModelVersionError, NoValidActionError
 from .files import read_json, write_text
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # 2: float32 weights; 1 held float64 ones
 
 
 @dataclass
@@ -36,6 +38,9 @@ class MlpParams:
 
     def num_layers(self) -> int:
         return len(self.weights)
+
+    def astype(self, dtype) -> "MlpParams":
+        return MlpParams([w.astype(dtype) for w in self.weights], [b.astype(dtype) for b in self.biases])
 
 
 def _orthogonal(rng: np.random.Generator, rows: int, cols: int, gain: float) -> np.ndarray:
@@ -58,7 +63,7 @@ def init_mlp(dims: list[int], rng: np.random.Generator, output_gain: float = 1.0
 
 
 def _check_input(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=params.weights[0].dtype)
     if x.shape[-1] != params.weights[0].shape[0]:
         raise InvalidArgumentError(
             f"input dim {x.shape[-1]} does not match network input {params.weights[0].shape[0]}"
@@ -105,8 +110,9 @@ def mlp_gradient(
 
     ``activations`` is ``mlp_activations(params, x)`` for a ``(b, d)`` batch
     ``x``, its first entry. ``upstream`` is dLoss/dOutput, shaped like the
-    last entry (any batch scaling belongs to the caller). Returns (weight
-    grads, bias grads) shaped like the parameters.
+    last entry (any batch scaling belongs to the caller); it is converted to
+    the activations' dtype. Returns (weight grads, bias grads) shaped and
+    typed like the parameters.
     """
     output = activations[-1]
     if upstream.shape != output.shape:
@@ -115,7 +121,7 @@ def mlp_gradient(
     n_layers = params.num_layers()
     grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
     grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
-    delta = upstream
+    delta = upstream.astype(output.dtype, copy=False)
     for i in range(n_layers - 1, -1, -1):
         grad_w[i] = activations[i].T @ delta
         grad_b[i] = delta.sum(axis=0)
@@ -149,9 +155,10 @@ def sample_actions(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
 
     Row i takes the number of running sums (np.cumsum, left to right) at or
     below ``draws[i]`` times the row total, capped at n - 1: the first index
-    whose running sum exceeds the cut point.
+    whose running sum exceeds the cut point. The sums run in float64, so
+    float32 probabilities give the sums of a Python-float loop.
     """
-    cum = np.cumsum(probs, axis=-1)
+    cum = np.cumsum(probs, axis=-1, dtype=np.float64)
     cuts = draws * cum[:, -1]
     return np.minimum((cum <= cuts[:, None]).sum(axis=-1), probs.shape[-1] - 1)
 
@@ -164,10 +171,10 @@ ADAM_EPS = 1e-8
 class Adam:
     """Standard Adam over an MlpParams pytree; updates the parameters in place.
 
-    The moments ``m``, ``v`` and the gradients of a step live in flat float64
-    vectors (all weights, then all biases, each raveled), so each elementwise
-    update runs once over every parameter. The parameters stay separate
-    arrays, because BLAS results depend on their memory layout.
+    The moments ``m``, ``v`` and the gradients of a step live in flat vectors
+    of the parameters' dtype (all weights, then all biases, each raveled), so
+    each elementwise update runs once over every parameter. The parameters
+    stay separate arrays, because BLAS results depend on their memory layout.
     """
 
     def __init__(self, params: MlpParams, lr: float):
@@ -176,10 +183,11 @@ class Adam:
         self.t = 0
         arrays = (*params.weights, *params.biases)
         sizes = [a.size for a in arrays]
-        self.m = np.zeros(sum(sizes))
-        self.v = np.zeros(sum(sizes))
-        self._grad = np.empty(sum(sizes))
-        self._delta = np.empty(sum(sizes))
+        dtype = params.weights[0].dtype
+        self.m = np.zeros(sum(sizes), dtype=dtype)
+        self.v = np.zeros(sum(sizes), dtype=dtype)
+        self._grad = np.empty(sum(sizes), dtype=dtype)
+        self._delta = np.empty(sum(sizes), dtype=dtype)
         # per-parameter views of the flat update, in the order of the moments
         self._deltas = [
             part.reshape(a.shape)
@@ -206,6 +214,10 @@ class Adam:
 # ---------------------------------------------------------------------------
 
 def save_model(params: MlpParams, path: str | Path) -> None:
+    """Write a float32 network; each value is written as the double it equals."""
+    for a in (*params.weights, *params.biases):
+        if a.dtype != np.float32:
+            raise InvalidArgumentError(f"a model file holds a float32 network, got {a.dtype} arrays")
     payload = {
         "format": "mlp-params",
         "version": MODEL_FORMAT_VERSION,
@@ -222,15 +234,16 @@ def load_model(path: str | Path) -> MlpParams:
         raise ModelFormatError(f"{path}: not a model file")
     if payload.get("version") != MODEL_FORMAT_VERSION:
         raise ModelVersionError(
-            f"{path}: format version {payload.get('version')!r}, expected {MODEL_FORMAT_VERSION}"
+            f"{path}: model format version {payload.get('version')!r}, expected "
+            f"{MODEL_FORMAT_VERSION} (float32 weights); retrain the model with `schedlab train`"
         )
     unknown = sorted(payload.keys() - {"format", "version", "dims", "weights", "biases"})
     if unknown:
         raise ModelFormatError(f"{path}: unknown key {unknown[0]!r}")
     try:
         dims = [int(d) for d in payload["dims"]]
-        weights = [np.asarray(w, dtype=np.float64) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in payload["biases"]]
+        weights = [np.asarray(w, dtype=np.float32) for w in payload["weights"]]
+        biases = [np.asarray(b, dtype=np.float32) for b in payload["biases"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload: {exc!r}") from exc
     if len(dims) < 2 or min(dims) < 1:

@@ -8,7 +8,9 @@ policy forward per step, and train bit for bit like one episode after
 another. Advantages use GAE(discount, lambda) with value bootstrap at
 buffer boundaries, normalized once per update batch. The update is the
 clipped surrogate plus a value regression term and an entropy bonus, run
-for several epochs of shuffled minibatches. Deterministic for a fixed seed.
+for several epochs of shuffled minibatches. The networks and the stored
+observations are float32; GAE, the advantages, the returns and the logged
+scalars stay float64. Deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ class _RolloutCollector:
         way; the slices bound the pass's extra memory. The bootstrap value
         of an episode still in flight is one single-observation forward.
         """
-        obs_buf = np.empty((n_steps, policy.dims()[0]), dtype=np.float64)
+        obs_buf = np.empty((n_steps, policy.dims()[0]), dtype=np.float32)
         mask_buf = np.empty((n_steps, policy.dims()[-1]), dtype=bool)
         act_buf = np.empty(n_steps, dtype=np.int64)
         rew_buf = np.empty(n_steps, dtype=np.float64)
@@ -208,7 +210,7 @@ class _RolloutCollector:
         live = episodes
         while live:
             rows = np.array([ep.row for ep in live])
-            obs = np.stack([ep.obs for ep in live])
+            obs = np.stack([ep.obs for ep in live], dtype=obs_buf.dtype)
             masks = np.stack([ep.mask for ep in live])
             logp = masked_log_probs(mlp_forward(policy, obs[:, None, :])[:, 0], masks)
             actions = sample_actions(np.exp(logp), draws[rows])
@@ -275,8 +277,8 @@ def train_ppo(
     probe = env_factory(instances[0])
     obs, mask = probe.reset()
     obs_dim, n_actions = len(obs), len(mask)
-    policy = init_mlp([obs_dim, *config.hidden, n_actions], rng, output_gain=0.01)
-    value = init_mlp([obs_dim, *config.hidden, 1], rng, output_gain=1.0)
+    policy = init_mlp([obs_dim, *config.hidden, n_actions], rng, output_gain=0.01).astype(np.float32)
+    value = init_mlp([obs_dim, *config.hidden, 1], rng, output_gain=1.0).astype(np.float32)
     policy_opt = Adam(policy, lr=config.learning_rate)
     value_opt = Adam(value, lr=config.learning_rate)
 

@@ -10,7 +10,7 @@ from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
 from schedlab.errors import EpisodeLengthError, InstanceSetError
 from schedlab.nn import (
-    greedy_action, init_mlp, masked_log_probs, mlp_activations, mlp_forward, mlp_gradient,
+    Adam, greedy_action, init_mlp, masked_log_probs, mlp_activations, mlp_forward, mlp_gradient,
 )
 from schedlab.ppo import PpoConfig, Trajectory, _RolloutCollector, compute_gae, train_ppo
 from schedlab.evaluate import run_episode
@@ -362,12 +362,43 @@ def test_ppo_zero_epochs_leaves_params_unchanged():
     config = PpoConfig(total_steps=64, steps_per_update=32, epochs=0, seed=11)
     policy, value, _ = train_ppo(dense_factory, [inst], config)
     rng = np.random.Generator(np.random.Philox(key=11))
-    fresh_policy = init_mlp([9, *config.hidden, 2], rng, output_gain=0.01)
-    fresh_value = init_mlp([9, *config.hidden, 1], rng, output_gain=1.0)
+    # the trainers cast the float64 init to float32 once
+    fresh_policy = init_mlp([9, *config.hidden, 2], rng, output_gain=0.01).astype(np.float32)
+    fresh_value = init_mlp([9, *config.hidden, 1], rng, output_gain=1.0).astype(np.float32)
     for a, b in zip(policy.weights + policy.biases, fresh_policy.weights + fresh_policy.biases):
         assert np.array_equal(a, b)
     for a, b in zip(value.weights + value.biases, fresh_value.weights + fresh_value.biases):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("module, train, config", [
+    (ppo, train_ppo, PpoConfig(total_steps=128, steps_per_update=64, epochs=2, minibatch_size=32,
+                               seed=3)),
+    (dqn, train_dqn, DqnConfig(total_steps=128, batch_size=16, seed=3)),
+], ids=["ppo", "dqn"])
+def test_trainers_train_in_float32(monkeypatch, module, train, config):
+    """Networks, Adam buffers and every gradient an optimizer step takes are
+    float32: a float64 array anywhere in the update would upcast them, and
+    ``Adam.step`` would cast it back without a word."""
+    optimizers, grad_dtypes = [], set()
+
+    class RecordingAdam(Adam):
+        def __init__(self, params, lr):
+            super().__init__(params, lr)
+            optimizers.append(self)
+
+        def step(self, grad_w, grad_b):
+            grad_dtypes.update(g.dtype for g in (*grad_w, *grad_b))
+            super().step(grad_w, grad_b)
+
+    monkeypatch.setattr(module, "Adam", RecordingAdam)
+    *nets, _ = train(dense_factory, nine_task_instances(tools=True), config)
+    assert len(optimizers) == len(nets) and grad_dtypes == {np.dtype(np.float32)}
+    for net, opt in zip(nets, optimizers):
+        assert opt.params is net
+        assert {a.dtype for a in (*net.weights, *net.biases)} == {np.dtype(np.float32)}
+        assert {a.dtype for a in (opt.m, opt.v, opt._grad, opt._delta)} == {np.dtype(np.float32)}
+        assert mlp_forward(net, np.zeros(net.dims()[0])).dtype == np.float32
 
 
 def test_ppo_seed_determinism():

@@ -415,7 +415,7 @@ def test_cli_test_model_of_other_size_exit_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     assert main(["generate", "--config", str(cfg_path)]) == 0
     model_path = tmp_path / "six_jobs.model.json"
-    save_model(init_mlp([25, 8, 6], np.random.default_rng(0)), model_path)
+    save_model(init_mlp([25, 8, 6], np.random.default_rng(0)).astype(np.float32), model_path)
     capsys.readouterr()
     assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 2
     out, err = capsys.readouterr()
@@ -432,11 +432,31 @@ def test_cli_test_malformed_model_exit_1(tmp_path, capsys, arrays):
     cfg_path = tiny_config(tmp_path)
     assert main(["generate", "--config", str(cfg_path)]) == 0
     model_path = tmp_path / "bad.model.json"
-    model_path.write_text(json.dumps({"format": "mlp-params", "version": 1, **arrays}))
+    model_path.write_text(json.dumps({"format": "mlp-params", "version": 2, **arrays}))
     capsys.readouterr()
     assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {model_path}: dims") and "Traceback" not in err
+    assert not (tmp_path / "results").exists()
+
+
+def test_cli_test_version_1_model_exit_2(tmp_path, capsys):
+    # a well-formed model of format version 1 (float64 weights), as schedlab wrote it before
+    cfg_path = tiny_config(tmp_path)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    model_path = tmp_path / "old.model.json"
+    net = init_mlp([9, 8, 2], np.random.default_rng(0))
+    model_path.write_text(json.dumps({
+        "format": "mlp-params", "version": 1, "dims": net.dims(),
+        "weights": [w.tolist() for w in net.weights], "biases": [b.tolist() for b in net.biases],
+    }))
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path), "--model", str(model_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == (
+        f"error: {model_path}: model format version 1, expected 2 (float32 weights); "
+        "retrain the model with `schedlab train`\n"
+    )
     assert not (tmp_path / "results").exists()
 
 

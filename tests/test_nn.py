@@ -64,17 +64,32 @@ def test_dimension_mismatch_is_a_typed_caller_error():
         mlp_gradient(params, mlp_activations(params, np.zeros((3, 4))), np.zeros((3, 3)))
 
 
-@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1], [13, 64, 64, 1], [9, 7, 5, 1]])
-@pytest.mark.parametrize("k", [1, 2, 57, 255, 256, 257, 2049])
-def test_stacked_forward_rows_equal_single_forwards_bitwise(dims, k):
-    """A (k, 1, d) stack runs one gemv per row, the product a single vector takes."""
+STACK_DIMS = [[25, 64, 64, 6], [25, 64, 64, 1], [13, 64, 64, 1], [9, 7, 5, 1]]
+STACK_ROWS = [1, 2, 57, 255, 256, 257, 2049]
+
+
+def check_stacked_forward(dims, k, dtype):
     rng = rng_(k + dims[0])
-    params = init_mlp(dims, rng, output_gain=1.0)
+    params = init_mlp(dims, rng, output_gain=1.0).astype(dtype)
     x = rng.random((k, dims[0])) * 2.0 - 0.5
     stacked = mlp_forward(params, x[:, None, :])
-    assert stacked.shape == (k, 1, dims[-1])
+    assert stacked.shape == (k, 1, dims[-1]) and stacked.dtype == dtype
     for row, xi in zip(stacked[:, 0], x):
         assert row.tobytes() == mlp_forward(params, xi).tobytes()
+
+
+@pytest.mark.parametrize("dims", STACK_DIMS)
+@pytest.mark.parametrize("k", STACK_ROWS)
+def test_stacked_forward_rows_equal_single_forwards_bitwise(dims, k):
+    """A (k, 1, d) stack runs one gemv per row, the product a single vector takes."""
+    check_stacked_forward(dims, k, np.float64)
+
+
+@pytest.mark.parametrize("dims", STACK_DIMS)
+@pytest.mark.parametrize("k", STACK_ROWS)
+def test_stacked_forward_rows_equal_single_forwards_bitwise_float32(dims, k):
+    """The same in float32, the dtype the trainers run; float64 inputs are cast first."""
+    check_stacked_forward(dims, k, np.float32)
 
 
 def finite_difference_grads(params, x, upstream, h=1e-5):
@@ -117,6 +132,26 @@ def test_gradient_matches_central_differences(trial):
         denom = np.maximum(np.abs(b), 1.0)
         worst = max(worst, float(np.max(np.abs(a - b) / denom)))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1]])
+@pytest.mark.parametrize("seed", range(3))
+def test_float32_gradient_matches_float64_gradient_of_same_weights(dims, seed):
+    """The trainers' float32 backward pass against float64 arithmetic on the
+    same float32 weights and inputs, with a float64 upstream as PPO passes it.
+    Every entry lies within 64 float32 epsilons (7.6e-6) of its array's
+    largest float64 entry; measured errors reach about 1e-6 of it."""
+    rng = rng_(100 + seed)
+    params = init_mlp(dims, rng).astype(np.float32)
+    wide = params.astype(np.float64)
+    x = rng.random((256, dims[0])).astype(np.float32)
+    upstream = rng.standard_normal((256, dims[-1])) / 256
+    gw, gb = mlp_gradient(params, mlp_activations(params, x), upstream)
+    ww, wb = mlp_gradient(wide, mlp_activations(wide, x), upstream)
+    tol = 64 * np.finfo(np.float32).eps
+    for got, want in zip(gw + gb, ww + wb):
+        assert got.dtype == np.float32
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
 
 
 def policy_probs(params, obs, mask):
@@ -258,18 +293,32 @@ def test_sample_action_matches_cumsum_searchsorted():
     ] == [1, 3, 3]
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 8, 9, 20, 50])
-def test_stacked_masked_log_probs_rows_equal_single_calls_bitwise(n):
-    """Rows of a (k, n) call equal per-row calls, also past numpy's 8-wide
-    pairwise-sum blocks; the lockstep PPO rollout relies on it."""
+LOG_PROB_WIDTHS = [1, 2, 3, 6, 7, 8, 9, 20, 50]
+
+
+def check_stacked_masked_log_probs(n, dtype):
     rng = rng_(80 + n)
-    logits = 10.0 ** rng.uniform(-2, 2, (64, 1)) * rng.standard_normal((64, n))
+    logits = (10.0 ** rng.uniform(-2, 2, (64, 1)) * rng.standard_normal((64, n))).astype(dtype)
     masks = rng.random((64, n)) < 0.7
     masks[:, 0] = True
     got = masked_log_probs(logits, masks)
+    assert got.dtype == dtype
     for row, lg, m in zip(got, logits, masks):
         assert row.tobytes() == masked_log_probs(lg, m).tobytes()
     assert np.exp(got).tobytes() == np.stack([np.exp(r) for r in got]).tobytes()
+
+
+@pytest.mark.parametrize("n", LOG_PROB_WIDTHS)
+def test_stacked_masked_log_probs_rows_equal_single_calls_bitwise(n):
+    """Rows of a (k, n) call equal per-row calls, also past numpy's 8-wide
+    pairwise-sum blocks; the lockstep PPO rollout relies on it."""
+    check_stacked_masked_log_probs(n, np.float64)
+
+
+@pytest.mark.parametrize("n", LOG_PROB_WIDTHS)
+def test_stacked_masked_log_probs_rows_equal_single_calls_bitwise_float32(n):
+    """The same in float32, the dtype of the policy's logits in training."""
+    check_stacked_masked_log_probs(n, np.float32)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 57, 2048, 2049])
@@ -307,18 +356,18 @@ def test_masked_log_probs_matches_two_where_form(shape):
 
 
 def test_model_roundtrip_bitwise(tmp_path):
-    params = init_mlp([5, 16, 16, 4], rng_(33))
+    params = init_mlp([5, 16, 16, 4], rng_(33)).astype(np.float32)  # the dtype trainers ship
     path = tmp_path / "model.json"
     save_model(params, path)
     loaded = load_model(path)
     assert loaded.dims() == params.dims()
     for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
-        assert np.array_equal(a, b)
+        assert a.dtype == np.float32 and np.array_equal(a, b)
 
 
 def test_model_roundtrip_behavioral(tmp_path):
     rng = rng_(44)
-    params = init_mlp([6, 16, 16, 3], rng)
+    params = init_mlp([6, 16, 16, 3], rng).astype(np.float32)
     path = tmp_path / "model.json"
     save_model(params, path)
     loaded = load_model(path)
@@ -329,7 +378,7 @@ def test_model_roundtrip_behavioral(tmp_path):
 
 
 def test_model_truncated_file(tmp_path):
-    params = init_mlp([3, 4, 2], rng_())
+    params = init_mlp([3, 4, 2], rng_()).astype(np.float32)
     path = tmp_path / "model.json"
     save_model(params, path)
     text = path.read_text()
@@ -349,7 +398,7 @@ MALFORMED_MODEL_ARRAYS = {
 
 
 def write_model_payload(path, arrays):
-    path.write_text(json.dumps({"format": "mlp-params", "version": 1, **arrays}))
+    path.write_text(json.dumps({"format": "mlp-params", "version": 2, **arrays}))
     return path
 
 
@@ -363,9 +412,9 @@ def test_model_malformed_shapes_rejected(tmp_path, name):
 @pytest.mark.parametrize("payload, message", [
     ([1, 2], "not a model file"),
     ({"format": "csv", "version": 1}, "not a model file"),
-    ({"format": "mlp-params", "version": 1, "weights": [], "biases": []},
+    ({"format": "mlp-params", "version": 2, "weights": [], "biases": []},
      "malformed model payload: KeyError('dims')"),
-    ({"format": "mlp-params", "version": 1, "dims": ["nine", 2], "weights": [], "biases": []},
+    ({"format": "mlp-params", "version": 2, "dims": ["nine", 2], "weights": [], "biases": []},
      "malformed model payload: ValueError"),
 ], ids=["list", "other-format", "no-dims", "word-in-dims"])
 def test_model_file_that_is_no_model_rejected(tmp_path, payload, message):
@@ -380,7 +429,7 @@ def test_model_unknown_key_rejected(tmp_path):
     # a saved model has exactly these five keys; one more, such as an
     # architecture tag, must not load silently as a plain MLP
     path = tmp_path / "model.json"
-    save_model(init_mlp([3, 4, 2], rng_()), path)
+    save_model(init_mlp([3, 4, 2], rng_()).astype(np.float32), path)
     payload = json.loads(path.read_text())
     assert sorted(payload) == ["biases", "dims", "format", "version", "weights"]
     path.write_text(json.dumps({**payload, "arch": "equivariant"}))
@@ -390,13 +439,34 @@ def test_model_unknown_key_rejected(tmp_path):
 
 
 def test_model_version_mismatch(tmp_path):
-    params = init_mlp([3, 4, 2], rng_())
+    params = init_mlp([3, 4, 2], rng_()).astype(np.float32)
     path = tmp_path / "model.json"
     save_model(params, path)
-    text = path.read_text().replace('"version": 1', '"version": 99')
+    text = path.read_text().replace('"version": 2', '"version": 99')
     path.write_text(text)
     with pytest.raises(ModelVersionError):
         load_model(path)
+
+
+def test_model_version_1_refused(tmp_path):
+    # version 1 held float64 networks; loading one as float32 would round it silently
+    path = tmp_path / "model.json"
+    save_model(init_mlp([3, 4, 2], rng_()).astype(np.float32), path)
+    path.write_text(path.read_text().replace('"version": 2', '"version": 1'))
+    with pytest.raises(ModelVersionError) as exc:
+        load_model(path)
+    assert str(exc.value) == (
+        f"{path}: model format version 1, expected 2 (float32 weights); "
+        "retrain the model with `schedlab train`"
+    )
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16])
+def test_save_model_takes_float32_networks_only(tmp_path, dtype):
+    path = tmp_path / "model.json"
+    with pytest.raises(InvalidArgumentError, match=f"float32 network, got {np.dtype(dtype)} arrays"):
+        save_model(init_mlp([3, 4, 2], rng_()).astype(dtype), path)
+    assert not path.exists()
 
 
 def test_model_missing_file(tmp_path):
