@@ -172,6 +172,6 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, step_co
         )
     upstream = np.zeros_like(q)
     upstream[rows, actions] = 2.0 * td_error / config.batch_size
-    grad_w, grad_b = mlp_gradient(q_params, q_acts, upstream)
-    optimizer.step(grad_w, grad_b)
+    mlp_gradient(q_params, q_acts, upstream, out=optimizer.grads[0])
+    optimizer.step()
     return loss

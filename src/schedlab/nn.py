@@ -1,12 +1,13 @@
 """Small feed-forward networks with hand-written gradients, trained in float32.
 
 The policy/value networks are plain affine->tanh stacks with an identity
-output layer. Forward and backward passes are pure functions of the
-parameters and run in the parameters' dtype: an input, an upstream gradient
-and Adam's buffers take it. ``init_mlp`` returns float64 weights, which the
-trainers cast to float32 once; the test suite checks the backward pass
-against central finite differences on float64 networks, where double
-precision keeps that check tight. Model files hold float32 networks.
+output layer. Forward and backward passes run in the parameters' dtype: an
+input, an upstream gradient and Adam's buffers take it. The backward pass
+can write into an optimizer's flat gradient, and one ``Adam`` can step
+several networks. ``init_mlp`` returns float64 weights, which the trainers
+cast to float32 once; the test suite checks the backward pass against
+central finite differences on float64 networks, where double precision
+keeps that check tight. Model files hold float32 networks.
 """
 
 from __future__ import annotations
@@ -104,7 +105,8 @@ def mlp_forward(params: MlpParams, x: np.ndarray) -> np.ndarray:
 
 
 def mlp_gradient(
-    params: MlpParams, activations: list[np.ndarray], upstream: np.ndarray
+    params: MlpParams, activations: list[np.ndarray], upstream: np.ndarray,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Parameter gradients by reverse accumulation.
 
@@ -112,22 +114,27 @@ def mlp_gradient(
     ``x``, its first entry. ``upstream`` is dLoss/dOutput, shaped like the
     last entry (any batch scaling belongs to the caller); it is converted to
     the activations' dtype. Returns (weight grads, bias grads) shaped and
-    typed like the parameters.
+    typed like the parameters: fresh arrays, or the arrays of ``out``, a pair
+    of that form (``Adam.grads``), written in place. The products refuse to
+    cast, so a term in another dtype raises instead of being rounded into them.
     """
     output = activations[-1]
     if upstream.shape != output.shape:
         raise InvalidArgumentError(f"upstream shape {upstream.shape} does not match output {output.shape}")
 
-    n_layers = params.num_layers()
-    grad_w: list[np.ndarray] = [np.empty(0)] * n_layers
-    grad_b: list[np.ndarray] = [np.empty(0)] * n_layers
+    if out is None:
+        out = [np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases]
+    grad_w, grad_b = out
     delta = upstream.astype(output.dtype, copy=False)
-    for i in range(n_layers - 1, -1, -1):
-        grad_w[i] = activations[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+    for i in range(params.num_layers() - 1, -1, -1):
+        np.matmul(activations[i].T, delta, out=grad_w[i], casting="no")
+        delta.sum(axis=0, out=grad_b[i])
         if i > 0:
-            delta = delta @ params.weights[i].T
-            delta *= 1.0 - activations[i] ** 2
+            w = params.weights[i]
+            # one output: one product per entry, so a broadcast is exact and beats matmul's loop
+            delta = delta * w[:, 0] if w.shape[1] == 1 else delta @ w.T
+            slope = np.square(activations[i])  # tanh' = 1 - h^2, in one temporary
+            delta *= np.subtract(1.0, slope, out=slope)
     return grad_w, grad_b
 
 
@@ -169,44 +176,53 @@ ADAM_EPS = 1e-8
 
 
 class Adam:
-    """Standard Adam over an MlpParams pytree; updates the parameters in place.
+    """Standard Adam over one or more MlpParams; updates the parameters in place.
 
-    The moments ``m``, ``v`` and the gradients of a step live in flat vectors
-    of the parameters' dtype (all weights, then all biases, each raveled), so
-    each elementwise update runs once over every parameter. The parameters
-    stay separate arrays, because BLAS results depend on their memory layout.
+    The moments ``m``, ``v`` and the gradients live in flat vectors of the
+    parameters' dtype (per network, all weights, then all biases, raveled),
+    so each elementwise update runs once over every parameter, through
+    preallocated buffers. ``grads[k]`` holds network k's (weight grads, bias
+    grads) as views of the flat gradient, for ``mlp_gradient(..., out=)`` to
+    fill before each ``step``, which uses them as scratch. The update is elementwise with one ``lr`` and step
+    count, so each network steps bitwise as under its own Adam. The
+    parameters stay separate arrays: BLAS results depend on memory layout.
     """
 
-    def __init__(self, params: MlpParams, lr: float):
-        self.params = params
+    def __init__(self, *networks: MlpParams, lr: float):
+        self.networks = networks
         self.lr = lr
         self.t = 0
-        arrays = (*params.weights, *params.biases)
-        sizes = [a.size for a in arrays]
-        dtype = params.weights[0].dtype
-        self.m = np.zeros(sum(sizes), dtype=dtype)
-        self.v = np.zeros(sum(sizes), dtype=dtype)
-        self._grad = np.empty(sum(sizes), dtype=dtype)
-        self._delta = np.empty(sum(sizes), dtype=dtype)
-        # per-parameter views of the flat update, in the order of the moments
-        self._deltas = [
-            part.reshape(a.shape)
-            for part, a in zip(np.split(self._delta, np.cumsum(sizes)[:-1]), arrays)
-        ]
+        self._params = [a for net in networks for a in (*net.weights, *net.biases)]
+        size = sum(a.size for a in self._params)
+        dtype = self._params[0].dtype
+        self.m = np.zeros(size, dtype=dtype)
+        self.v = np.zeros(size, dtype=dtype)
+        self._grad = np.zeros(size, dtype=dtype)
+        self._delta = np.empty(size, dtype=dtype)
+        # per-parameter views of the flat vectors, in the order of the moments
+        bounds = np.cumsum([a.size for a in self._params])[:-1]
+        self._deltas = [d.reshape(a.shape) for d, a in zip(np.split(self._delta, bounds), self._params)]
+        grads = iter([g.reshape(a.shape) for g, a in zip(np.split(self._grad, bounds), self._params)])
+        self.grads = [([next(grads) for _ in net.weights], [next(grads) for _ in net.biases])
+                      for net in networks]
 
-    def step(self, grad_w: list[np.ndarray], grad_b: list[np.ndarray]) -> None:
+    def step(self) -> None:
+        """One update from ``grads``: lr * (m / bc1) / (sqrt(v / bc2) + eps),
+        with every product and sum in the order of the textbook form."""
         self.t += 1
         bc1 = 1.0 - ADAM_BETA1**self.t
         bc2 = 1.0 - ADAM_BETA2**self.t
-        m, v, g = self.m, self.v, self._grad
-        np.concatenate([a.ravel() for a in (*grad_w, *grad_b)], out=g)
+        m, v, g, delta = self.m, self.v, self._grad, self._delta
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=delta)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        np.divide(self.lr * (m / bc1), np.sqrt(v / bc2) + ADAM_EPS, out=self._delta)
-        for p, delta in zip((*self.params.weights, *self.params.biases), self._deltas):
-            p -= delta
+        v += np.multiply(np.multiply(g, 1.0 - ADAM_BETA2, out=delta), g, out=delta)  # ((1 - b2) * g) * g
+        np.multiply(np.divide(m, bc1, out=g), self.lr, out=g)  # lr * (m / bc1); g is read for the last time
+        np.sqrt(np.divide(v, bc2, out=delta), out=delta)
+        delta += ADAM_EPS
+        np.divide(g, delta, out=delta)
+        for p, d in zip(self._params, self._deltas):
+            p -= d
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +244,17 @@ def save_model(params: MlpParams, path: str | Path) -> None:
     write_text(path, json.dumps(payload))
 
 
+def _float32_arrays(path: str | Path, kind: str, stored: list) -> list[np.ndarray]:
+    """The stored layers as float32 arrays; a value that the cast would change is refused."""
+    arrays = [np.asarray(values, dtype=np.float64) for values in stored]
+    for layer, wide in enumerate(arrays):
+        with np.errstate(over="ignore"):  # an overflow to inf is refused here
+            changed = wide[(wide.astype(np.float32) != wide) & ~np.isnan(wide)]
+        if changed.size:
+            raise ModelFormatError(f"{path}: layer {layer} {kind}: {float(changed[0])!r} is no float32 value")
+    return [wide.astype(np.float32) for wide in arrays]
+
+
 def load_model(path: str | Path) -> MlpParams:
     payload = read_json(path, ModelFormatError)
     if not isinstance(payload, dict) or payload.get("format") != "mlp-params":
@@ -242,8 +269,8 @@ def load_model(path: str | Path) -> MlpParams:
         raise ModelFormatError(f"{path}: unknown key {unknown[0]!r}")
     try:
         dims = [int(d) for d in payload["dims"]]
-        weights = [np.asarray(w, dtype=np.float32) for w in payload["weights"]]
-        biases = [np.asarray(b, dtype=np.float32) for b in payload["biases"]]
+        weights = _float32_arrays(path, "weights", payload["weights"])
+        biases = _float32_arrays(path, "biases", payload["biases"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: malformed model payload: {exc!r}") from exc
     if len(dims) < 2 or min(dims) < 1:

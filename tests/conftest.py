@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from schedlab.instances import (
@@ -89,3 +90,31 @@ def four_problem_kinds(num_jobs, tasks_per_job, num_machines, seed):
 @pytest.fixture
 def single_task_instance():
     return build_instance([[(0, 5, None)]], num_machines=1)
+
+
+class PerArrayAdam:
+    """Reference: Adam with one pair of moment arrays per parameter array,
+    stepped on gradient arrays it is handed (the textbook form ``Adam`` must
+    match bit for bit)."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = params, lr, 0
+        self.m_w = [np.zeros_like(w) for w in params.weights]
+        self.v_w = [np.zeros_like(w) for w in params.weights]
+        self.m_b = [np.zeros_like(b) for b in params.biases]
+        self.v_b = [np.zeros_like(b) for b in params.biases]
+
+    def step(self, grad_w, grad_b):
+        self.t += 1
+        bc1 = 1.0 - 0.9**self.t
+        bc2 = 1.0 - 0.999**self.t
+        for i in range(self.params.num_layers()):
+            for m, v, g, p in (
+                (self.m_w[i], self.v_w[i], grad_w[i], self.params.weights[i]),
+                (self.m_b[i], self.v_b[i], grad_b[i], self.params.biases[i]),
+            ):
+                m *= 0.9
+                m += (1.0 - 0.9) * g
+                v *= 0.999
+                v += (1.0 - 0.999) * g * g
+                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from bisect import bisect_right
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from schedlab import dqn, ppo
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
-from schedlab.errors import EpisodeLengthError, InstanceSetError
+from schedlab.errors import EpisodeLengthError, InstanceSetError, TrainingDivergedError
 from schedlab.nn import (
     Adam, greedy_action, init_mlp, masked_log_probs, mlp_activations, mlp_forward, mlp_gradient,
 )
@@ -16,7 +17,7 @@ from schedlab.ppo import PpoConfig, Trajectory, _RolloutCollector, compute_gae, 
 from schedlab.evaluate import run_episode
 from schedlab.solver import permutation_oracle
 
-from conftest import build_instance, jssp_config
+from conftest import PerArrayAdam, build_instance, jssp_config
 from schedlab.instances import generate_instance
 
 DENSE = RewardMode.DENSE_MAKESPAN_DELTA
@@ -377,28 +378,214 @@ def test_ppo_zero_epochs_leaves_params_unchanged():
     (dqn, train_dqn, DqnConfig(total_steps=128, batch_size=16, seed=3)),
 ], ids=["ppo", "dqn"])
 def test_trainers_train_in_float32(monkeypatch, module, train, config):
-    """Networks, Adam buffers and every gradient an optimizer step takes are
-    float32: a float64 array anywhere in the update would upcast them, and
-    ``Adam.step`` would cast it back without a word."""
+    """Networks, Adam buffers and every gradient the backward pass computes
+    are float32. A float64 term in the backward pass would upcast its
+    products, and ``mlp_gradient`` refuses to cast them into float32
+    gradients, so such a training raises here instead of passing. Each
+    trainer builds one optimizer; PPO's steps both networks."""
     optimizers, grad_dtypes = [], set()
 
     class RecordingAdam(Adam):
-        def __init__(self, params, lr):
-            super().__init__(params, lr)
+        def __init__(self, *networks, lr):
+            super().__init__(*networks, lr=lr)
             optimizers.append(self)
 
-        def step(self, grad_w, grad_b):
-            grad_dtypes.update(g.dtype for g in (*grad_w, *grad_b))
-            super().step(grad_w, grad_b)
+    def recording_gradient(params, activations, upstream, out=None):
+        fresh_w, fresh_b = mlp_gradient(params, activations, upstream)
+        grad_dtypes.update(g.dtype for g in (*fresh_w, *fresh_b))
+        return mlp_gradient(params, activations, upstream, out=out)
 
     monkeypatch.setattr(module, "Adam", RecordingAdam)
+    monkeypatch.setattr(module, "mlp_gradient", recording_gradient)
     *nets, _ = train(dense_factory, nine_task_instances(tools=True), config)
-    assert len(optimizers) == len(nets) and grad_dtypes == {np.dtype(np.float32)}
-    for net, opt in zip(nets, optimizers):
-        assert opt.params is net
+    (opt,) = optimizers
+    assert len(opt.networks) == len(nets) and all(a is b for a, b in zip(opt.networks, nets))
+    assert opt.t > 0 and grad_dtypes == {np.dtype(np.float32)}
+    views = [g for grad_w, grad_b in opt.grads for g in (*grad_w, *grad_b)]
+    buffers = (opt.m, opt.v, opt._grad, opt._delta, *opt._deltas, *views)
+    assert {a.dtype for a in buffers} == {np.dtype(np.float32)}
+    for net in nets:
         assert {a.dtype for a in (*net.weights, *net.biases)} == {np.dtype(np.float32)}
-        assert {a.dtype for a in (opt.m, opt.v, opt._grad, opt._delta)} == {np.dtype(np.float32)}
         assert mlp_forward(net, np.zeros(net.dims()[0])).dtype == np.float32
+
+
+def untrimmed_clipped_objective(logits, masks, actions, advantages, old_logp, clip, entropy_coef):
+    """Reference: ``ppo.clipped_objective_upstream`` with ``np.clip``, an
+    ``isfinite`` mask and the surrogate's gradient computed afresh."""
+    b = len(actions)
+    rows = np.arange(b)
+    logp_all = masked_log_probs(logits, masks)
+    probs = np.exp(logp_all)
+    ratio = np.exp(logp_all[rows, actions] - old_logp)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, 1.0 - clip, 1.0 + clip) * advantages
+    policy_loss = -float(np.mean(np.minimum(unclipped, clipped)))
+    logp_safe = np.where(np.isfinite(logp_all), logp_all, 0.0)
+    entropy = -(probs * logp_safe).sum(axis=1)
+    g_logp_action = np.where(unclipped <= clipped, -ratio * advantages, 0.0) / b
+    upstream = -probs * g_logp_action[:, None]
+    upstream[rows, actions] += g_logp_action
+    upstream += probs * (logp_safe + entropy[:, None]) * (entropy_coef / b)
+    clip_fraction = float(np.mean(np.abs(ratio - 1.0) > clip))
+    return policy_loss, float(entropy.mean()), clip_fraction, upstream
+
+
+class TwoAdamUpdate:
+    """Reference: the PPO update with one Adam per network, each stepped on
+    fresh gradient arrays right after its network's backward pass, and the
+    untrimmed clipped objective.
+
+    Stands in for ``ppo._ppo_update`` and ignores the shared optimizer that
+    ``train_ppo`` passes; its own ``PerArrayAdam`` pair is built on the first
+    call, before any step, from the same networks and learning rate.
+    """
+
+    def __init__(self):
+        self.optimizers = None
+
+    def __call__(self, traj, advantages, value_targets, policy, value, _optimizer, config, rng,
+                 update_index):
+        if self.optimizers is None:
+            self.optimizers = (PerArrayAdam(policy, lr=config.learning_rate),
+                               PerArrayAdam(value, lr=config.learning_rate))
+        policy_opt, value_opt = self.optimizers
+        n = len(traj)
+        policy_losses, value_losses, entropies, clip_fracs = [], [], [], []
+        for _ in range(config.epochs):
+            order = rng.permutation(n)
+            for lo in range(0, n, config.minibatch_size):
+                idx = order[lo : lo + config.minibatch_size]
+                obs = traj.observations[idx]
+                b = len(idx)
+
+                policy_acts = mlp_activations(policy, obs)
+                policy_loss, entropy_mean, clip_fraction, upstream = untrimmed_clipped_objective(
+                    policy_acts[-1], traj.masks[idx], traj.actions[idx], advantages[idx],
+                    traj.log_probs[idx], config.clip_ratio, config.entropy_coef,
+                )
+                value_acts = mlp_activations(value, obs)
+                verr = value_acts[-1][:, 0] - value_targets[idx]
+                value_loss = float(np.mean(verr**2))
+
+                gw, gb = mlp_gradient(policy, policy_acts, upstream)
+                policy_opt.step(gw, gb)
+                v_up = (2.0 * config.value_coef / b) * verr[:, None]
+                gw, gb = mlp_gradient(value, value_acts, v_up)
+                value_opt.step(gw, gb)
+
+                policy_losses.append(policy_loss)
+                value_losses.append(value_loss)
+                entropies.append(entropy_mean)
+                clip_fracs.append(clip_fraction)
+        if not policy_losses:
+            return {"policy_loss": 0.0, "value_loss": 0.0, "entropy": 0.0, "clip_fraction": 0.0}
+        return {
+            "policy_loss": float(np.mean(policy_losses)),
+            "value_loss": float(np.mean(value_losses)),
+            "entropy": float(np.mean(entropies)),
+            "clip_fraction": float(np.mean(clip_fracs)),
+        }
+
+
+TWO_ADAM_CASES = {
+    # 128 rows in 32-row minibatches, on 3x3 instances with two tools
+    "tools": (lambda: nine_task_instances(True), dict(steps_per_update=128, minibatch_size=32)),
+    # the default_6x6 shape and buffer
+    "6x6-2048": (lambda: generated(count=4), dict(steps_per_update=2048, minibatch_size=256)),
+    # 150 rows: minibatches of 64, 64 and 22
+    "ragged-minibatch": (lambda: nine_task_instances(False),
+                         dict(steps_per_update=150, minibatch_size=64)),
+    "epochs-0": (lambda: nine_task_instances(False), dict(steps_per_update=64, epochs=0)),
+    "hidden-64": (lambda: nine_task_instances(False),
+                  dict(steps_per_update=96, minibatch_size=32, hidden=(64,))),
+    "hidden-32x3": (lambda: nine_task_instances(True),
+                    dict(steps_per_update=96, minibatch_size=32, hidden=(32, 32, 32))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_ADAM_CASES))
+def test_train_ppo_matches_two_adam_reference(monkeypatch, case):
+    """One Adam over both networks, gradients written into its buffer and the
+    trimmed clipped objective train bitwise like one Adam per network on
+    fresh gradient arrays."""
+    make_instances, fields = TWO_ADAM_CASES[case]
+    instances = make_instances()
+    config = PpoConfig(**{"epochs": 2, "seed": 5, **fields,
+                          "total_steps": 2 * fields["steps_per_update"]})
+    policy, value, events = train_ppo(dense_factory, instances, config)
+    monkeypatch.setattr(ppo, "_ppo_update", TwoAdamUpdate())
+    ref_policy, ref_value, ref_events = train_ppo(dense_factory, instances, config)
+    for net, ref in ((policy, ref_policy), (value, ref_value)):
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert a.tobytes() == b.tobytes()
+    assert [(e.step, e.episode, e.scalars) for e in events] == [
+        (e.step, e.episode, e.scalars) for e in ref_events
+    ]
+
+
+class NanRewardEnv(SchedulingEnv):
+    """Reports a NaN reward on every step, as a broken reward would."""
+
+    def step(self, action):
+        result = super().step(action)
+        result.reward = float("nan")
+        return result
+
+
+def nan_after(episodes):
+    """An env factory whose envs report NaN rewards once ``episodes`` envs
+    have been built after the trainer's probe env."""
+    built = itertools.count()
+    return lambda inst: (SchedulingEnv if next(built) <= episodes else NanRewardEnv)(inst, DENSE)
+
+
+def recording_adam(module, monkeypatch):
+    """Patch ``module.Adam`` to keep each optimizer and its networks' bytes after every step."""
+    optimizers = []
+
+    class RecordingAdam(Adam):
+        def __init__(self, *networks, lr):
+            super().__init__(*networks, lr=lr)
+            self.after_step = self.snapshot()
+            optimizers.append(self)
+
+        def snapshot(self):
+            return [a.tobytes() for net in self.networks for a in (*net.weights, *net.biases)]
+
+        def step(self):
+            super().step()
+            self.after_step = self.snapshot()
+
+    monkeypatch.setattr(module, "Adam", RecordingAdam)
+    return optimizers
+
+
+def test_ppo_divergence_guard_raises_before_the_step(monkeypatch):
+    """NaN rewards from the second buffer on: update 0 takes its 2 x 3
+    steps, and update 1 stops at its first minibatch before any step."""
+    optimizers = recording_adam(ppo, monkeypatch)
+    config = PpoConfig(total_steps=72, steps_per_update=36, epochs=2, minibatch_size=16, seed=2)
+    # 36 rows are 4 whole 9-step episodes
+    with pytest.raises(TrainingDivergedError) as err:
+        train_ppo(nan_after(4), nine_task_instances(False), config)
+    assert str(err.value).startswith("non-finite PPO loss at update 1: policy nan, value nan")
+    (opt,) = optimizers
+    assert opt.t == 6 and opt.snapshot() == opt.after_step
+
+
+def test_dqn_divergence_guard_raises_before_the_step(monkeypatch):
+    """NaN rewards from the third episode on (step 19): learn steps run from
+    step 16 until the first batch that samples a NaN transition, which
+    raises before its step."""
+    optimizers = recording_adam(dqn, monkeypatch)
+    config = DqnConfig(total_steps=300, batch_size=16, seed=4)
+    with pytest.raises(TrainingDivergedError) as err:
+        train_dqn(nan_after(2), nine_task_instances(False), config)
+    match = re.fullmatch(r"non-finite DQN loss at step (\d+): td_error range \[.*\]", str(err.value))
+    step = int(match.group(1))
+    (opt,) = optimizers
+    assert step >= 19 and opt.t == step - config.batch_size
+    assert opt.snapshot() == opt.after_step
 
 
 def test_ppo_seed_determinism():
@@ -559,6 +746,27 @@ def test_ppo_objective_upstream_matches_finite_differences(trial):
             down = masked_softmax_loss(bumped, masks, actions, adv, old_logp, clip, ent_coef)
             fd = (up - down) / (2 * h)
             assert abs(upstream[i, j] - fd) / max(abs(fd), 1.0) < 1e-4
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("trial", range(5))
+def test_clipped_objective_matches_untrimmed_reference_bitwise(trial, dtype):
+    """Every output of the clipped objective, on ratios spread well past the
+    clip range on both sides and with either sign of advantage, has the bits
+    of the untrimmed form."""
+    rng = np.random.Generator(np.random.Philox(key=950 + trial))
+    b, n_act = 256, 6
+    logits = (2 * rng.standard_normal((b, n_act))).astype(dtype)
+    masks = rng.random((b, n_act)) < 0.6
+    actions = rng.integers(n_act, size=b)
+    masks[np.arange(b), actions] = True
+    adv = rng.standard_normal(b)
+    old_logp = masked_log_probs(logits, masks)[np.arange(b), actions] + rng.normal(0, 0.5, size=b)
+    got = ppo.clipped_objective_upstream(logits, masks, actions, adv, old_logp, 0.2, 0.01)
+    want = untrimmed_clipped_objective(logits, masks, actions, adv, old_logp, 0.2, 0.01)
+    assert 0.2 < got[2] < 0.8  # the clipped branch is taken often
+    assert got[:3] == want[:3]
+    assert got[3].dtype == want[3].dtype and got[3].tobytes() == want[3].tobytes()
 
 
 def test_dqn_td_loss_gradient_matches_finite_differences():

@@ -1,10 +1,12 @@
 import json
+import warnings
 from bisect import bisect_right
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+from conftest import PerArrayAdam
 from schedlab.errors import (
     InvalidArgumentError,
     ModelFormatError,
@@ -134,6 +136,19 @@ def test_gradient_matches_central_differences(trial):
     assert worst < 1e-4
 
 
+@pytest.mark.parametrize("dims", [[3, 1, 4, 1], [4, 3, 1, 2], [2, 5, 1]])
+def test_gradient_through_one_output_layers_matches_central_differences(dims):
+    """Layers of width 1, whose backward is a broadcast, not a matmul."""
+    rng = rng_(60)
+    params = init_mlp(dims, rng)
+    x = rng.standard_normal((4, dims[0]))
+    upstream = rng.standard_normal((4, dims[-1]))
+    gw, gb = mlp_gradient(params, mlp_activations(params, x), upstream)
+    fw, fb = finite_difference_grads(params, x, upstream)
+    for a, b in zip(gw + gb, fw + fb):
+        assert np.max(np.abs(a - b) / np.maximum(np.abs(b), 1.0)) < 1e-4
+
+
 @pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1]])
 @pytest.mark.parametrize("seed", range(3))
 def test_float32_gradient_matches_float64_gradient_of_same_weights(dims, seed):
@@ -210,52 +225,117 @@ def test_greedy_action_respects_mask():
 def test_adam_moves_toward_minimum():
     params = MlpParams(weights=[np.array([[4.0]])], biases=[np.array([0.0])])
     opt = Adam(params, lr=0.1)
+    [(grad_w, grad_b)] = opt.grads
     for _ in range(500):
-        w = params.weights[0][0, 0]
-        opt.step([np.array([[2 * w]])], [np.array([0.0])])  # d(w^2)/dw
+        grad_w[0][0, 0] = 2 * params.weights[0][0, 0]  # d(w^2)/dw
+        grad_b[0][0] = 0.0
+        opt.step()
     assert abs(params.weights[0][0, 0]) < 1e-2
 
 
-class PerArrayAdam:
-    """Reference: Adam with one pair of moment arrays per parameter array."""
+def fill_grads(opt_grads, grad_w, grad_b):
+    """Copy gradients into an optimizer's gradient views (``Adam.grads[k]``)."""
+    for dst, src in zip((*opt_grads[0], *opt_grads[1]), (*grad_w, *grad_b)):
+        dst[...] = src
 
-    def __init__(self, params, lr):
-        self.params, self.lr, self.t = params, lr, 0
-        self.m_w = [np.zeros_like(w) for w in params.weights]
-        self.v_w = [np.zeros_like(w) for w in params.weights]
-        self.m_b = [np.zeros_like(b) for b in params.biases]
-        self.v_b = [np.zeros_like(b) for b in params.biases]
 
-    def step(self, grad_w, grad_b):
-        self.t += 1
-        bc1 = 1.0 - 0.9**self.t
-        bc2 = 1.0 - 0.999**self.t
-        for i in range(self.params.num_layers()):
-            for m, v, g, p in (
-                (self.m_w[i], self.v_w[i], grad_w[i], self.params.weights[i]),
-                (self.m_b[i], self.v_b[i], grad_b[i], self.params.biases[i]),
-            ):
-                m *= 0.9
-                m += (1.0 - 0.9) * g
-                v *= 0.999
-                v += (1.0 - 0.999) * g * g
-                p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+def random_grads(rng, params):
+    scale = 10.0 ** rng.uniform(-4, 1)
+    dtype = params.weights[0].dtype
+    return ([(scale * rng.standard_normal(w.shape)).astype(dtype) for w in params.weights],
+            [(scale * rng.standard_normal(b.shape)).astype(dtype) for b in params.biases])
 
 
 @pytest.mark.parametrize("dims", [[25, 64, 64, 6], [13, 64, 64, 1]])
 def test_adam_matches_per_array_reference_bitwise(dims):
+    check_adam_against_per_array_reference(dims, np.float64)
+
+
+@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [13, 64, 64, 1]])
+def test_adam_matches_per_array_reference_bitwise_float32(dims):
+    """As the trainers run it: every product and sum of the preallocated
+    update rounds in float32 as the textbook form does."""
+    check_adam_against_per_array_reference(dims, np.float32)
+
+
+def check_adam_against_per_array_reference(dims, dtype):
     rng = rng_(50)
-    params = init_mlp(dims, rng)
+    params = init_mlp(dims, rng).astype(dtype)
     ref_params = params.copy()
     opt, ref = Adam(params, lr=1e-3), PerArrayAdam(ref_params, lr=1e-3)
     for _ in range(50):
-        scale = 10.0 ** rng.uniform(-4, 1)
-        grad_w = [scale * rng.standard_normal(w.shape) for w in params.weights]
-        grad_b = [scale * rng.standard_normal(b.shape) for b in params.biases]
-        opt.step(grad_w, grad_b)
+        grad_w, grad_b = random_grads(rng, params)
+        fill_grads(opt.grads[0], grad_w, grad_b)
+        opt.step()
         ref.step(grad_w, grad_b)
     for a, b in zip(params.weights + params.biases, ref_params.weights + ref_params.biases):
-        assert a.tobytes() == b.tobytes()
+        assert a.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_adam_over_two_networks_steps_each_like_its_own_adam(dtype):
+    """PPO's policy and value share one optimizer: each network's bits are
+    those of a lone Adam with the same lr fed the same gradients."""
+    rng = rng_(51)
+    nets = [init_mlp(dims, rng).astype(dtype) for dims in ([25, 64, 64, 6], [25, 64, 64, 1])]
+    alone = [net.copy() for net in nets]
+    shared, own = Adam(*nets, lr=3e-4), [Adam(net, lr=3e-4) for net in alone]
+    assert [id(net) for net in shared.networks] == [id(net) for net in nets]
+    assert len(shared.grads) == 2
+    for _ in range(30):
+        for k, net in enumerate(nets):
+            grad_w, grad_b = random_grads(rng, net)
+            fill_grads(shared.grads[k], grad_w, grad_b)
+            fill_grads(own[k].grads[0], grad_w, grad_b)
+        shared.step()
+        for opt in own:
+            opt.step()
+    for net, ref in zip(nets, alone):
+        for a, b in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("dims", [[25, 64, 64, 6], [25, 64, 64, 1], [7, 1, 5, 1], [9, 32, 32, 32, 3]])
+def test_gradient_written_into_out_equals_fresh_gradient_bitwise(dims, dtype):
+    """``out=`` (Adam's views of its flat gradient) changes where the
+    gradients go, not their bits."""
+    rng = rng_(52)
+    params = init_mlp(dims, rng).astype(dtype)
+    acts = mlp_activations(params, rng.random((100, dims[0])))
+    upstream = rng.standard_normal((100, dims[-1])) / 100
+    opt = Adam(params, lr=1e-3)
+    fresh = mlp_gradient(params, acts, upstream)
+    written = mlp_gradient(params, acts, upstream, out=opt.grads[0])
+    assert written[0] is opt.grads[0][0] and written[1] is opt.grads[0][1]
+    assert np.shares_memory(written[0][0], opt._grad)
+    for a, b in zip(fresh[0] + fresh[1], written[0] + written[1]):
+        assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+
+def test_gradient_in_another_dtype_than_its_output_raises():
+    """A backward pass whose products would run in float64 refuses to round
+    them into float32 gradients, fresh or written into an Adam's buffer."""
+    rng = rng_(54)
+    wide = init_mlp([7, 16, 3], rng)
+    narrow = wide.astype(np.float32)
+    x = rng.random((10, 7))
+    upstream = rng.standard_normal((10, 3))
+    with pytest.raises(TypeError):
+        mlp_gradient(narrow, mlp_activations(wide, x), upstream)  # float64 activations
+    with pytest.raises(TypeError):
+        mlp_gradient(wide, mlp_activations(wide, x), upstream, out=Adam(narrow, lr=1e-3).grads[0])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_one_output_backward_broadcast_equals_matmul_bitwise(dtype):
+    """The backward of a one-output layer: ``delta * w[:, 0]`` is
+    ``delta @ w.T`` entry for entry, one product each."""
+    rng = rng_(53)
+    for b, d in ((256, 64), (1, 3), (37, 1)):
+        delta = rng.standard_normal((b, 1)).astype(dtype)
+        w = rng.standard_normal((d, 1)).astype(dtype)
+        assert (delta * w[:, 0]).tobytes() == (delta @ w.T).tobytes()
 
 
 def reference_sample_action(probs, u):
@@ -467,6 +547,42 @@ def test_save_model_takes_float32_networks_only(tmp_path, dtype):
     with pytest.raises(InvalidArgumentError, match=f"float32 network, got {np.dtype(dtype)} arrays"):
         save_model(init_mlp([3, 4, 2], rng_()).astype(dtype), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("value, kind, layer", [
+    (0.1, "weights", 0), (1e300, "weights", 1), (-1e-50, "biases", 1), (3.4028235677973366e38, "biases", 0),
+], ids=["rounded", "overflow", "underflow", "above-max"])
+def test_model_value_that_is_not_a_float32_rejected(tmp_path, value, kind, layer):
+    """A hand-edited value that the float32 cast would change, round or
+    overflow to inf fails with the file and the layer named."""
+    path = tmp_path / "model.json"
+    save_model(init_mlp([3, 4, 2], rng_()).astype(np.float32), path)
+    payload = json.loads(path.read_text())
+    cell = payload[kind][layer]
+    if kind == "weights":
+        cell[-1][0] = value
+    else:
+        cell[-1] = value
+    path.write_text(json.dumps(payload))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow RuntimeWarning either
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+    assert str(exc.value) == f"{path}: layer {layer} {kind}: {value!r} is no float32 value"
+
+
+def test_model_extreme_float32_values_roundtrip_bitwise(tmp_path):
+    """Every float32, including the largest, the smallest subnormal, -0.0
+    and the infinities, is written as the double it equals and loads back."""
+    params = init_mlp([3, 4, 2], rng_()).astype(np.float32)
+    f32 = np.finfo(np.float32)
+    params.weights[0][:, 0] = [f32.max, -f32.max, f32.smallest_subnormal]
+    params.biases[0][:] = [-0.0, np.inf, -np.inf, f32.tiny]
+    path = tmp_path / "model.json"
+    save_model(params, path)
+    loaded = load_model(path)
+    for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
+        assert a.dtype == np.float32 and a.tobytes() == b.tobytes()
 
 
 def test_model_missing_file(tmp_path):
