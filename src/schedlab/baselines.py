@@ -38,22 +38,33 @@ def rule_policy(rule: DispatchRule, rng: np.random.Generator | None = None) -> P
     Relies on the observation layout: entry 4j+1 is the next-task processing
     time (normalized, so equal times stay equal) and entry 4j is the fraction
     of job j already scheduled (so the max-remaining job has the minimum).
+    The rule's entry offset, fill value and ``argmin``/``argmax`` are resolved
+    here, once; each decision is one closure call. RANDOM draws one
+    ``rng.integers`` per decision over the valid jobs in index order.
     """
-    if rule is DispatchRule.RANDOM and rng is None:
-        raise InvalidArgumentError("RANDOM rule needs an rng")
+    if rule is DispatchRule.RANDOM:
+        if rng is None:
+            raise InvalidArgumentError("RANDOM rule needs an rng")
+
+        def random_policy(obs: np.ndarray, mask: np.ndarray) -> int:
+            valid = np.asarray(mask, dtype=bool).nonzero()[0]
+            if not len(valid):
+                raise NoValidActionError("action mask admits no valid job")
+            return int(valid[rng.integers(len(valid))])
+
+        return random_policy
+
+    offset, fill, pick = {
+        DispatchRule.SPT: (1, np.inf, np.ndarray.argmin),
+        DispatchRule.LPT: (1, -np.inf, np.ndarray.argmax),
+        DispatchRule.MTR: (0, np.inf, np.ndarray.argmin),
+    }[rule]
 
     def policy(obs: np.ndarray, mask: np.ndarray) -> int:
         mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
+        if not np.count_nonzero(mask):  # a C call; mask.any() goes through Python
             raise NoValidActionError("action mask admits no valid job")
-        n = len(mask)  # obs has 4n + 1 entries; the last one is the makespan
-        if rule is DispatchRule.RANDOM:
-            valid = np.flatnonzero(mask)
-            return int(valid[rng.integers(len(valid))])
-        if rule is DispatchRule.SPT:
-            return int(np.where(mask, obs[1:4 * n:4], np.inf).argmin())
-        if rule is DispatchRule.LPT:
-            return int(np.where(mask, obs[1:4 * n:4], -np.inf).argmax())
-        return int(np.where(mask, obs[0:4 * n:4], np.inf).argmin())
+        # obs has 4n + 1 entries; the last one is the makespan
+        return int(pick(np.where(mask, obs[offset:4 * len(mask):4], fill)))
 
     return policy

@@ -80,6 +80,8 @@ def _epsilon(config: DqnConfig, step: int) -> float:
     return config.eps_start + frac * (config.eps_end - config.eps_start)
 
 
+# a diverging run overflows; the finite-loss guard reports it as one error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_dqn(
     env_factory: EnvFactory,
     instances: Sequence[Instance],
@@ -166,10 +168,9 @@ def _learn_step(buffer, config, q_params, target_params, optimizer, rng, step_co
     td_error = q_sa - targets
     loss = float(np.mean(td_error**2))
     if not math.isfinite(loss):
-        raise TrainingDivergedError(
-            f"non-finite DQN loss at step {step_count}: td_error range "
-            f"[{np.nanmin(td_error)}, {np.nanmax(td_error)}]"
-        )
+        finite = td_error[np.isfinite(td_error)]
+        spread = f"{finite.min()}, {finite.max()}" if finite.size else "no finite entry"
+        raise TrainingDivergedError(f"non-finite DQN loss at step {step_count}: td_error range [{spread}]")
     upstream = np.zeros_like(q)
     upstream[rows, actions] = 2.0 * td_error / config.batch_size
     mlp_gradient(q_params, q_acts, upstream, out=optimizer.grads[0])

@@ -14,17 +14,23 @@ strategies yield the same undiscounted episode return for the same action
 sequence.
 
 A ``SchedulingEnv`` holds one episode; the functions ``reset``, ``step``,
-``observe`` and ``action_mask`` act on it. ``reset`` computes the observation
-and the action mask in full and keeps them, with one watcher set per machine
-and per tool (the jobs whose next task is eligible on it or uses it) and one
-kept slot ``(machine, start, end)`` per unfinished job: where its next task
-goes, the ``Schedule.best_machine`` result. ``step`` places the acting job at
-its kept slot and updates only what its placement can change: the acting
-job's features and slot, the slots of those watchers of the machine and tool
-it used whose kept ``[start, end)`` the placed interval overlaps (see
-``observe``), and, when the placement was a job's last task, that job's mask
-entry. A step thus costs a few earliest-start queries and no pass over all
-jobs. Both hand out fresh arrays, which the caller may keep or mutate.
+``observe`` and ``action_mask`` act on it. When built, the env reads
+``instance.tasks`` once into a flat table: at each task's index
+``job * tasks_per_job + op``, the resources (eligible machines, then
+``num_machines + tool``) whose watcher set holds its job while the task is
+next. ``reset`` computes the observation and the action mask in full and
+keeps them, with the watcher sets, one kept slot ``(machine, start, end)``
+per unfinished job (where its next task goes, the ``Schedule.best_machine``
+result) and each job's next op and ready time. ``step`` places the acting
+job at its kept slot and updates only what its placement can change: the
+acting job's features, slot, watcher sets, next op and ready time (from the
+returned ``Placement``; ``place_task``'s op-order check keeps them equal to
+the schedule's read-only ``next_op`` and ``job_ready``), the slots of those
+watchers of the machine and tool it used whose kept ``[start, end)`` the
+placed interval overlaps (see ``observe``), and, after a job's last task,
+its mask entry. A step thus costs a few earliest-start queries and no pass
+over all jobs. Both hand out fresh arrays, which the caller may keep or
+mutate.
 
 The kept state assumes that the schedule changes only through ``step``. The
 ``Schedule`` API keeps the rest: its timelines are private (``busy()`` hands
@@ -64,17 +70,15 @@ def observation_length(num_jobs: int) -> int:
     return 4 * num_jobs + 1
 
 
-def _write_job_features(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int) -> None:
-    """Write job j's four entries into ``obs`` and its next task's slot into ``slots``."""
-    schedule = env.schedule
+def _write_job(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int, k: int, ready: int) -> None:
+    """Write job j's four entries and its next task's slot, given its next op k and ready time."""
     n_ops = env.instance.tasks_per_job
-    k = schedule.next_op[j]
     base = 4 * j
     obs[base] = k / n_ops
-    obs[base + 2] = schedule.job_ready[j] / env.ub
+    obs[base + 2] = ready / env.ub
     if k < n_ops:
-        task = env.instance.task(j, k)
-        machine, start = schedule.best_machine(task)
+        task = env.instance.tasks[j * n_ops + k]
+        machine, start = env.schedule.best_machine(task)
         slots[j] = (machine, start, start + task.processing_time)
         obs[base + 1] = task.processing_time / env.p_max
         obs[base + 3] = start / env.ub
@@ -84,22 +88,13 @@ def _write_job_features(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int
 
 
 def _observe_full(env: SchedulingEnv, slots: list) -> np.ndarray:
-    """The observation computed in full; every job's slot goes into ``slots``."""
+    """The observation computed in full from the schedule; every job's slot goes into ``slots``."""
+    schedule = env.schedule
     obs = np.zeros(observation_length(env.instance.num_jobs), dtype=np.float64)
-    for j in range(env.instance.num_jobs):
-        _write_job_features(env, obs, slots, j)
-    obs[-1] = env.schedule.makespan / env.ub
+    for j, (k, ready) in enumerate(zip(schedule.next_op, schedule.job_ready)):
+        _write_job(env, obs, slots, j, k, ready)
+    obs[-1] = schedule.makespan / env.ub
     return obs
-
-
-def _watch(env: SchedulingEnv, j: int, k: int, add: bool) -> None:
-    """Add job j to, or drop it from, the watcher sets of its task k."""
-    task = env.instance.task(j, k)
-    update = set.add if add else set.discard
-    for m in task.eligible_machines:
-        update(env.watchers[m], j)
-    if task.tool is not None:
-        update(env.watchers[env.instance.num_machines + task.tool], j)
 
 
 def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarray:
@@ -110,44 +105,45 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
     earliest feasible start of the next task across eligible machines / UB
     (0 once done). The final entry is the current makespan / UB.
 
-    Without ``placement`` this is a full recompute and leaves ``env``
-    untouched: not its observation, mask, watchers or kept slots. With the
-    placement that ``step`` just made, it updates the observation and the
-    slots kept in ``env`` and returns a copy of the observation. A placement
-    of job a on machine m with tool t can only change the four entries and
-    the slot of job a, the makespan, and the slot and entry 4j+3 of a job j
-    whose next task is eligible on m or uses t: any other earliest start
-    depends on timelines and a ready time that the placement left as they
-    were. Those jobs j are the watchers of m and t, so only they are visited;
-    job a first moves from the watcher sets of the task it placed to those of
-    its new next task. A watcher's slot and entries are rewritten, as job
-    a's are, only when the placed interval ``[start, end)`` overlaps its kept
-    ``[s_j, e_j)``; of its entries only 4j+3 can change. Intervals never
-    leave a ``Schedule``, whose timelines are private and which has no
-    removal, so every start only moves later, and a kept slot still idle is
-    still the earliest, and still on the lowest machine id among the earliest.
+    Without ``placement`` this is a full recompute from the schedule and
+    leaves ``env`` untouched. With the placement that ``step`` just made, it
+    updates the state kept in ``env`` and returns a copy of the observation.
+    A placement of job a on machine m with tool t can only change the four
+    entries, the slot and the next op and ready time of job a, the makespan,
+    and the slot and entry 4j+3 of a job j whose next task is eligible on m
+    or uses t: any other earliest start depends on timelines and a ready time
+    that the placement left as they were. Those jobs j are the watchers of m
+    and t, so only they are visited; job a first moves from the watcher sets
+    of the task it placed to those of its new next task. A watcher's slot and
+    entries are rewritten only when the placed interval ``[start, end)``
+    overlaps its kept ``[s_j, e_j)``; of its entries only 4j+3 can change.
+    Intervals never leave a ``Schedule``, so every start only moves later,
+    and a kept slot still idle is still the earliest, and still on the
+    lowest machine id among the earliest.
     """
     if placement is None:
         return _observe_full(env, [None] * env.instance.num_jobs)
-    schedule = env.schedule
-    instance = env.instance
-    obs, slots = env.obs, env.slots
-    a, machine, tool = placement.job_id, placement.machine, placement.tool
-    start, end = placement.start, placement.end
-    _write_job_features(env, obs, slots, a)
-    _watch(env, a, placement.op_index, add=False)
-    k = schedule.next_op[a]
-    if k < instance.tasks_per_job:
-        _watch(env, a, k, add=True)
-    watchers = env.watchers[machine]
+    obs, slots, job_op, resources, watchers = env.obs, env.slots, env._job_op, env._resources, env.watchers
+    n_ops = env.instance.tasks_per_job
+    a, k, machine, start, end, tool = placement
+    row = a * n_ops + k
+    job_op[a] = k + 1
+    env._job_end[a] = end
+    for r in resources[row]:
+        watchers[r].discard(a)
+    if k + 1 < n_ops:
+        for r in resources[row + 1]:
+            watchers[r].add(a)
+    _write_job(env, obs, slots, a, k + 1, end)
+    watching = watchers[machine]
     if tool is not None:
-        watchers = watchers | env.watchers[instance.num_machines + tool]
-    for j in watchers:
+        watching = watching | watchers[env.instance.num_machines + tool]
+    for j in watching:
         if j != a:
             _, s_j, e_j = slots[j]
             if start < e_j and s_j < end:
-                _write_job_features(env, obs, slots, j)
-    obs[-1] = schedule.makespan / env.ub
+                _write_job(env, obs, slots, j, job_op[j], env._job_end[j])
+    obs[-1] = env.schedule.makespan / env.ub
     return obs.copy()
 
 
@@ -163,7 +159,9 @@ def reset(env: SchedulingEnv) -> tuple[np.ndarray, np.ndarray]:
     env.schedule = Schedule(instance)
     env.watchers = [set() for _ in range(instance.num_machines + instance.num_tools)]
     for j in range(instance.num_jobs):
-        _watch(env, j, 0, add=True)
+        for r in env._resources[j * instance.tasks_per_job]:
+            env.watchers[r].add(j)
+    env._job_op, env._job_end = [0] * instance.num_jobs, [0] * instance.num_jobs
     env.slots = [None] * instance.num_jobs
     env.obs = _observe_full(env, env.slots)
     env.mask = action_mask(env)
@@ -179,24 +177,24 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
     long as the schedule changes only through ``step`` (see ``observe``);
     ``place_task`` still checks it. The returned observation equals a full
     ``observe(env)`` bit for bit and the mask equals ``action_mask(env)``;
-    both are updated from the previous ones at the entries the placement can
-    change, and both are fresh arrays.
+    both are fresh arrays, updated from the previous ones where the
+    placement can change them.
     """
     schedule = env.schedule
     if schedule is None:
         raise InvalidActionError("step() before reset()")
-    instance = env.instance
-    if not (0 <= action < instance.num_jobs):
-        raise InvalidActionError(f"action {action} out of range [0, {instance.num_jobs})")
-    if schedule.next_op[action] >= instance.tasks_per_job:
+    n_jobs, n_ops = env.instance.num_jobs, env.instance.tasks_per_job
+    if not (0 <= action < n_jobs):
+        raise InvalidActionError(f"action {action} out of range [0, {n_jobs})")
+    k = env._job_op[action]
+    if k >= n_ops:
         raise InvalidActionError(f"job {action} is already fully scheduled")
 
-    task = instance.task(action, schedule.next_op[action])
     c_before = schedule.makespan
     machine, start, _ = env.slots[action]
-    placement = schedule.place_task(task, machine, start)
+    placement = schedule.place_task(env.instance.tasks[action * n_ops + k], machine, start)
     c_after = schedule.makespan
-    if placement.op_index == instance.tasks_per_job - 1:
+    if k + 1 == n_ops:
         env.mask[action] = False
 
     done = schedule.complete
@@ -205,13 +203,7 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
     else:
         reward = -c_after / env.ub if done else 0.0
 
-    return StepResult(
-        observation=observe(env, placement),
-        reward=reward,
-        done=done,
-        mask=env.mask.copy(),
-        makespan=c_after,
-    )
+    return StepResult(observe(env, placement), reward, done, env.mask.copy(), c_after)
 
 
 class SchedulingEnv:
@@ -237,6 +229,10 @@ class SchedulingEnv:
         self.watchers: list[set[int]] = []
         # per job: (machine, start, end) of its next task's earliest slot, None once done
         self.slots: list[tuple[int, int, int] | None] = []
+        self._job_op, self._job_end = [], []  # per job: the op index of its next task, its ready time
+        # per task: the resources whose watcher set holds its job while the task is next
+        self._resources = [t.eligible_machines if t.tool is None else
+                           (*t.eligible_machines, instance.num_machines + t.tool) for t in instance.tasks]
 
     def reset(self) -> tuple[np.ndarray, np.ndarray]:
         return reset(self)

@@ -212,8 +212,8 @@ class _RolloutCollector:
         live = episodes
         while live:
             rows = np.array([ep.row for ep in live])
-            obs = np.stack([ep.obs for ep in live], dtype=obs_buf.dtype)
-            masks = np.stack([ep.mask for ep in live])
+            obs = np.array([ep.obs for ep in live], dtype=obs_buf.dtype)
+            masks = np.array([ep.mask for ep in live], dtype=bool)
             logp = masked_log_probs(mlp_forward(policy, obs[:, None, :])[:, 0], masks)
             actions = sample_actions(np.exp(logp), draws[rows])
             obs_buf[rows] = obs
@@ -266,6 +266,8 @@ class _RolloutCollector:
         )
 
 
+# a diverging run overflows; the finite-loss guard reports it as one error
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train_ppo(
     env_factory: EnvFactory,
     instances: Sequence[Instance],

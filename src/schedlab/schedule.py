@@ -9,7 +9,12 @@ A Schedule is a single-owner mutable value that only grows: ``place_task``
 is its only mutation, so no placement or interval ever leaves it. Its
 timelines are private; ``busy()`` hands out tuple copies of their intervals,
 one per resource (machines, then tools), so no caller can add or remove an
-interval around ``place_task``. The environment and the dispatching rules
+interval around ``place_task``. Each job's next op and ready time are private
+too, and the read-only ``next_op`` and ``job_ready`` hand out tuple copies,
+so no caller can move them around the op-order and ready-time checks.
+``placements`` stays a plain dict: no check of ``place_task`` reads it, and
+the tests inject faults through it to exercise ``validate_schedule``, which
+re-derives everything from it. The environment and the dispatching rules
 build schedules through it; it preserves every invariant by construction and
 is the one place that checks a placement. The solver and
 ``permutation_oracle`` search on timelines of their own through the shared
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -138,6 +144,15 @@ def earliest_start(machine_tl: Timeline, tool_tl: Timeline | None, ready: int, p
             return t
 
 
+def _busy_error(kind: str, r: int, conflict: tuple[int, int], start: int, end: int):
+    """The error for ``[start, end)`` overlapping ``conflict`` on resource ``kind r``."""
+    return ConstraintViolationError(
+        f"{kind} {r} busy on [{conflict[0]},{conflict[1]}) conflicts with [{start},{end})",
+        resource=f"{kind} {r}",
+        interval=conflict,
+    )
+
+
 class Schedule:
     """Partial assignment of tasks to (machine, start, end)."""
 
@@ -146,13 +161,23 @@ class Schedule:
         self.placements: dict[tuple[int, int], Placement] = {}
         self._machine_timelines = [Timeline() for _ in range(instance.num_machines)]
         self._tool_timelines = [Timeline() for _ in range(instance.num_tools)]
-        self.job_ready = [0] * instance.num_jobs
-        self.next_op = [0] * instance.num_jobs
+        self._job_ready = [0] * instance.num_jobs
+        self._next_op = [0] * instance.num_jobs
         self._makespan = 0
 
     @property
     def makespan(self) -> int:
         return self._makespan
+
+    @property
+    def next_op(self) -> tuple[int, ...]:
+        """Per job, the op index of its next unplaced task (``tasks_per_job`` once done)."""
+        return tuple(self._next_op)
+
+    @property
+    def job_ready(self) -> tuple[int, ...]:
+        """Per job, the end of its last placed task (0 before its first)."""
+        return tuple(self._job_ready)
 
     @property
     def complete(self) -> bool:
@@ -165,7 +190,7 @@ class Schedule:
         return tuple(tuple(map(tuple, tl.columns())) for tl in timelines)
 
     def _check_next_op(self, task: Task) -> None:
-        expected = self.next_op[task.job_id]
+        expected = self._next_op[task.job_id]
         if task.op_index != expected:
             raise ConstraintViolationError(
                 f"task ({task.job_id},{task.op_index}) is not the next unscheduled op "
@@ -178,7 +203,7 @@ class Schedule:
         self._check_next_op(task)
         p = task.processing_time
         tool_tl = self._tool_timelines[task.tool] if task.tool is not None else None
-        ready = self.job_ready[task.job_id]
+        ready = self._job_ready[task.job_id]
         best: tuple[int, int] | None = None
         for m in task.eligible_machines:
             start = earliest_start(self._machine_timelines[m], tool_tl, ready, p)
@@ -194,44 +219,36 @@ class Schedule:
         or after the job's ready time). The environment passes the earliest
         one; the solver's replay passes the starts its own search found.
         """
+        job, tool = task.job_id, task.tool
         self._check_next_op(task)
         if machine not in task.eligible_machines:
             raise ConstraintViolationError(
-                f"machine {machine} not eligible for task ({task.job_id},{task.op_index})",
+                f"machine {machine} not eligible for task ({job},{task.op_index})",
                 resource=f"machine {machine}",
             )
         if start < 0:
             raise ConstraintViolationError(f"negative start {start}", resource=f"machine {machine}")
-        if start < self.job_ready[task.job_id]:
+        ready = self._job_ready[job]
+        if start < ready:
             raise ConstraintViolationError(
-                f"start {start} precedes job {task.job_id} ready time {self.job_ready[task.job_id]}",
-                resource=f"job {task.job_id}",
+                f"start {start} precedes job {job} ready time {ready}", resource=f"job {job}"
             )
         end = start + task.processing_time
         machine_tl = self._machine_timelines[machine]
-        tool_tl = self._tool_timelines[task.tool] if task.tool is not None else None
-        for kind, r, timeline in (("machine", machine, machine_tl), ("tool", task.tool, tool_tl)):
-            conflict = timeline.first_conflict(start, end) if timeline is not None else None
+        conflict = machine_tl.first_conflict(start, end)
+        if conflict is not None:
+            raise _busy_error("machine", machine, conflict, start, end)
+        if tool is not None:
+            tool_tl = self._tool_timelines[tool]
+            conflict = tool_tl.first_conflict(start, end)
             if conflict is not None:
-                raise ConstraintViolationError(
-                    f"{kind} {r} busy on [{conflict[0]},{conflict[1]}) conflicts with [{start},{end})",
-                    resource=f"{kind} {r}",
-                    interval=conflict,
-                )
-        placement = Placement(
-            job_id=task.job_id,
-            op_index=task.op_index,
-            machine=machine,
-            start=start,
-            end=end,
-            tool=task.tool,
-        )
-        machine_tl.add(start, end)
-        if tool_tl is not None:
+                raise _busy_error("tool", tool, conflict, start, end)
             tool_tl.add(start, end)
-        self.placements[(task.job_id, task.op_index)] = placement
-        self.job_ready[task.job_id] = end
-        self.next_op[task.job_id] += 1
+        machine_tl.add(start, end)
+        placement = Placement(job, task.op_index, machine, start, end, tool)
+        self.placements[(job, task.op_index)] = placement
+        self._job_ready[job] = end
+        self._next_op[job] += 1
         if end > self._makespan:
             self._makespan = end
         return placement
@@ -251,6 +268,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
     if isinstance(schedule, Schedule):
         instance, by_key = schedule.instance, schedule.placements
         placements = by_key.values()
+        tasks, n_ops = instance.tasks, instance.tasks_per_job
     else:
         instance, placements = None, schedule.placements
         by_key = {(p.job_id, p.op_index): p for p in placements}
@@ -281,7 +299,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
                     Violation(VIOLATION_DURATION, ((job, op),), f"empty interval [{pl.start},{pl.end})")
                 )
         else:
-            task = instance.task(job, op)
+            task = tasks[job * n_ops + op]
             if pl.machine not in task.eligible_machines:
                 violations.append(
                     Violation(
@@ -322,7 +340,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
         (VIOLATION_TOOL_OVERLAP, "tool", per_tool),
     ):
         for r, group in sorted(groups.items()):
-            group = sorted(group, key=lambda p: (p.start, p.end))
+            group = sorted(group, key=attrgetter("start", "end"))
             for a, b in zip(group, group[1:]):
                 if b.start < a.end:
                     violations.append(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import re
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -586,6 +587,24 @@ def test_dqn_divergence_guard_raises_before_the_step(monkeypatch):
     (opt,) = optimizers
     assert step >= 19 and opt.t == step - config.batch_size
     assert opt.snapshot() == opt.after_step
+
+
+@pytest.mark.parametrize("algo", ["ppo", "dqn"])
+def test_divergence_raises_without_a_numpy_warning(algo):
+    """Every reward NaN from the first episode on: the guard raises, and no
+    RuntimeWarning comes first; DQN's message says no td_error entry is finite
+    instead of printing a NaN range."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingDivergedError) as err:
+            if algo == "ppo":
+                train_ppo(nan_after(0), nine_task_instances(False),
+                          PpoConfig(total_steps=64, steps_per_update=32, minibatch_size=16, seed=4))
+            else:
+                train_dqn(nan_after(0), nine_task_instances(False),
+                          DqnConfig(total_steps=100, batch_size=16, seed=4))
+    if algo == "dqn":
+        assert str(err.value) == "non-finite DQN loss at step 16: td_error range [no finite entry]"
 
 
 def test_ppo_seed_determinism():

@@ -308,6 +308,27 @@ def test_kept_slots_equal_fresh_best_machine(kind, policy):
             obs, mask = result.observation, result.mask
 
 
+@pytest.mark.parametrize("rule", list(DispatchRule), ids=lambda rule: rule.value)
+@pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
+def test_kept_next_op_and_ready_time_equal_the_schedule(kind, rule):
+    # the env keeps each job's next op and ready time from the placements it
+    # gets back; after every step they equal the schedule's own
+    for seed in range(3):
+        inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
+        choose = rule_policy(rule, np.random.Generator(np.random.Philox(key=seed)))
+        env = SchedulingEnv(inst, DENSE)
+        obs, mask = reset(env)
+        done = False
+        while True:
+            assert tuple(env._job_op) == env.schedule.next_op
+            assert tuple(env._job_end) == env.schedule.job_ready
+            if done:
+                break
+            result = step(env, choose(obs, mask))
+            obs, mask, done = result.observation, result.mask, result.done
+        assert env.schedule.next_op == (inst.tasks_per_job,) * inst.num_jobs
+
+
 def jobs_queried_by_step(env, action):
     """The jobs whose next task ``best_machine`` is asked about during one step."""
     queried = []

@@ -67,13 +67,22 @@ def test_run_episode_lives_beside_evaluate():
     assert defined == {"evaluate.py"}
 
 
-def test_schedule_timelines_are_named_only_in_schedule():
-    # place_task must stay the only code that adds an interval to a Schedule
-    private = {"_machine_timelines", "_tool_timelines"}
-    naming = {
+def _naming(private):
+    """The source files that name any of the attributes ``private``."""
+    return {
         path.name
         for path in SRC.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Attribute) and node.attr in private
     }
-    assert naming == {"schedule.py"}
+
+
+def test_schedule_timelines_are_named_only_in_schedule():
+    # place_task must stay the only code that adds an interval to a Schedule or
+    # moves a job's next op and ready time; the rest read tuple copies
+    assert _naming({"_machine_timelines", "_tool_timelines", "_next_op", "_job_ready"}) == {"schedule.py"}
+
+
+def test_env_kept_state_is_named_only_in_env():
+    # the resource table and each job's kept next op and ready time change only in step
+    assert _naming({"_resources", "_job_op", "_job_end"}) == {"env.py"}

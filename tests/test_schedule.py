@@ -178,7 +178,7 @@ def test_tool_conflict_names_tool_and_inserts_nothing():
     assert exc.value.interval == (0, 5)
     # machine 0, machine 1, tool 0
     assert sched.busy() == (((0,), (5,)), ((), ()), ((0,), (5,)))
-    assert list(sched.placements) == [(0, 0)] and sched.next_op == [1, 0]
+    assert list(sched.placements) == [(0, 0)] and sched.next_op == (1, 0)
 
 
 def test_placement_overlapping_the_next_busy_interval_is_rejected():
@@ -190,6 +190,23 @@ def test_placement_overlapping_the_next_busy_interval_is_rejected():
         sched.place_task(inst.task(1, 0), 0, 3)
     assert (exc.value.resource, exc.value.interval) == ("machine 0", (5, 9))
     assert sched.busy() == (((5,), (9,)),)
+
+
+def test_next_op_and_job_ready_are_read_only():
+    # writing job 0's ready time back to 0 once let place_task accept its op 1
+    # on [0, 2) of the other machine, before op 0's [0, 3) ends
+    inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
+    sched = Schedule(inst)
+    sched.place_task(inst.task(0, 0), 0, 0)
+    for name in ("job_ready", "next_op"):
+        with pytest.raises(TypeError):
+            getattr(sched, name)[0] = 0
+        with pytest.raises(AttributeError):
+            setattr(sched, name, [0])
+    assert (sched.next_op, sched.job_ready) == ((1,), (3,))
+    with pytest.raises(ConstraintViolationError, match="precedes job 0 ready time 3"):
+        sched.place_task(inst.task(0, 1), 1, 0)
+    assert sched.busy()[1] == ((), ()) and validate_schedule(sched) == []
 
 
 @pytest.mark.parametrize("machine, start, message", [
