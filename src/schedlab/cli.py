@@ -16,7 +16,7 @@ from .env import SchedulingEnv
 from .errors import ConfigurationError, InstanceSetError, ModelVersionError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
 from .files import write_text
-from .instances import check_instance_set, generate_batch, read_instances, write_instances
+from .instances import PROOF_OPTIMAL, check_instance_set, generate_batch, read_instances, write_instances
 from .metrics import write_metrics
 from .nn import load_model, save_model
 from .ppo import train_ppo
@@ -71,7 +71,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                     f"status={result.proof_status} nodes={result.nodes_expanded} "
                     f"lb={result.lower_bound} gap={gap:.2%}"
                 )
-                if result.proof_status == "optimal":
+                if result.proof_status == PROOF_OPTIMAL:
                     n_optimal += 1
                 else:
                     n_feasible += 1
@@ -204,15 +204,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InstanceSetError, ModelVersionError) as exc:  # an input this run cannot take
+    except (SchedlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchedlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        # an instance set or model this run cannot take is a usage error
+        return EXIT_USAGE if isinstance(exc, (InstanceSetError, ModelVersionError)) else EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -19,15 +19,13 @@ A ``SchedulingEnv`` holds one episode; the functions ``reset``, ``step``,
 ``job * tasks_per_job + op``, the resources (eligible machines, then
 ``num_machines + tool``) whose watcher set holds its job while the task is
 next. ``reset`` computes the observation and the action mask in full and
-keeps them, with the watcher sets, one kept slot ``(machine, start, end)``
-per unfinished job (where its next task goes, the ``Schedule.best_machine``
-result) and each job's next op and ready time. ``step`` places the acting
-job at its kept slot and updates only what its placement can change: the
-acting job's features, slot, watcher sets, next op and ready time (from the
-returned ``Placement``; ``place_task``'s op-order check keeps them equal to
-the schedule's read-only ``next_op`` and ``job_ready``), the slots of those
-watchers of the machine and tool it used whose kept ``[start, end)`` the
-placed interval overlaps (see ``observe``), and, after a job's last task,
+keeps them, with the watcher sets and one kept slot ``(task, machine, start,
+end)`` per unfinished job: its next task and where that goes, the
+``Schedule.best_machine`` result. ``step`` places the kept task at its kept
+slot and updates only what the placement can change: the acting job's
+features, slot and watcher sets (from the returned ``Placement``), the slots
+of those watchers of the machine and tool it used whose kept ``[start, end)``
+the placed interval overlaps (see ``observe``), and, after a job's last task,
 its mask entry. A step thus costs a few earliest-start queries and no pass
 over all jobs. Both hand out fresh arrays, which the caller may keep or
 mutate.
@@ -48,7 +46,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidActionError
-from .instances import Instance
+from .instances import Instance, Task
 from .schedule import Placement, Schedule
 
 
@@ -79,7 +77,7 @@ def _write_job(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int, k: int,
     if k < n_ops:
         task = env.instance.tasks[j * n_ops + k]
         machine, start = env.schedule.best_machine(task)
-        slots[j] = (machine, start, start + task.processing_time)
+        slots[j] = (task, machine, start, start + task.processing_time)
         obs[base + 1] = task.processing_time / env.p_max
         obs[base + 3] = start / env.ub
     else:
@@ -109,26 +107,24 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
     leaves ``env`` untouched. With the placement that ``step`` just made, it
     updates the state kept in ``env`` and returns a copy of the observation.
     A placement of job a on machine m with tool t can only change the four
-    entries, the slot and the next op and ready time of job a, the makespan,
-    and the slot and entry 4j+3 of a job j whose next task is eligible on m
-    or uses t: any other earliest start depends on timelines and a ready time
-    that the placement left as they were. Those jobs j are the watchers of m
-    and t, so only they are visited; job a first moves from the watcher sets
-    of the task it placed to those of its new next task. A watcher's slot and
-    entries are rewritten only when the placed interval ``[start, end)``
-    overlaps its kept ``[s_j, e_j)``; of its entries only 4j+3 can change.
+    entries and the slot of job a, the makespan, and the slot and entry 4j+3
+    of a job j whose next task is eligible on m or uses t: any other earliest
+    start depends on timelines and a ready time that the placement left as
+    they were. Those jobs j are the watchers of m and t, so only they are
+    visited; job a first moves from the watcher sets of the task it placed to
+    those of its new next task. A watcher's slot and entry 4j+3 are rewritten,
+    from a fresh ``best_machine`` of the task its slot carries, only when the
+    placed interval ``[start, end)`` overlaps its kept ``[s_j, e_j)``.
     Intervals never leave a ``Schedule``, so every start only moves later,
     and a kept slot still idle is still the earliest, and still on the
     lowest machine id among the earliest.
     """
     if placement is None:
         return _observe_full(env, [None] * env.instance.num_jobs)
-    obs, slots, job_op, resources, watchers = env.obs, env.slots, env._job_op, env._resources, env.watchers
+    obs, slots, resources, watchers = env.obs, env.slots, env._resources, env.watchers
     n_ops = env.instance.tasks_per_job
     a, k, machine, start, end, tool = placement
     row = a * n_ops + k
-    job_op[a] = k + 1
-    env._job_end[a] = end
     for r in resources[row]:
         watchers[r].discard(a)
     if k + 1 < n_ops:
@@ -140,9 +136,11 @@ def observe(env: SchedulingEnv, placement: Placement | None = None) -> np.ndarra
         watching = watching | watchers[env.instance.num_machines + tool]
     for j in watching:
         if j != a:
-            _, s_j, e_j = slots[j]
+            task, _, s_j, e_j = slots[j]
             if start < e_j and s_j < end:
-                _write_job(env, obs, slots, j, job_op[j], env._job_end[j])
+                m, s = env.schedule.best_machine(task)
+                slots[j] = (task, m, s, s + task.processing_time)
+                obs[4 * j + 3] = s / env.ub
     obs[-1] = env.schedule.makespan / env.ub
     return obs.copy()
 
@@ -161,7 +159,6 @@ def reset(env: SchedulingEnv) -> tuple[np.ndarray, np.ndarray]:
     for j in range(instance.num_jobs):
         for r in env._resources[j * instance.tasks_per_job]:
             env.watchers[r].add(j)
-    env._job_op, env._job_end = [0] * instance.num_jobs, [0] * instance.num_jobs
     env.slots = [None] * instance.num_jobs
     env.obs = _observe_full(env, env.slots)
     env.mask = action_mask(env)
@@ -172,13 +169,13 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
     """Place the next unscheduled task of job ``action`` at its earliest start.
 
     Invalid or masked actions, and a step before the first ``reset``, raise
-    InvalidActionError; there is no penalty-reward fallback. The task goes to
-    the job's kept slot, which equals a fresh ``Schedule.best_machine`` as
-    long as the schedule changes only through ``step`` (see ``observe``);
-    ``place_task`` still checks it. The returned observation equals a full
-    ``observe(env)`` bit for bit and the mask equals ``action_mask(env)``;
-    both are fresh arrays, updated from the previous ones where the
-    placement can change them.
+    InvalidActionError; there is no penalty-reward fallback. The job's kept
+    slot carries its next task and where that goes, which equals a fresh
+    ``Schedule.best_machine`` as long as the schedule changes only through
+    ``step`` (see ``observe``); ``place_task`` still checks it. The returned
+    observation equals a full ``observe(env)`` bit for bit and the mask
+    equals ``action_mask(env)``; both are fresh arrays, updated from the
+    previous ones where the placement can change them.
     """
     schedule = env.schedule
     if schedule is None:
@@ -186,15 +183,15 @@ def step(env: SchedulingEnv, action: int) -> StepResult:
     n_jobs, n_ops = env.instance.num_jobs, env.instance.tasks_per_job
     if not (0 <= action < n_jobs):
         raise InvalidActionError(f"action {action} out of range [0, {n_jobs})")
-    k = env._job_op[action]
-    if k >= n_ops:
+    slot = env.slots[action]
+    if slot is None:
         raise InvalidActionError(f"job {action} is already fully scheduled")
 
     c_before = schedule.makespan
-    machine, start, _ = env.slots[action]
-    placement = schedule.place_task(env.instance.tasks[action * n_ops + k], machine, start)
+    task, machine, start, _ = slot
+    placement = schedule.place_task(task, machine, start)
     c_after = schedule.makespan
-    if k + 1 == n_ops:
+    if task.op_index + 1 == n_ops:
         env.mask[action] = False
 
     done = schedule.complete
@@ -227,9 +224,8 @@ class SchedulingEnv:
         self.mask: np.ndarray | None = None  # last action mask, updated in place by step
         # per machine, then per tool: the jobs whose next task can use it
         self.watchers: list[set[int]] = []
-        # per job: (machine, start, end) of its next task's earliest slot, None once done
-        self.slots: list[tuple[int, int, int] | None] = []
-        self._job_op, self._job_end = [], []  # per job: the op index of its next task, its ready time
+        # per job: (task, machine, start, end) of its next task's earliest slot, None once done
+        self.slots: list[tuple[Task, int, int, int] | None] = []
         # per task: the resources whose watcher set holds its job while the task is next
         self._resources = [t.eligible_machines if t.tool is None else
                            (*t.eligible_machines, instance.num_machines + t.tool) for t in instance.tasks]

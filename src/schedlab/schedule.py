@@ -6,23 +6,23 @@ existing interval; the earliest feasible start may fall into an idle gap
 between existing intervals (gap insertion).
 
 A Schedule is a single-owner mutable value that only grows: ``place_task``
-is its only mutation, so no placement or interval ever leaves it. Its
-timelines are private; ``busy()`` hands out tuple copies of their intervals,
-one per resource (machines, then tools), so no caller can add or remove an
-interval around ``place_task``. Each job's next op and ready time are private
-too, and the read-only ``next_op`` and ``job_ready`` hand out tuple copies,
-so no caller can move them around the op-order and ready-time checks.
-``placements`` stays a plain dict: no check of ``place_task`` reads it, and
-the tests inject faults through it to exercise ``validate_schedule``, which
-re-derives everything from it. The environment and the dispatching rules
-build schedules through it; it preserves every invariant by construction and
-is the one place that checks a placement. The solver and
-``permutation_oracle`` search on timelines of their own through the shared
-``earliest_start``, adding and removing intervals unchecked; replaying the
-solver's result through ``place_task`` checks it.
-``validate_schedule`` re-derives the invariants from the placements alone and
-is the independent check used by tests, the evaluation harness and the Gantt
-renderer.
+is its only mutation, so no placement or interval ever leaves it. Its one
+list of timelines, machine m at index m and tool t at ``num_machines + t``,
+is private; ``busy()`` hands out tuple copies of their intervals in that
+order, so no caller can add or remove an interval around ``place_task``.
+Each job's next op and ready time are private too, and the read-only
+``next_op`` and ``job_ready`` hand out tuple copies, so no caller can move
+them around the op-order and ready-time checks. ``placements`` is a
+read-only view of the record, so no caller can drop or rewrite a placement
+behind ``complete`` and ``validate_schedule``. The environment and the
+dispatching rules build schedules through ``place_task``, which preserves
+every invariant by construction and is the one place that checks a
+placement. The solver and ``permutation_oracle`` search on timelines of
+their own through the shared ``earliest_start``, adding and removing
+intervals unchecked; replaying the solver's result through ``place_task``
+checks it. ``validate_schedule`` re-derives the invariants from the
+placements alone and is the independent check used by tests, the evaluation
+harness and the Gantt renderer.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import ConstraintViolationError, InternalError, MalformedRecordError, check_round_trip
 from .files import read_json, write_text
@@ -158,9 +159,8 @@ class Schedule:
 
     def __init__(self, instance: Instance):
         self.instance = instance
-        self.placements: dict[tuple[int, int], Placement] = {}
-        self._machine_timelines = [Timeline() for _ in range(instance.num_machines)]
-        self._tool_timelines = [Timeline() for _ in range(instance.num_tools)]
+        self._placements: dict[tuple[int, int], Placement] = {}
+        self._timelines = [Timeline() for _ in range(instance.num_machines + instance.num_tools)]
         self._job_ready = [0] * instance.num_jobs
         self._next_op = [0] * instance.num_jobs
         self._makespan = 0
@@ -180,14 +180,18 @@ class Schedule:
         return tuple(self._job_ready)
 
     @property
+    def placements(self) -> Mapping[tuple[int, int], Placement]:
+        """Per (job, op), its placement: a read-only view of the live record."""
+        return MappingProxyType(self._placements)
+
+    @property
     def complete(self) -> bool:
-        return len(self.placements) == self.instance.num_tasks
+        return len(self._placements) == self.instance.num_tasks
 
     def busy(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         """Per resource, machine m at m and tool t at ``num_machines + t``: copies
         of the sorted (starts, ends) of its busy intervals."""
-        timelines = (*self._machine_timelines, *self._tool_timelines)
-        return tuple(tuple(map(tuple, tl.columns())) for tl in timelines)
+        return tuple(tuple(map(tuple, tl.columns())) for tl in self._timelines)
 
     def _check_next_op(self, task: Task) -> None:
         expected = self._next_op[task.job_id]
@@ -202,11 +206,11 @@ class Schedule:
         """(machine, start) minimizing the earliest feasible start; ties to the lowest id."""
         self._check_next_op(task)
         p = task.processing_time
-        tool_tl = self._tool_timelines[task.tool] if task.tool is not None else None
+        tool_tl = self._timelines[self.instance.num_machines + task.tool] if task.tool is not None else None
         ready = self._job_ready[task.job_id]
         best: tuple[int, int] | None = None
         for m in task.eligible_machines:
-            start = earliest_start(self._machine_timelines[m], tool_tl, ready, p)
+            start = earliest_start(self._timelines[m], tool_tl, ready, p)
             if best is None or start < best[1]:
                 best = (m, start)
         assert best is not None  # eligible_machines is non-empty
@@ -234,19 +238,19 @@ class Schedule:
                 f"start {start} precedes job {job} ready time {ready}", resource=f"job {job}"
             )
         end = start + task.processing_time
-        machine_tl = self._machine_timelines[machine]
+        machine_tl = self._timelines[machine]
         conflict = machine_tl.first_conflict(start, end)
         if conflict is not None:
             raise _busy_error("machine", machine, conflict, start, end)
         if tool is not None:
-            tool_tl = self._tool_timelines[tool]
+            tool_tl = self._timelines[self.instance.num_machines + tool]
             conflict = tool_tl.first_conflict(start, end)
             if conflict is not None:
                 raise _busy_error("tool", tool, conflict, start, end)
             tool_tl.add(start, end)
         machine_tl.add(start, end)
         placement = Placement(job, task.op_index, machine, start, end, tool)
-        self.placements[(job, task.op_index)] = placement
+        self._placements[(job, task.op_index)] = placement
         self._job_ready[job] = end
         self._next_op[job] += 1
         if end > self._makespan:
@@ -273,8 +277,7 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
         instance, placements = None, schedule.placements
         by_key = {(p.job_id, p.op_index): p for p in placements}
     violations: list[Violation] = []
-    per_machine: dict[int, list[Placement]] = {}
-    per_tool: dict[int, list[Placement]] = {}
+    groups: dict[tuple[int, int], list[Placement]] = {}  # (0, machine) or (1, tool)
     seen: set[tuple[int, int]] = set()
 
     def header(key: tuple[int, int], detail: str) -> None:
@@ -331,25 +334,23 @@ def validate_schedule(schedule: Schedule | ScheduleRecord) -> list[Violation]:
                         f"op {op} starts at {pl.start} before op {op - 1} ends at {prev.end}",
                     )
                 )
-        per_machine.setdefault(pl.machine, []).append(pl)
+        groups.setdefault((0, pl.machine), []).append(pl)
         if pl.tool is not None:
-            per_tool.setdefault(pl.tool, []).append(pl)
+            groups.setdefault((1, pl.tool), []).append(pl)
 
-    for kind, resource, groups in (
-        (VIOLATION_MACHINE_OVERLAP, "machine", per_machine),
-        (VIOLATION_TOOL_OVERLAP, "tool", per_tool),
-    ):
-        for r, group in sorted(groups.items()):
-            group = sorted(group, key=attrgetter("start", "end"))
-            for a, b in zip(group, group[1:]):
-                if b.start < a.end:
-                    violations.append(
-                        Violation(
-                            kind,
-                            ((a.job_id, a.op_index), (b.job_id, b.op_index)),
-                            f"{resource} {r}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
-                        )
+    kinds = ((VIOLATION_MACHINE_OVERLAP, "machine"), (VIOLATION_TOOL_OVERLAP, "tool"))
+    for (is_tool, r), group in sorted(groups.items()):
+        kind, resource = kinds[is_tool]
+        group = sorted(group, key=attrgetter("start", "end"))
+        for a, b in zip(group, group[1:]):
+            if b.start < a.end:
+                violations.append(
+                    Violation(
+                        kind,
+                        ((a.job_id, a.op_index), (b.job_id, b.op_index)),
+                        f"{resource} {r}: [{a.start},{a.end}) overlaps [{b.start},{b.end})",
                     )
+                )
     if instance is None:
         last_end = max((p.end for p in placements), default=0)
         if schedule.makespan < last_end:

@@ -280,14 +280,15 @@ def test_second_reset_mid_episode_starts_afresh(kind):
 
 
 def assert_slots_fresh(env):
-    # every unfinished job's kept slot is a fresh best_machine of its next task
+    # every unfinished job's kept slot carries the schedule's next task of the
+    # job and a fresh best_machine of it
     schedule, inst = env.schedule, env.instance
     for j in range(inst.num_jobs):
         k = schedule.next_op[j]
         if k < inst.tasks_per_job:
             task = inst.task(j, k)
             machine, start = schedule.best_machine(task)
-            assert env.slots[j] == (machine, start, start + task.processing_time), j
+            assert env.slots[j] == (task, machine, start, start + task.processing_time), j
         else:
             assert env.slots[j] is None
 
@@ -308,27 +309,6 @@ def test_kept_slots_equal_fresh_best_machine(kind, policy):
             obs, mask = result.observation, result.mask
 
 
-@pytest.mark.parametrize("rule", list(DispatchRule), ids=lambda rule: rule.value)
-@pytest.mark.parametrize("kind", sorted(INCREMENTAL_CONFIGS))
-def test_kept_next_op_and_ready_time_equal_the_schedule(kind, rule):
-    # the env keeps each job's next op and ready time from the placements it
-    # gets back; after every step they equal the schedule's own
-    for seed in range(3):
-        inst = generate_instance(INCREMENTAL_CONFIGS[kind](seed), 0)
-        choose = rule_policy(rule, np.random.Generator(np.random.Philox(key=seed)))
-        env = SchedulingEnv(inst, DENSE)
-        obs, mask = reset(env)
-        done = False
-        while True:
-            assert tuple(env._job_op) == env.schedule.next_op
-            assert tuple(env._job_end) == env.schedule.job_ready
-            if done:
-                break
-            result = step(env, choose(obs, mask))
-            obs, mask, done = result.observation, result.mask, result.done
-        assert env.schedule.next_op == (inst.tasks_per_job,) * inst.num_jobs
-
-
 def jobs_queried_by_step(env, action):
     """The jobs whose next task ``best_machine`` is asked about during one step."""
     queried = []
@@ -346,9 +326,10 @@ def jobs_queried_by_step(env, action):
     return queried
 
 
-# Job 1's first task takes [0, 3) on machine 1, so its kept slot is (0, 3, 5):
-# machine 0 with tool 0 from its ready time 3. Job 0's last listed action then
-# places on machine 0, or on tool 0 only, next to or across that slot.
+# Job 1's first task takes [0, 3) on machine 1, so its kept slot is (task, 0,
+# 3, 5): its second task on machine 0 with tool 0 from its ready time 3. Job
+# 0's last listed action then places on machine 0, or on tool 0 only, next to
+# or across that slot.
 HALF_OPEN_CASES = {
     "ends at the slot start": ([(0, 3, None), (2, 1, None)], [1, 0], (0, 3, 5), False),
     "starts at the slot end": ([(2, 5, None), (0, 2, None)], [1, 0, 0], (0, 3, 5), False),
@@ -365,9 +346,9 @@ def test_kept_slot_recomputed_only_on_overlap(case):
     reset(env)
     for a in actions[:-1]:
         step(env, a)
-    assert env.slots[1] == (0, 3, 5)
+    assert env.slots[1] == (inst.task(1, 1), 0, 3, 5)
     assert (1 in jobs_queried_by_step(env, actions[-1])) == recomputed
-    assert env.slots[1] == slot
+    assert env.slots[1] == (inst.task(1, 1), *slot)
     assert_slots_fresh(env)
 
 
@@ -380,7 +361,7 @@ def test_full_observe_leaves_env_as_it_was():
     obs, mask = env.obs.copy(), env.mask.copy()
     watchers = [set(w) for w in env.watchers]
     # a sentinel slot shows whether the full recompute writes slots
-    env.slots[3] = sentinel = (-1, -1, -1)
+    env.slots[3] = sentinel = (None, -1, -1, -1)
     slots = list(env.slots)
     full = observe(env)
     assert full.tobytes() == obs.tobytes()

@@ -78,11 +78,12 @@ def _naming(private):
 
 
 def test_schedule_timelines_are_named_only_in_schedule():
-    # place_task must stay the only code that adds an interval to a Schedule or
-    # moves a job's next op and ready time; the rest read tuple copies
-    assert _naming({"_machine_timelines", "_tool_timelines", "_next_op", "_job_ready"}) == {"schedule.py"}
+    # place_task must stay the only code that adds an interval or a placement
+    # to a Schedule or moves a job's next op and ready time; the rest read
+    # tuple copies and a read-only view
+    assert _naming({"_timelines", "_placements", "_next_op", "_job_ready"}) == {"schedule.py"}
 
 
 def test_env_kept_state_is_named_only_in_env():
-    # the resource table and each job's kept next op and ready time change only in step
-    assert _naming({"_resources", "_job_op", "_job_end"}) == {"env.py"}
+    # the resource table is built once and read only by step
+    assert _naming({"_resources"}) == {"env.py"}

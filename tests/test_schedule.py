@@ -209,6 +209,24 @@ def test_next_op_and_job_ready_are_read_only():
     assert sched.busy()[1] == ((), ()) and validate_schedule(sched) == []
 
 
+def test_placements_are_read_only():
+    # deleting op 0 through a live placements dict once dropped it from the
+    # record while next_op still counted it placed
+    inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
+    sched = Schedule(inst)
+    for task in inst.tasks:
+        sched.place_task(task, *sched.best_machine(task))
+    record = schedule_to_record(sched)
+    with pytest.raises(TypeError):
+        del sched.placements[(0, 0)]
+    with pytest.raises(TypeError):
+        sched.placements[(0, 1)] = Placement(0, 1, 1, 0, 2)
+    with pytest.raises(AttributeError):
+        sched.placements = {}
+    assert sched.complete and sched.next_op == (2,)
+    assert schedule_to_record(sched) == record and validate_schedule(sched) == []
+
+
 @pytest.mark.parametrize("machine, start, message", [
     (1, 0, "machine 1 not eligible for task \\(0,0\\)"),
     (0, -1, "negative start -1"),
@@ -259,8 +277,8 @@ def both_forms(sched):
 def test_validate_detects_precedence_violation():
     inst = build_instance([[(0, 3, None), (1, 2, None)]], num_machines=2)
     sched = Schedule(inst)
-    sched.placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
-    sched.placements[(0, 1)] = Placement(0, 1, 1, 1, 3)  # starts before op 0 ends
+    sched._placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
+    sched._placements[(0, 1)] = Placement(0, 1, 1, 1, 3)  # starts before op 0 ends
     for form, value in both_forms(sched):
         kinds = [v.kind for v in validate_schedule(value)]
         assert kinds == ["precedence"], form
@@ -271,8 +289,8 @@ def test_validate_detects_tool_overlap():
         [[(0, 2, 0)], [(1, 2, 0)]], num_machines=2, num_tools=1
     )
     sched = Schedule(inst)
-    sched.placements[(0, 0)] = Placement(0, 0, 0, 2, 4, tool=0)
-    sched.placements[(1, 0)] = Placement(1, 0, 1, 3, 5, tool=0)
+    sched._placements[(0, 0)] = Placement(0, 0, 0, 2, 4, tool=0)
+    sched._placements[(1, 0)] = Placement(1, 0, 1, 3, 5, tool=0)
     for form, value in both_forms(sched):
         violations = validate_schedule(value)
         assert [v.kind for v in violations] == ["tool-overlap"], form
@@ -282,13 +300,40 @@ def test_validate_detects_tool_overlap():
 def test_validate_detects_machine_overlap_and_eligibility():
     inst = build_instance([[(0, 3, None)], [(1, 3, None)]], num_machines=2)
     sched = Schedule(inst)
-    sched.placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
-    sched.placements[(1, 0)] = Placement(1, 0, 0, 1, 4)  # wrong machine + overlap
+    sched._placements[(0, 0)] = Placement(0, 0, 0, 0, 3)
+    sched._placements[(1, 0)] = Placement(1, 0, 0, 1, 4)  # wrong machine + overlap
     # eligibility needs the instance, so only the schedule form can see it
     expected = {"schedule": ["eligibility", "machine-overlap"], "record": ["machine-overlap"]}
     for form, value in both_forms(sched):
         kinds = sorted(v.kind for v in validate_schedule(value))
         assert kinds == expected[form], form
+
+
+# Machine 1 and tool 1 both exist, so grouping machines and tools in one dict
+# must keep them apart. Per job: one task, and where it is placed (machine,
+# start). The jobs sharing tool 1 are placed first, and the machine overlap
+# must still be reported first.
+RESOURCE_ONE_CASES = {
+    "machine 1 and tool 1 overlaps": (
+        [[(0, 3, 1)], [(2, 3, 1)], [(1, 3, None)], [(1, 3, None)]],
+        [(0, 0), (2, 1), (1, 0), (1, 1)],
+        [("machine-overlap", ((2, 0), (3, 0)), "machine 1: [0,3) overlaps [1,4)"),
+         ("tool-overlap", ((0, 0), (1, 0)), "tool 1: [0,3) overlaps [1,4)")],
+    ),
+    "machine 1 beside tool 1": ([[(0, 3, 1)], [(1, 3, None)]], [(0, 0), (1, 1)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESOURCE_ONE_CASES))
+def test_validate_keeps_machine_and_tool_of_one_id_apart(case):
+    jobs, where, expected = RESOURCE_ONE_CASES[case]
+    inst = build_instance(jobs, num_machines=3, num_tools=2)
+    sched = Schedule(inst)
+    for task, (machine, start) in zip(inst.tasks, where):
+        sched._placements[(task.job_id, 0)] = Placement(
+            task.job_id, 0, machine, start, start + task.processing_time, task.tool)
+    for form, value in both_forms(sched):
+        assert [(v.kind, v.tasks, v.detail) for v in validate_schedule(value)] == expected, form
 
 
 @pytest.mark.parametrize("edit, kind, detail", [
@@ -306,7 +351,7 @@ def test_validate_schedule_names_the_one_edited_fault(edit, kind, detail):
     for task in inst.tasks:
         sched.place_task(task, *sched.best_machine(task))
     assert validate_schedule(sched) == []
-    edit(sched.placements)
+    edit(sched._placements)
     assert [(v.kind, v.detail) for v in validate_schedule(sched)] == [(kind, detail)]
 
 

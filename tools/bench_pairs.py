@@ -1,8 +1,8 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python tools/bench_pairs.py --parent HEAD --out BENCH_x.json \\
-        --workload rollout-large --seed 5 --pairs 10 [--seconds 20] \\
-        [--claim rollout-large round_s]
+        --workload rollout-large --claim rollout-large round_s \\
+        [--seed 5] [--pairs 10] [--seconds 20]
 
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0``
 once in a checkout of the parent commit and once in the working tree,
@@ -18,7 +18,9 @@ a row of the same workload and seed is replaced, and the file is rewritten
 after every finished row. A row holds, per metric and side, every run value
 and their median and inclusive-method quartiles, and
 ``change_lower_in_pairs``; ``failed`` and ``attempted`` sum both sides, and
-``correct`` holds only if every run passed its checks.
+``correct`` holds only if every run passed its checks. ``--claim`` names the
+workload and end-to-end metric the change claims a gain on; it becomes the
+file's ``claimed`` entry, which every committed ``BENCH_*.json`` carries.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--claim", nargs=2, metavar=("WORKLOAD", "METRIC"))
+    parser.add_argument("--claim", required=True, nargs=2, metavar=("WORKLOAD", "METRIC"),
+                        help="the workload and end-to-end metric the change claims to improve")
     args = parser.parse_args(argv)
 
     out = args.out if args.out.is_absolute() else ROOT / args.out
@@ -108,8 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     bench.setdefault("machine", f"{platform.machine()}, Python {platform.python_version()}")
     bench.setdefault("method", "tools/bench_pairs.py: paired runs, parent first in even pairs; "
                                "quartiles are inclusive-method quartiles of the per-run values")
-    if args.claim:
-        bench["claimed"] = {"workload": args.claim[0], "metric": args.claim[1]}
+    bench["claimed"] = {"workload": args.claim[0], "metric": args.claim[1]}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         export_commit(args.parent, Path(tmp))
         for workload in args.workload:
