@@ -12,11 +12,13 @@ from pathlib import Path
 from . import gantt, solver
 from .config import ExperimentConfig, load_experiment_config, run_id
 from .dqn import train_dqn
-from .env import SchedulingEnv
+from .env import SchedulingEnv, network_widths
 from .errors import ConfigurationError, InstanceSetError, ModelVersionError, SchedlabError
 from .evaluate import evaluate, summarize, write_records_csv
 from .files import write_text
-from .instances import PROOF_OPTIMAL, check_instance_set, generate_batch, read_instances, write_instances
+from .instances import (
+    PROOF_OPTIMAL, Instance, check_instance_set, generate_batch, read_instances, write_instances,
+)
 from .metrics import write_metrics
 from .nn import load_model, save_model
 from .ppo import train_ppo
@@ -27,9 +29,15 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _split_paths(config: ExperimentConfig) -> tuple[Path, Path]:
-    base = Path(config.paths.instances_dir)
-    return base / "train.jsonl", base / "test.jsonl"
+def _split_path(config: ExperimentConfig, split: str) -> Path:
+    return Path(config.paths.instances_dir) / f"{split}.jsonl"
+
+
+def _read_split(config: ExperimentConfig, split: str) -> tuple[Path, list[Instance]]:
+    path = _split_path(config, split)
+    if not path.exists():
+        raise FileNotFoundError(f"{path} not found; run `schedlab generate` first")
+    return path, read_instances(path)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -37,7 +45,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     batch = generate_batch(config.problem)
     train = batch[: config.split.train_count]
     test = batch[config.split.train_count :]
-    train_path, test_path = _split_paths(config)
+    train_path, test_path = _split_path(config, "train"), _split_path(config, "test")
     write_instances(train, train_path)
     write_instances(test, test_path)
     print(f"wrote {len(train)} train instances to {train_path}")
@@ -53,8 +61,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     limits = solver.SolveLimits(node_limit=args.node_limit, time_limit_s=args.time_limit)
     directory = Path(args.instances)
     if not directory.is_dir():
-        print(f"error: {directory} is not a directory of instance files", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise NotADirectoryError(f"{directory} is not a directory of instance files")
     files = sorted(directory.glob("*.jsonl"))
     n_optimal = n_feasible = n_failed = 0
     for path in files:
@@ -91,12 +98,8 @@ def _model_path(config: ExperimentConfig) -> Path:
 
 def cmd_train(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
-    train_path, _ = _split_paths(config)
-    if not train_path.exists():
-        print(f"error: {train_path} not found; run `schedlab generate` first", file=sys.stderr)
-        return EXIT_RUNTIME
-    instances = read_instances(train_path)
-    check_instance_set(instances, train_path)
+    train_path, instances = _read_split(config, "train")
+    network_widths(instances, train_path)
     rid = run_id(config)
     env_factory = lambda inst: SchedulingEnv(inst, config.reward_mode)
 
@@ -118,22 +121,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = load_experiment_config(args.config)
-    _, test_path = _split_paths(config)
-    if not test_path.exists():
-        print(f"error: {test_path} not found; run `schedlab generate` first", file=sys.stderr)
-        return EXIT_RUNTIME
-    instances = read_instances(test_path)
-    check_instance_set(instances, test_path, one_job_count=False)
+    test_path, instances = _read_split(config, "test")
+    check_instance_set(instances, test_path)
 
     model_params = model_path = None
     if "model" in config.eval.methods:
+        network_widths(instances, test_path)  # a model takes one job count
         model_path = Path(args.model) if args.model else _model_path(config)
         if not model_path.exists():
-            print(
-                f"error: model file {model_path} not found; run `schedlab train` first",
-                file=sys.stderr,
-            )
-            return EXIT_RUNTIME
+            raise FileNotFoundError(f"model file {model_path} not found; run `schedlab train` first")
         model_params = load_model(model_path)
 
     try:

@@ -14,9 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import EnvFactory
+from .env import EnvFactory, network_widths
 from .errors import ConfigurationError, TrainingDivergedError, bounded, check_fields
-from .instances import Instance, check_instance_set
+from .instances import Instance
 from .metrics import MetricsEvent
 from .nn import Adam, MlpParams, greedy_action, init_mlp, mlp_activations, mlp_forward, mlp_gradient
 
@@ -39,6 +39,10 @@ class DqnConfig:
         check_fields(self)
         if self.eps_end > self.eps_start:
             raise ConfigurationError(f"eps_end: must be <= eps_start ({self.eps_start}), got {self.eps_end}")
+        if self.batch_size > self.replay_capacity:
+            raise ConfigurationError(
+                f"batch_size: must be <= replay_capacity ({self.replay_capacity}), got {self.batch_size}"
+            )
 
 
 class ReplayBuffer:
@@ -89,14 +93,9 @@ def train_dqn(
     run_id: str = "dqn",
 ) -> tuple[MlpParams, list[MetricsEvent]]:
     """Train a Q-network; returns the parameters and one MetricsEvent per episode."""
-    check_instance_set(instances)
+    obs_dim, n_actions = network_widths(instances)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-
-    probe = env_factory(instances[0])
-    obs, mask = probe.reset()
-    obs_dim, n_actions = len(obs), len(mask)
-    dims = [obs_dim, *config.hidden, n_actions]
-    q_params = init_mlp(dims, rng, output_gain=1.0).astype(np.float32)
+    q_params = init_mlp([obs_dim, *config.hidden, n_actions], rng, output_gain=1.0).astype(np.float32)
     target_params = q_params.copy()
     optimizer = Adam(q_params, lr=config.learning_rate)
     # the last episode runs past total_steps, so no more than this many pushes

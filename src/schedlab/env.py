@@ -41,12 +41,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidActionError
-from .instances import Instance, Task
+from .errors import InstanceSetError, InvalidActionError
+from .instances import Instance, Task, check_instance_set
 from .schedule import Placement, Schedule
 
 
@@ -66,6 +66,17 @@ class StepResult:
 
 def observation_length(num_jobs: int) -> int:
     return 4 * num_jobs + 1
+
+
+def network_widths(instances: Sequence[Instance], source: object = "instance set") -> tuple[int, int]:
+    """A network's widths for n-job ``instances``: 4n + 1 inputs and n actions. An empty
+    set or one that mixes job counts raises InstanceSetError, which ``source`` starts."""
+    check_instance_set(instances, source)
+    counts = sorted({inst.num_jobs for inst in instances})
+    if len(counts) > 1:
+        found = " and ".join(f"{n}-job" for n in counts)
+        raise InstanceSetError(f"{source}: mixes {found} instances; a model takes one job count")
+    return observation_length(counts[0]), counts[0]
 
 
 def _write_job(env: SchedulingEnv, obs: np.ndarray, slots: list, j: int, k: int, ready: int) -> None:
@@ -209,7 +220,9 @@ class SchedulingEnv:
     This is also the environment-variant hook: the trainers take a factory
     ``instance -> env`` and only use the reset()/step() surface below, so
     alternative action semantics can be dropped in. ``run_episode`` and
-    ``evaluate`` always build this class. A variant must keep the episode
+    ``evaluate`` always build this class. A variant must keep the 4n + 1
+    observation entries and the n actions of an n-job instance, because the
+    trainers size their networks by ``network_widths``, and the episode
     length: ``done`` comes on exactly the ``instance.num_tasks``-th step,
     because the PPO rollout plans its buffer rows from it.
     """
@@ -237,6 +250,7 @@ class SchedulingEnv:
         return step(self, action)
 
 
-# A fresh env per call, whose every episode ends after exactly
-# ``instance.num_tasks`` steps; PPO raises ``EpisodeLengthError`` otherwise.
+# A fresh env per call, whose observations and masks have ``network_widths``
+# entries and whose every episode ends after exactly ``instance.num_tasks``
+# steps; PPO raises ``EpisodeLengthError`` otherwise.
 EnvFactory = Callable[[Instance], SchedulingEnv]

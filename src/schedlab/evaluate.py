@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import DispatchRule, Policy, rule_policy
-from .env import RewardMode, SchedulingEnv, observation_length
+from .env import RewardMode, SchedulingEnv, network_widths
 from .errors import (
     ConfigurationError, InstanceSetError, InternalError, InvalidActionError, bounded, check_fields,
 )
@@ -51,11 +51,11 @@ class EvalSettings:
                     f"methods: unknown method {name!r}; valid: {', '.join(VALID_METHODS)}"
                 )
         for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            if not values:
+                raise ConfigurationError(f"{name}: must be non-empty")
             repeated = sorted({v for v in values if values.count(v) > 1})
             if repeated:
                 raise ConfigurationError(f"{name}: repeated entries {repeated}")
-        if not self.seeds:
-            raise ConfigurationError("seeds: must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -155,24 +155,24 @@ def evaluate(
     ``seed=None``. Each seed keys a Philox stream together with the instance
     id. Before any run, methods and seeds are checked by building
     ``EvalSettings``, so a bad entry raises the ``ConfigurationError`` a
-    config file with it gets: an unknown or repeated method, a repeated seed,
-    no seeds, or a seed outside [0, 2**64). With method "model", a
-    ``model_params`` whose input and output widths do not fit the job count
-    of every instance raises ``InstanceSetError``, also before any run.
+    config file with it gets: an unknown or repeated method, no methods, a
+    repeated seed, no seeds, or a seed outside [0, 2**64). With method
+    "model", a set that mixes job counts, or a ``model_params`` whose input
+    and output widths are not ``network_widths(instances)``, raises
+    ``InstanceSetError``, also before any run.
     """
-    check_instance_set(instances, one_job_count=False)
+    check_instance_set(instances)
     settings = EvalSettings(tuple(methods), tuple(seeds))  # an iterator is read once
     methods, seeds = settings.methods, settings.seeds
     if "model" in methods:
         if model_params is None:
             raise ConfigurationError("method 'model' requires model_params")
-        dims = model_params.dims()
-        for n in sorted({inst.num_jobs for inst in instances}):
-            if (dims[0], dims[-1]) != (observation_length(n), n):
-                raise InstanceSetError(
-                    f"the model maps {dims[0]} inputs to {dims[-1]} actions, but "
-                    f"{n}-job instances need {observation_length(n)} inputs and {n} actions"
-                )
+        dims, (width, n) = model_params.dims(), network_widths(instances)
+        if (dims[0], dims[-1]) != (width, n):
+            raise InstanceSetError(
+                f"the model maps {dims[0]} inputs to {dims[-1]} actions, but "
+                f"{n}-job instances need {width} inputs and {n} actions"
+            )
 
     clock = timer if timer is not None else (lambda: 0.0)
 

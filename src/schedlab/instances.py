@@ -226,20 +226,10 @@ def generate_batch(config: GeneratorConfig) -> list[Instance]:
     return batch
 
 
-def check_instance_set(
-    instances: Sequence[Instance], source: object = "instance set", one_job_count: bool = True
-) -> None:
-    """Raise InstanceSetError if the set is empty or, with one_job_count, mixes job counts.
-
-    A network's input and output widths follow the job count, so a model
-    trains on one count only. ``source`` (a file path, say) starts the message.
-    """
-    counts = sorted({inst.num_jobs for inst in instances})
-    if not counts:
+def check_instance_set(instances: Sequence[Instance], source: object = "instance set") -> None:
+    """Raise InstanceSetError if the set is empty; ``source`` (a file path, say) starts the message."""
+    if not instances:
         raise InstanceSetError(f"{source}: holds no instances")
-    if one_job_count and len(counts) > 1:
-        found = " and ".join(f"{n}-job" for n in counts)
-        raise InstanceSetError(f"{source}: mixes {found} instances; a model takes one job count")
 
 
 # ---------------------------------------------------------------------------

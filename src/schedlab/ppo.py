@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .env import EnvFactory, SchedulingEnv
+from .env import EnvFactory, SchedulingEnv, network_widths
 from .errors import EpisodeLengthError, TrainingDivergedError, bounded, check_fields
-from .instances import Instance, check_instance_set
+from .instances import Instance
 from .metrics import MetricsEvent
 from .nn import (
     Adam,
@@ -275,12 +275,8 @@ def train_ppo(
     run_id: str = "ppo",
 ) -> tuple[MlpParams, MlpParams, list[MetricsEvent]]:
     """Train policy and value networks; returns both plus one MetricsEvent per update."""
-    check_instance_set(instances)
+    obs_dim, n_actions = network_widths(instances)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
-
-    probe = env_factory(instances[0])
-    obs, mask = probe.reset()
-    obs_dim, n_actions = len(obs), len(mask)
     policy = init_mlp([obs_dim, *config.hidden, n_actions], rng, output_gain=0.01).astype(np.float32)
     value = init_mlp([obs_dim, *config.hidden, 1], rng, output_gain=1.0).astype(np.float32)
     optimizer = Adam(policy, value, lr=config.learning_rate)

@@ -534,10 +534,9 @@ class NanRewardEnv(SchedulingEnv):
 
 
 def nan_after(episodes):
-    """An env factory whose envs report NaN rewards once ``episodes`` envs
-    have been built after the trainer's probe env."""
+    """An env factory whose envs report NaN rewards once ``episodes`` envs have been built."""
     built = itertools.count()
-    return lambda inst: (SchedulingEnv if next(built) <= episodes else NanRewardEnv)(inst, DENSE)
+    return lambda inst: (SchedulingEnv if next(built) < episodes else NanRewardEnv)(inst, DENSE)
 
 
 def recording_adam(module, monkeypatch):
@@ -675,6 +674,24 @@ def test_trainers_reject_mixed_job_counts_before_the_first_step():
     with pytest.raises(InstanceSetError, match="2-job and 3-job"):
         train_ppo(factory, [three, two], PpoConfig(total_steps=10))
     assert built == []
+
+
+@pytest.mark.parametrize("train, config", [
+    (train_ppo, PpoConfig(total_steps=64, steps_per_update=32, epochs=1, minibatch_size=16, seed=1)),
+    (train_dqn, DqnConfig(total_steps=64, batch_size=16, seed=1)),
+], ids=["ppo", "dqn"])
+def test_trainers_build_an_env_for_each_episode_only(train, config):
+    """The networks are sized from the instances, not from an env: the factory
+    sees exactly the rollout's episodes, in cursor order (64 rows of 6, 6 and
+    12 steps)."""
+    instances = mixed_length_instances()
+    built = []
+    train(lambda inst: built.append(inst) or dense_factory(inst), instances, config)
+    expected, rows = [], 0
+    while rows < 64:
+        expected.append(instances[len(expected) % len(instances)])
+        rows += expected[-1].num_tasks
+    assert built == expected
 
 
 class ResetStepOnly:

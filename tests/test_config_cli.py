@@ -162,13 +162,18 @@ def test_cli_range_error_exit_2(tmp_path, capsys, dotted, value):
     assert capsys.readouterr().err.startswith(f"config error: {dotted}")
 
 
-def test_cli_eps_end_above_eps_start_exit_2(tmp_path, capsys):
-    path = config_with(tmp_path, "dqn.eps_start", 0.1)
+@pytest.mark.parametrize("first, second", [
+    (("eps_start", 0.1), ("eps_end", 0.5)),
+    # a buffer that never holds a batch would train with no learning step
+    (("replay_capacity", 10), ("batch_size", 64)),
+], ids=["eps_end", "batch_size"])
+def test_cli_eps_end_above_eps_start_exit_2(tmp_path, capsys, first, second):
+    path = config_with(tmp_path, f"dqn.{first[0]}", first[1])
     data = json.loads(path.read_text())
-    data["dqn"]["eps_end"] = 0.5
+    data["dqn"][second[0]] = second[1]
     path.write_text(json.dumps(data))
     assert main(["generate", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: dqn.eps_end")
+    assert capsys.readouterr().err.startswith(f"config error: dqn.{second[0]}")
     assert not (tmp_path / "data").exists()
 
 
@@ -217,6 +222,7 @@ def test_out_of_range_field_rejected_at_construction(cls, field, value):
 def test_range_boundaries_accepted():
     assert PpoConfig(epochs=0, discount=1).epochs == 0
     assert DqnConfig(eps_start=0.3, eps_end=0.3, eps_decay_steps=None).eps_end == 0.3
+    assert DqnConfig(replay_capacity=64, batch_size=64).batch_size == 64
     assert PpoConfig(seed=2**128 - 1).seed == DqnConfig(seed=2**128 - 1).seed == 2**128 - 1
     assert jssp_config(seed=2**64 - 1).seed == 2**64 - 1
     assert EvalSettings(seeds=(0, 2**64 - 1)).seeds == (0, 2**64 - 1)
@@ -513,6 +519,25 @@ def test_cli_train_on_untrainable_file_exit_2(tmp_path, capsys, algo, content):
     assert str(train_path) in err and "Traceback" not in err
     assert ("no instances" if content == "empty" else "2-job and 3-job") in err
     assert not (tmp_path / "models").exists() and not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("methods, code", [(("model", "spt"), 2), (("spt", "random"), 0)],
+                         ids=["model", "rules"])
+def test_cli_test_on_mixed_file(tmp_path, capsys, methods, code):
+    """A model takes one job count, so a test split that mixes counts exits 2
+    and names the file before any model file is looked up; the rules take it."""
+    cfg_path = tiny_config(tmp_path, methods=methods)
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    test_path = split_file(cfg_path, "test")
+    extra = generate_instance(jssp_config(num_jobs=3, tasks_per_job=2, num_machines=2), 0)
+    write_instances(read_instances(test_path) + [extra], test_path)
+    capsys.readouterr()
+    assert main(["test", "--config", str(cfg_path)]) == code
+    if code == 2:
+        assert capsys.readouterr().err == (
+            f"error: {test_path}: mixes 2-job and 3-job instances; a model takes one job count\n"
+        )
+        assert not (tmp_path / "results").exists()
 
 
 def test_cli_test_on_empty_file_exit_2(tmp_path, capsys):

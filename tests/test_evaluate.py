@@ -254,6 +254,7 @@ def test_evaluate_rejects_repeated_methods_and_seeds(methods, seeds):
     (["random"], []),
     (["random"], [0, -1]),
     (["random"], [2**64]),
+    ([], [0]),
 ])
 def test_evaluate_rejects_what_eval_settings_rejects_before_any_run(methods, seeds):
     # one rule set: a library caller gets the error a config file with these entries gets

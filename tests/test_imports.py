@@ -67,6 +67,18 @@ def test_run_episode_lives_beside_evaluate():
     assert defined == {"evaluate.py"}
 
 
+def test_width_rule_lives_in_env():
+    # network_widths is the one place that turns a job count into a network's widths
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "observation_length" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "observation_length"
+    }
+    assert naming == {"env.py"}
+
+
 def _naming(private):
     """The source files that name any of the attributes ``private``."""
     return {
