@@ -94,6 +94,14 @@ def train_dqn(
 ) -> tuple[MlpParams, list[MetricsEvent]]:
     """Train a Q-network; returns the parameters and one MetricsEvent per episode."""
     obs_dim, n_actions = network_widths(instances)
+    # the run stores whole episodes, in cursor order, until total_steps is reached
+    stored = cursor = 0
+    while stored < min(config.total_steps, config.batch_size):
+        stored += instances[cursor % len(instances)].num_tasks
+        cursor += 1
+    if stored < config.batch_size:
+        raise ConfigurationError(f"batch_size: must be <= the {stored} transitions a run of total_steps "
+                                 f"{config.total_steps} stores, got {config.batch_size}")
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     q_params = init_mlp([obs_dim, *config.hidden, n_actions], rng, output_gain=1.0).astype(np.float32)
     target_params = q_params.copy()

@@ -7,6 +7,10 @@ positive integer processing time, a non-empty set of eligible machines
 ``Instance.with_tools`` is derived, ``num_tools > 0``; instance records still
 carry it, and a record whose flag disagrees with ``num_tools`` is rejected.
 
+An instance checks itself when it is built (generated, read, by hand or by
+``dataclasses.replace``), so a hand-built instance with a fault raises
+MalformedRecordError before any env, trainer or solver sees it.
+
 Instances are identified by a SHA-256 digest over their canonical JSON
 serialization (sorted keys, compact separators, UTF-8), excluding the id
 itself and any solver annotation, so the id is stable across platforms and
@@ -70,7 +74,7 @@ class InstanceMeta:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable scheduling problem. ``tasks`` is ordered by (job_id, op_index)."""
+    """Immutable scheduling problem, valid by construction. ``tasks`` is ordered by (job_id, op_index)."""
 
     id: str
     problem_type: ProblemType
@@ -82,6 +86,9 @@ class Instance:
     meta: InstanceMeta
     optimal_makespan: int | None = None
     proof_status: str | None = None
+
+    def __post_init__(self) -> None:
+        validate_instance(self)
 
     def task(self, job_id: int, op_index: int) -> Task:
         return self.tasks[job_id * self.tasks_per_job + op_index]
@@ -165,7 +172,7 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
     n_jobs, n_ops, n_machines = config.num_jobs, config.tasks_per_job, config.num_machines
     n_tasks = n_jobs * n_ops
 
-    runtimes = rng.integers(config.runtime_lo, config.runtime_hi + 1, size=n_tasks)
+    runtimes = rng.integers(config.runtime_lo, config.runtime_hi + 1, size=n_tasks).tolist()
 
     eligible: list[tuple[int, ...]] = []
     if config.problem_type is ProblemType.JSSP:
@@ -187,17 +194,10 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
         tools = [None] * n_tasks
 
     tasks = tuple(
-        Task(
-            job_id=i // n_ops,
-            op_index=i % n_ops,
-            eligible_machines=eligible[i],
-            processing_time=int(runtimes[i]),
-            tool=tools[i],
-        )
-        for i in range(n_tasks)
+        Task(i // n_ops, i % n_ops, machines, p, tool)
+        for i, (machines, p, tool) in enumerate(zip(eligible, runtimes, tools))
     )
-    inst = Instance(
-        id="",
+    content = dict(
         problem_type=config.problem_type,
         num_jobs=n_jobs,
         tasks_per_job=n_ops,
@@ -206,7 +206,7 @@ def generate_instance(config: GeneratorConfig, stream_index: int) -> Instance:
         tasks=tasks,
         meta=InstanceMeta(seed=config.seed),
     )
-    return dataclasses.replace(inst, id=instance_digest(inst))
+    return Instance(id=_content_digest(**content), **content)
 
 
 def generate_batch(config: GeneratorConfig) -> list[Instance]:
@@ -248,18 +248,28 @@ def _task_record(task: Task) -> dict:
     return rec
 
 
-def _content_payload(instance: Instance) -> dict:
-    # Everything the digest covers: content fields only, no id, no annotation.
+def _content_payload(*, problem_type, num_jobs, tasks_per_job, num_machines, num_tools, tasks, meta,
+                     **_) -> dict:
+    # Everything the digest covers: content fields only, so the id and annotation are dropped.
     return {
-        "problem_type": instance.problem_type.value,
-        "with_tools": instance.with_tools,
-        "num_jobs": instance.num_jobs,
-        "tasks_per_job": instance.tasks_per_job,
-        "num_machines": instance.num_machines,
-        "num_tools": instance.num_tools,
-        "tasks": [_task_record(t) for t in instance.tasks],
-        "meta": {"seed": instance.meta.seed, "generator_version": instance.meta.generator_version},
+        "problem_type": problem_type.value,
+        "with_tools": num_tools > 0,
+        "num_jobs": num_jobs,
+        "tasks_per_job": tasks_per_job,
+        "num_machines": num_machines,
+        "num_tools": num_tools,
+        "tasks": [_task_record(t) for t in tasks],
+        "meta": {"seed": meta.seed, "generator_version": meta.generator_version},
     }
+
+
+def _fields(instance: Instance) -> dict:
+    # getattr, not vars(): a materialized __dict__ slows every later attribute read
+    return {field.name: getattr(instance, field.name) for field in dataclasses.fields(instance)}
+
+
+def _content_digest(**content) -> str:
+    return hashlib.sha256(canonical_json(_content_payload(**content)).encode("utf-8")).hexdigest()
 
 
 def instance_digest(instance: Instance) -> str:
@@ -268,59 +278,45 @@ def instance_digest(instance: Instance) -> str:
     Excludes the stored id and any optimal-makespan annotation, so two
     structurally equal instances share a digest regardless of annotation.
     """
-    return hashlib.sha256(canonical_json(_content_payload(instance)).encode("utf-8")).hexdigest()
+    return _content_digest(**_fields(instance))
 
 
 def validate_instance(instance: Instance) -> None:
-    """Check structural invariants; raise MalformedRecordError on the first failure."""
-    for name in ("num_jobs", "tasks_per_job", "num_machines"):
-        if getattr(instance, name) < 1:
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: {name} must be >= 1, got {getattr(instance, name)}"
-            )
-    n_expected = instance.num_jobs * instance.tasks_per_job
-    if len(instance.tasks) != n_expected:
-        raise MalformedRecordError(
-            f"instance {instance.id[:12]}: expected {n_expected} tasks, got {len(instance.tasks)}"
-        )
-    for i, task in enumerate(instance.tasks):
-        job, op = i // instance.tasks_per_job, i % instance.tasks_per_job
-        if (task.job_id, task.op_index) != (job, op):
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: task {i} has (job={task.job_id}, op={task.op_index}), "
-                f"expected ({job}, {op})"
-            )
-        if task.processing_time < 1:
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: task ({job},{op}) has processing_time {task.processing_time}"
-            )
-        if not task.eligible_machines:
-            raise MalformedRecordError(f"instance {instance.id[:12]}: task ({job},{op}) has no machines")
-        if instance.problem_type is ProblemType.JSSP and len(task.eligible_machines) != 1:
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: JSSP task ({job},{op}) has "
-                f"{len(task.eligible_machines)} eligible machines"
-            )
-        if any(not (0 <= m < instance.num_machines) for m in task.eligible_machines):
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: task ({job},{op}) references machine out of range"
-            )
-        if task.tool is not None and not (0 <= task.tool < instance.num_tools):
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: task ({job},{op}) references tool {task.tool} "
-                f"out of range [0, {instance.num_tools})"
-            )
-        if instance.with_tools and task.tool is None:
-            raise MalformedRecordError(
-                f"instance {instance.id[:12]}: with_tools instance but task ({job},{op}) has no tool"
-            )
-    if instance.optimal_makespan is not None and instance.proof_status not in (
-        PROOF_OPTIMAL,
-        PROOF_FEASIBLE,
-    ):
-        raise MalformedRecordError(
-            f"instance {instance.id[:12]}: annotated makespan without a valid proof_status"
-        )
+    """Raise MalformedRecordError on the first structural fault; ``Instance`` runs this when built."""
+    def fault(detail: str) -> MalformedRecordError:
+        return MalformedRecordError(f"instance {instance.id[:12]}: {detail}")
+
+    for field in ("num_jobs", "tasks_per_job", "num_machines"):
+        if getattr(instance, field) < 1:
+            raise fault(f"{field} must be >= 1, got {getattr(instance, field)}")
+    n_jobs, n_ops = instance.num_jobs, instance.tasks_per_job
+    n_machines, n_tools = instance.num_machines, instance.num_tools
+    if len(instance.tasks) != n_jobs * n_ops:
+        raise fault(f"expected {n_jobs * n_ops} tasks, got {len(instance.tasks)}")
+    jssp, with_tools = instance.problem_type is ProblemType.JSSP, instance.with_tools
+    tasks = iter(instance.tasks)
+    for job in range(n_jobs):
+        for op in range(n_ops):
+            task = next(tasks)
+            if task.job_id != job or task.op_index != op:
+                raise fault(f"task {job * n_ops + op} has (job={task.job_id}, op={task.op_index}), "
+                            f"expected ({job}, {op})")
+            if task.processing_time < 1:
+                raise fault(f"task ({job},{op}) has processing_time {task.processing_time}")
+            machines = task.eligible_machines
+            if not machines:
+                raise fault(f"task ({job},{op}) has no machines")
+            if jssp and len(machines) != 1:
+                raise fault(f"JSSP task ({job},{op}) has {len(machines)} eligible machines")
+            if min(machines) < 0 or max(machines) >= n_machines:
+                raise fault(f"task ({job},{op}) references machine out of range")
+            if task.tool is None:
+                if with_tools:
+                    raise fault(f"with_tools instance but task ({job},{op}) has no tool")
+            elif not 0 <= task.tool < n_tools:
+                raise fault(f"task ({job},{op}) references tool {task.tool} out of range [0, {n_tools})")
+    if instance.optimal_makespan is not None and instance.proof_status not in (PROOF_OPTIMAL, PROOF_FEASIBLE):
+        raise fault("annotated makespan without a valid proof_status")
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +324,7 @@ def validate_instance(instance: Instance) -> None:
 # ---------------------------------------------------------------------------
 
 def instance_to_record(instance: Instance) -> dict:
-    record = _content_payload(instance)
+    record = _content_payload(**_fields(instance))
     record["id"] = instance.id
     if instance.optimal_makespan is not None:
         record["optimal_makespan"] = instance.optimal_makespan
@@ -369,7 +365,6 @@ def instance_from_record(record: dict) -> Instance:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedRecordError(f"bad instance record: {exc!r}") from exc
-    validate_instance(instance)
     check_round_trip(record, instance_to_record(instance), "instance")
     recomputed = instance_digest(instance)
     if recomputed != instance.id:

@@ -49,7 +49,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalError, OracleSizeError, bounded, check_fields
-from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL, validate_instance
+from .instances import Instance, PROOF_FEASIBLE, PROOF_OPTIMAL
 from .schedule import Schedule, Timeline, earliest_start
 
 _TRANSPOSITION_CAP = 1_000_000
@@ -233,7 +233,6 @@ def solve_optimal(instance: Instance, limits: SolveLimits | None = None) -> Solv
     Returns proof_status "optimal" when the search completes within the
     limits, which apply after the first dive, else "feasible" with the best schedule.
     """
-    validate_instance(instance)
     if limits is None:
         limits = SolveLimits()
     t_start = time.perf_counter()
@@ -400,7 +399,6 @@ def permutation_oracle(instance: Instance) -> int:
     ``Timeline.add`` and ``remove``, and shares only ``Timeline`` and
     ``earliest_start`` with the search.
     """
-    validate_instance(instance)
     if instance.num_tasks > 8:
         raise OracleSizeError(
             f"permutation_oracle is limited to 8 tasks, got {instance.num_tasks}"
@@ -450,7 +448,6 @@ def timing_oracle(instance: Instance) -> int:
     minimum. Certifies on small instances that the solver's schedule family
     contains a true optimum.
     """
-    validate_instance(instance)
     if instance.num_tasks > 6:
         raise OracleSizeError(f"timing_oracle is limited to 6 tasks, got {instance.num_tasks}")
     ub = instance.total_processing_time

@@ -10,7 +10,9 @@ import pytest
 from schedlab import dqn, ppo
 from schedlab.dqn import DqnConfig, ReplayBuffer, train_dqn
 from schedlab.env import RewardMode, SchedulingEnv
-from schedlab.errors import EpisodeLengthError, InstanceSetError, TrainingDivergedError
+from schedlab.errors import (
+    ConfigurationError, EpisodeLengthError, InstanceSetError, TrainingDivergedError,
+)
 from schedlab.nn import (
     Adam, greedy_action, init_mlp, masked_log_probs, mlp_activations, mlp_forward, mlp_gradient,
 )
@@ -19,7 +21,7 @@ from schedlab.evaluate import run_episode
 from schedlab.solver import permutation_oracle
 
 from conftest import PerArrayAdam, build_instance, jssp_config
-from schedlab.instances import generate_instance
+from schedlab.instances import generate_batch, generate_instance
 
 DENSE = RewardMode.DENSE_MAKESPAN_DELTA
 SPARSE = RewardMode.SPARSE_TERMINAL
@@ -674,6 +676,31 @@ def test_trainers_reject_mixed_job_counts_before_the_first_step():
     with pytest.raises(InstanceSetError, match="2-job and 3-job"):
         train_ppo(factory, [three, two], PpoConfig(total_steps=10))
     assert built == []
+
+
+@pytest.mark.parametrize("total_steps, batch_size, stored", [(40, 64, 40), (37, 41, 40), (37, 40, None)])
+def test_dqn_run_that_never_fills_a_batch_is_rejected_before_the_first_episode(
+    monkeypatch, total_steps, batch_size, stored
+):
+    """Episodes of 4 steps are stored whole until total_steps is reached, so 37 or
+    40 steps store 40 transitions: a batch of 41 or 64 would never be sampled."""
+    instances = generate_batch(jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, count=3))
+    built, learned = [], []
+    factory = lambda inst: built.append(inst) or dense_factory(inst)
+    real_learn = dqn._learn_step
+    monkeypatch.setattr(dqn, "_learn_step", lambda *a: learned.append(a) or real_learn(*a))
+    config = DqnConfig(total_steps=total_steps, batch_size=batch_size)
+    if stored is None:
+        _, events = train_dqn(factory, instances, config)
+        assert len(built) == 10 and len(learned) == 1 and events[-1].scalars["loss"] > 0.0
+        return
+    with pytest.raises(ConfigurationError) as err:
+        train_dqn(factory, instances, config)
+    assert str(err.value) == (
+        f"batch_size: must be <= the {stored} transitions a run of total_steps {total_steps} "
+        f"stores, got {batch_size}"
+    )
+    assert built == [] and learned == []
 
 
 @pytest.mark.parametrize("train, config", [

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -21,13 +22,10 @@ from schedlab.config import (
 from schedlab.dqn import DqnConfig
 from schedlab.env import RewardMode
 from schedlab.errors import ConfigurationError
+from schedlab.files import canonical_json, write_text
 from schedlab.instances import (
     GeneratorConfig,
-    Instance,
-    InstanceMeta,
-    ProblemType,
     generate_instance,
-    instance_digest,
     read_instances,
     write_instances,
 )
@@ -175,6 +173,18 @@ def test_cli_eps_end_above_eps_start_exit_2(tmp_path, capsys, first, second):
     assert main(["generate", "--config", str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"config error: dqn.{second[0]}")
     assert not (tmp_path / "data").exists()
+
+
+def test_cli_train_dqn_that_never_fills_a_batch_exit_2(tmp_path, capsys):
+    # 4 train instances of 2x2: 40 steps store 40 transitions, fewer than a batch of 64
+    cfg_path = tiny_config(tmp_path, dqn={"total_steps": 40, "batch_size": 64, "seed": 1})
+    assert main(["generate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == ("config error: batch_size: must be <= the 40 transitions a run of "
+                   "total_steps 40 stores, got 64\n")
+    assert out == "" and not (tmp_path / "models").exists()
 
 
 NAN = float("nan")
@@ -570,11 +580,13 @@ def test_cli_solve_rejects_missing_or_file_path(tmp_path, capsys, target):
 
 
 def test_cli_solve_reports_zero_job_file(tmp_path, capsys):
+    # no Instance holds zero jobs, so the record is written as JSON, its id the content digest
     data = tmp_path / "data"
-    inst = Instance(id="", problem_type=ProblemType.JSSP, num_jobs=0,
-                    tasks_per_job=3, num_machines=2, num_tools=0, tasks=(),
-                    meta=InstanceMeta(seed=0))
-    write_instances([dataclasses.replace(inst, id=instance_digest(inst))], data / "empty.jsonl")
+    record = {"problem_type": "jssp", "with_tools": False, "num_jobs": 0, "tasks_per_job": 3,
+              "num_machines": 2, "num_tools": 0, "tasks": [],
+              "meta": {"seed": 0, "generator_version": 1}}
+    record["id"] = hashlib.sha256(canonical_json(record).encode("utf-8")).hexdigest()
+    write_text(data / "empty.jsonl", canonical_json(record) + "\n")
     assert main(["solve", "--instances", str(data)]) == 1
     err = capsys.readouterr().err
     assert "empty.jsonl" in err and "num_jobs" in err

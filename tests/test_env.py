@@ -329,19 +329,19 @@ def jobs_queried_by_step(env, action):
 # Job 1's first task takes [0, 3) on machine 1, so its kept slot is (task, 0,
 # 3, 5): its second task on machine 0 with tool 0 from its ready time 3. Job
 # 0's last listed action then places on machine 0, or on tool 0 only, next to
-# or across that slot.
+# or across that slot. Every task not on tool 0 has a tool of its own.
 HALF_OPEN_CASES = {
-    "ends at the slot start": ([(0, 3, None), (2, 1, None)], [1, 0], (0, 3, 5), False),
-    "starts at the slot end": ([(2, 5, None), (0, 2, None)], [1, 0, 0], (0, 3, 5), False),
-    "one unit on the machine": ([(0, 4, None), (2, 1, None)], [1, 0], (0, 4, 6), True),
-    "one unit on the tool only": ([(2, 4, 0), (2, 1, None)], [1, 0], (0, 4, 6), True),
+    "ends at the slot start": ([(0, 3, 1), (2, 1, 2)], [1, 0], (0, 3, 5), False),
+    "starts at the slot end": ([(2, 5, 1), (0, 2, 2)], [1, 0, 0], (0, 3, 5), False),
+    "one unit on the machine": ([(0, 4, 1), (2, 1, 2)], [1, 0], (0, 4, 6), True),
+    "one unit on the tool only": ([(2, 4, 0), (2, 1, 2)], [1, 0], (0, 4, 6), True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HALF_OPEN_CASES))
 def test_kept_slot_recomputed_only_on_overlap(case):
     job0, actions, slot, recomputed = HALF_OPEN_CASES[case]
-    inst = build_instance([job0, [(1, 3, None), (0, 2, 0)]], num_machines=3, num_tools=1)
+    inst = build_instance([job0, [(1, 3, 3), (0, 2, 0)]], num_machines=3, num_tools=4)
     env = SchedulingEnv(inst, DENSE)
     reset(env)
     for a in actions[:-1]:

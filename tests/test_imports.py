@@ -79,6 +79,18 @@ def test_width_rule_lives_in_env():
     assert naming == {"env.py"}
 
 
+def test_instance_rules_live_in_instances():
+    # an Instance checks itself when built, so no other module re-checks one
+    naming = {
+        path.name
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "validate_instance" in (getattr(node, "id", None), getattr(node, "attr", None))
+        or isinstance(node, ast.alias) and node.name == "validate_instance"
+    }
+    assert naming == {"instances.py"}
+
+
 def _naming(private):
     """The source files that name any of the attributes ``private``."""
     return {

@@ -11,6 +11,7 @@ from schedlab.errors import (
     MalformedRecordError,
 )
 from schedlab.instances import (
+    Instance,
     generate_batch,
     generate_instance,
     instance_digest,
@@ -225,6 +226,66 @@ def test_record_rejected_naming_its_fault(tools, edit, fragment):
     with pytest.raises(MalformedRecordError) as exc:
         instance_from_record(record)
     assert fragment in str(exc.value)
+
+
+def _edit_task(index, **changes):
+    def edit(fields):
+        tasks = list(fields["tasks"])
+        tasks[index] = dataclasses.replace(tasks[index], **changes)
+        return {"tasks": tuple(tasks)}
+    return edit
+
+
+# per fault: whether the 2x2 instance has two tools, the fields the fault
+# changes (given the valid instance's fields) and the message after its id
+CONSTRUCTION_FAULTS = {
+    "machine-above-range": (False, _edit_task(0, eligible_machines=(2,)),
+                            "task (0,0) references machine out of range"),
+    "machine-below-range": (False, _edit_task(3, eligible_machines=(-1,)),
+                            "task (1,1) references machine out of range"),
+    "tool-above-range": (True, _edit_task(0, tool=2), "task (0,0) references tool 2 out of range [0, 2)"),
+    "tool-below-range": (True, _edit_task(2, tool=-1),
+                         "task (1,0) references tool -1 out of range [0, 2)"),
+    "tool-without-tools": (False, _edit_task(0, tool=0), "task (0,0) references tool 0 out of range [0, 0)"),
+    "misordered-tasks": (False, lambda f: {"tasks": (f["tasks"][1], f["tasks"][0], *f["tasks"][2:])},
+                         "task 0 has (job=0, op=1), expected (0, 0)"),
+    "misordered-last-task": (False, _edit_task(3, op_index=0), "task 3 has (job=1, op=0), expected (1, 1)"),
+    "zero-processing-time": (False, _edit_task(1, processing_time=0), "task (0,1) has processing_time 0"),
+    "missing-task": (False, lambda f: {"tasks": f["tasks"][:-1]}, "expected 4 tasks, got 3"),
+    "extra-task": (False, lambda f: {"tasks": f["tasks"] + f["tasks"][-1:]}, "expected 4 tasks, got 5"),
+    "no-jobs": (False, lambda f: {"num_jobs": 0}, "num_jobs must be >= 1, got 0"),
+    "no-ops": (False, lambda f: {"tasks_per_job": 0, "tasks": ()}, "tasks_per_job must be >= 1, got 0"),
+    "no-machines": (False, lambda f: {"num_machines": 0}, "num_machines must be >= 1, got 0"),
+    "no-eligible-machine": (False, _edit_task(0, eligible_machines=()), "task (0,0) has no machines"),
+    "jssp-two-machines": (False, _edit_task(0, eligible_machines=(0, 1)),
+                          "JSSP task (0,0) has 2 eligible machines"),
+    "tool-instance-task-without-tool": (True, _edit_task(1, tool=None),
+                                        "with_tools instance but task (0,1) has no tool"),
+    "makespan-without-proof-status": (False, lambda f: {"optimal_makespan": 9},
+                                      "annotated makespan without a valid proof_status"),
+    "makespan-with-unknown-proof-status": (False,
+                                           lambda f: {"optimal_makespan": 9, "proof_status": "guessed"},
+                                           "annotated makespan without a valid proof_status"),
+}
+
+
+@pytest.mark.parametrize("build", ["constructor", "replace"])
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_FAULTS))
+def test_building_an_instance_rejects_every_fault(case, build):
+    """No invalid Instance exists: the reader's rules and messages hold for a
+    hand-built instance and for a ``dataclasses.replace`` of a valid one."""
+    tools, edit, fragment = CONSTRUCTION_FAULTS[case]
+    cfg = jssp_config(num_jobs=2, tasks_per_job=2, num_machines=2, with_tools=tools,
+                      num_tools=2 if tools else 0, seed=8)
+    valid = generate_instance(cfg, 0)
+    fields = {field.name: getattr(valid, field.name) for field in dataclasses.fields(valid)}
+    changes = edit(fields)
+    with pytest.raises(MalformedRecordError) as exc:
+        if build == "constructor":
+            Instance(**{**fields, **changes})
+        else:
+            dataclasses.replace(valid, **changes)
+    assert str(exc.value) == f"instance {valid.id[:12]}: {fragment}"
 
 
 @pytest.mark.parametrize("tools, edit, fragment", [

@@ -54,16 +54,17 @@ def test_earliest_start_gap_insertion():
 
 
 def test_earliest_start_tool_blocks_gap():
-    # machine busy [0,3) and [5,9), tool busy [3,6): the [3,5) gap is blocked
+    # machine busy [0,3) and [5,9), tool busy [3,6): the [3,5) gap is blocked;
+    # tools 1 and 2 have one task each
     inst = build_instance(
         [
-            [(0, 3, None)],
-            [(0, 4, None)],
+            [(0, 3, 1)],
+            [(0, 4, 2)],
             [(1, 3, 0)],
             [(0, 2, 0)],
         ],
         num_machines=2,
-        num_tools=1,
+        num_tools=3,
     )
     sched = Schedule(inst)
     sched.place_task(inst.task(0, 0), 0, 0)  # machine0 [0,3)
@@ -258,7 +259,7 @@ def test_place_rejects_wrong_op_order():
 
 def test_validate_constructed_schedule_is_clean():
     inst = build_instance(
-        [[(0, 2, 0), (1, 3, None)], [(1, 2, 0), (0, 4, 1)]], num_machines=2, num_tools=2
+        [[(0, 2, 0), (1, 3, 2)], [(1, 2, 0), (0, 4, 1)]], num_machines=2, num_tools=3
     )
     sched = Schedule(inst)
     order = [0, 1, 0, 1]
@@ -312,22 +313,23 @@ def test_validate_detects_machine_overlap_and_eligibility():
 # Machine 1 and tool 1 both exist, so grouping machines and tools in one dict
 # must keep them apart. Per job: one task, and where it is placed (machine,
 # start). The jobs sharing tool 1 are placed first, and the machine overlap
-# must still be reported first.
+# must still be reported first. Tools 3 and 4, whose ids no machine has, have
+# one task each.
 RESOURCE_ONE_CASES = {
     "machine 1 and tool 1 overlaps": (
-        [[(0, 3, 1)], [(2, 3, 1)], [(1, 3, None)], [(1, 3, None)]],
+        [[(0, 3, 1)], [(2, 3, 1)], [(1, 3, 3)], [(1, 3, 4)]],
         [(0, 0), (2, 1), (1, 0), (1, 1)],
         [("machine-overlap", ((2, 0), (3, 0)), "machine 1: [0,3) overlaps [1,4)"),
          ("tool-overlap", ((0, 0), (1, 0)), "tool 1: [0,3) overlaps [1,4)")],
     ),
-    "machine 1 beside tool 1": ([[(0, 3, 1)], [(1, 3, None)]], [(0, 0), (1, 1)], []),
+    "machine 1 beside tool 1": ([[(0, 3, 1)], [(1, 3, 3)]], [(0, 0), (1, 1)], []),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RESOURCE_ONE_CASES))
 def test_validate_keeps_machine_and_tool_of_one_id_apart(case):
     jobs, where, expected = RESOURCE_ONE_CASES[case]
-    inst = build_instance(jobs, num_machines=3, num_tools=2)
+    inst = build_instance(jobs, num_machines=3, num_tools=5)
     sched = Schedule(inst)
     for task, (machine, start) in zip(inst.tasks, where):
         sched._placements[(task.job_id, 0)] = Placement(
@@ -483,7 +485,7 @@ def test_timeline_operations():
 
 def test_schedule_record_roundtrip(tmp_path):
     inst = build_instance(
-        [[(0, 2, 0), (1, 3, None)], [(1, 2, 0), (0, 4, 1)]], num_machines=2, num_tools=2
+        [[(0, 2, 0), (1, 3, 2)], [(1, 2, 0), (0, 4, 1)]], num_machines=2, num_tools=3
     )
     sched = Schedule(inst)
     for j in [0, 1, 0, 1]:
